@@ -22,20 +22,30 @@ over 100 array instances x thousands of queries tractable.
 
 Batch pipeline
 --------------
-Three search entry points share one evaluation/decision stack so their
-results are bit-identical by construction:
+A batch search is one score -> select pipeline, whatever the entry
+point:
 
-* :meth:`FeReXArray.search` — one query; currents through the blocked
-  3-D kernel (:meth:`FeReXArray.cell_currents_block` on a one-query
-  block), winner through :meth:`LoserTakeAll.decide` (which delegates
-  to the vectorised ``decide_batch``).
-* :meth:`FeReXArray.search_batch` / :meth:`FeReXArray.search_k_batch` —
-  arbitrary bias matrices, evaluated in ``(chunk, rows, cols)`` blocks.
-* :meth:`FeReXArray.search_batch_values` /
-  :meth:`FeReXArray.search_k_batch_values` — the associative-memory
-  fast path: per-cell currents for the small bias alphabet are
-  precomputed once (cached until the next write) and each query block
-  is assembled by value-select, an order of magnitude faster again.
+* **score** — one scorer per bias form.  Alphabet-indexed queries
+  (:meth:`FeReXArray.search_k_batch_values`, the associative-memory
+  form: every query element picks its cell's bias from a small
+  alphabet) run the compiled integer kernel when the array is eligible
+  and otherwise value-select from a per-cell float table cached until
+  the next write.  Arbitrary bias matrices
+  (:meth:`FeReXArray.search_k_batch`) are matched back onto the
+  registered alphabet and take the same kernel, or fall through to the
+  blocked float physics (:meth:`FeReXArray.cell_currents_block`).
+* **select** — one stable argsort of the offset-adjusted competition
+  currents (``_select``): masking an LTA winner to ``+inf`` and
+  re-deciding picks the next entry of that same order, so its first
+  ``k`` columns *are* the ``k`` winner-masking rounds, for any
+  comparator offsets.
+
+:meth:`FeReXArray.search_batch` / :meth:`FeReXArray.search_batch_values`
+are the ``k = 1`` views and :meth:`FeReXArray.readout_batch_values` is
+the scorer without the select.  Serial :meth:`FeReXArray.search` /
+:meth:`FeReXArray.search_k` keep the round-by-round, margin-aware
+:class:`LoserTakeAll` flow — the hardware reference the batch pipeline
+is property-tested against (winners and ``row_units`` bit-identical).
 
 Quantized integer kernel
 ------------------------
@@ -148,6 +158,15 @@ class BatchSearchKResult:
     def k(self) -> int:
         return self.winners.shape[1]
 
+    def nearest(self) -> BatchSearchResult:
+        """The ``k = 1`` view: each query's first winner."""
+        return BatchSearchResult(
+            winners=self.winners[:, 0],
+            row_units=self.row_units,
+            timing_per_query=self.timing_per_query,
+            energy_per_query=self.energy_per_query,
+        )
+
 
 class FeReXArray:
     """A rows x physical_cols 1FeFET1R crossbar with LTA read-out.
@@ -238,14 +257,15 @@ class FeReXArray:
         self.disturb_violations = 0
         #: Bumped on every write so cached search tables invalidate.
         self.write_generation = 0
-        self._bias_table_cache: Optional[tuple] = None
+        #: The values scorer's per-alphabet state ("table" / "kernel"),
+        #: name -> (key, value); see :meth:`_memo`.
+        self._scorer_cache: dict = {}
         #: Master switch for the quantized integer kernel; ``False``
         #: forces the float-physics path everywhere (the benchmark
         #: baseline and an escape hatch).
         self.kernel_enabled = True
         #: Registered bias alphabet generic searches are matched onto.
         self._alphabet: Optional[tuple] = None
-        self._kernel_cache: Optional[tuple] = None
         self._ideal_variation: Optional[bool] = None
 
     # ------------------------------------------------------------------
@@ -575,92 +595,55 @@ class FeReXArray:
             raise ValueError("SL and DL matrices must have equal shapes")
         return sl_matrix, dl_matrix
 
-    def _resolve_chunk(self, chunk: Optional[int]) -> int:
-        """Queries per numpy block; ``None`` auto-sizes to keep the
-        working tensor cache-resident (~2^18 cells per block)."""
-        if chunk is None:
-            chunk = (1 << 18) // max(1, self.rows * self.physical_cols)
-        return max(1, chunk)
+    #: Cells per numpy block of the float-physics scorers: queries are
+    #: evaluated ``BLOCK_CELLS // (rows * physical_cols)`` at a time so
+    #: the working tensor stays cache-resident (tests lower it to force
+    #: multi-block batches).
+    BLOCK_CELLS = 1 << 18
 
-    def _batch_row_currents(
-        self,
-        sl_matrix: np.ndarray,
-        dl_matrix: np.ndarray,
-        chunk: Optional[int],
-    ) -> np.ndarray:
-        """(n_queries, rows) row currents, evaluated in blocked 3-D numpy."""
-        n_queries = sl_matrix.shape[0]
-        chunk = self._resolve_chunk(chunk)
-        row_currents = np.empty((n_queries, self.rows))
-        for start in range(0, n_queries, chunk):
-            stop = min(start + chunk, n_queries)
-            row_currents[start:stop] = self._row_currents_block(
-                sl_matrix[start:stop], dl_matrix[start:stop]
-            )
-        return row_currents
+    def _blocks(self, n_queries: int):
+        """Query slices of at most one float-physics block each."""
+        step = max(1, self.BLOCK_CELLS // (self.rows * self.physical_cols))
+        return (
+            slice(start, start + step)
+            for start in range(0, n_queries, step)
+        )
 
-    def _bias_current_table(
-        self, sl_values: np.ndarray, dl_values: np.ndarray
-    ) -> np.ndarray:
-        """(n_values, rows, cells) per-cell current sums per alphabet entry.
-
-        Cell currents for every alphabet row are evaluated through the
-        shared physics kernel and pre-reduced over each cell's
-        ``cell_fanout`` columns (the same within-cell tree
-        :meth:`_cell_sums` applies everywhere).  Memoised against the
-        write generation: re-programming any row (or a new bias
-        alphabet) invalidates the table, while back-to-back searches —
-        the Monte Carlo / inference hot path — reuse it.
-        """
+    def _memo(
+        self, name: str, sl_values: np.ndarray, dl_values: np.ndarray, build
+    ):
+        """``build(sl_values, dl_values)``, memoised per bias alphabet
+        against the write generation: re-programming any row (or a new
+        alphabet) invalidates the value, while back-to-back searches —
+        the Monte Carlo / inference hot path — reuse it."""
         key = (
             self.write_generation,
             sl_values.tobytes(),
             dl_values.tobytes(),
         )
-        if self._bias_table_cache is not None:
-            cached_key, table = self._bias_table_cache
-            if cached_key == key:
-                return table
-        table = self._cell_sums(
-            self.cell_currents_block(sl_values, dl_values)
-        )
-        self._bias_table_cache = (key, table)
-        return table
+        cached = self._scorer_cache.get(name)
+        if cached is None or cached[0] != key:
+            cached = (key, build(sl_values, dl_values))
+            self._scorer_cache[name] = cached
+        return cached[1]
 
-    def _row_currents_from_table(
-        self,
-        table: np.ndarray,
-        value_index: np.ndarray,
-        chunk: Optional[int],
+    def _bias_current_table(
+        self, sl_values: np.ndarray, dl_values: np.ndarray
     ) -> np.ndarray:
-        """(n_queries, rows) row currents via the bias-alphabet table.
+        """(n_values, rows, cells) per-cell current sums per alphabet
+        entry (memoised, see :meth:`_memo`).
 
-        Per block, the (chunk, rows, cells) per-cell sum tensor is
-        assembled by value-select from ``table`` — the per-cell floats
-        are exactly the ones :meth:`_row_currents_block` produces, so
-        the subsequent (identical) reduction keeps this path
-        bit-identical to the generic kernel at a fraction of its cost.
+        Cell currents for every alphabet row are evaluated through the
+        shared physics kernel and pre-reduced over each cell's
+        ``cell_fanout`` columns (the same within-cell tree
+        :meth:`_cell_sums` applies everywhere).
         """
-        n_queries, n_values = value_index.shape[0], table.shape[0]
-        chunk = self._resolve_chunk(chunk)
-        row_currents = np.empty((n_queries, self.rows))
-        for start in range(0, n_queries, chunk):
-            stop = min(start + chunk, n_queries)
-            block_index = value_index[start:stop][:, None, :]
-            if n_values > 1:
-                currents = np.where(
-                    block_index == 0, table[0], table[1]
-                )
-            else:
-                currents = np.broadcast_to(
-                    table[0], (stop - start, *table.shape[1:])
-                )
-            for v in range(2, n_values):
-                np.copyto(currents, table[v], where=block_index == v)
-            row_currents[start:stop] = (
-                currents.sum(axis=2) * self.variation.row_gain[None, :]
-            )
-        return row_currents
+        return self._memo(
+            "table",
+            sl_values,
+            dl_values,
+            lambda sl, dl: self._cell_sums(self.cell_currents_block(sl, dl)),
+        )
 
     # ------------------------------------------------------------------
     # Quantized integer kernel
@@ -702,24 +685,15 @@ class FeReXArray:
         """The compiled :class:`repro.core.kernel.QuantizedKernel` for a
         bias alphabet, or ``None`` when the array is ineligible.
 
-        Memoised against the write generation exactly like the float
-        bias table; ineligible combinations memoise ``None`` so the
-        float path does not re-attempt compilation on every batch.
+        Memoised (:meth:`_memo`) exactly like the float bias table;
+        ineligible combinations memoise ``None`` so the float path
+        does not re-attempt compilation on every batch.
         """
         if not self.kernel_enabled:
             return None
-        key = (
-            self.write_generation,
-            sl_values.tobytes(),
-            dl_values.tobytes(),
+        return self._memo(
+            "kernel", sl_values, dl_values, self._compile_kernel
         )
-        if self._kernel_cache is not None:
-            cached_key, kernel = self._kernel_cache
-            if cached_key == key:
-                return kernel
-        kernel = self._compile_kernel(sl_values, dl_values)
-        self._kernel_cache = (key, kernel)
-        return kernel
 
     def _compile_kernel(self, sl_values: np.ndarray, dl_values: np.ndarray):
         """Compile (codes, LUT) for one write generation; ``None`` when
@@ -866,22 +840,6 @@ class FeReXArray:
         per_col = np.repeat(value_index[0], self.cell_fanout)
         return dl_values[per_col, np.arange(self.physical_cols)]
 
-    def _nominal_batch_accounting(
-        self, dl_first: Optional[np.ndarray], row_currents: np.ndarray
-    ) -> tuple[SearchTiming, EnergyBreakdown]:
-        """Per-query timing/energy at nominal activity (first query)."""
-        n_queries = row_currents.shape[0]
-        timing = self.timing_model.search_timing()
-        energy = self.energy_model.search_energy(
-            row_currents[0] if n_queries else np.zeros(self.rows),
-            dl_first
-            if dl_first is not None
-            else np.zeros(self.physical_cols, int),
-            timing,
-        )
-        energy.add("lta", 0.0)  # defensive parity with serial search()
-        return timing, energy
-
     def _validate_active_rows(
         self, active_rows: Optional[np.ndarray]
     ) -> Optional[np.ndarray]:
@@ -898,6 +856,17 @@ class FeReXArray:
             )
         return active_rows
 
+    def _validate_competition(
+        self, active_rows: Optional[np.ndarray], k: int
+    ) -> Optional[np.ndarray]:
+        """The validated competition mask of a ``k``-winner batch
+        search; ``k`` is bounded by the number of competing rows."""
+        active = self._validate_active_rows(active_rows)
+        n_competing = self.rows if active is None else int(active.sum())
+        if not 1 <= k <= n_competing:
+            raise ValueError(f"k={k} outside [1, {n_competing}]")
+        return active
+
     def _masked_compete(
         self, row_currents: np.ndarray, active: Optional[np.ndarray]
     ) -> np.ndarray:
@@ -907,154 +876,177 @@ class FeReXArray:
             return row_currents.copy()
         return np.where(active[None, :], row_currents, np.inf)
 
-    def _finish_search_batch(
-        self,
-        row_currents: np.ndarray,
-        dl_first: Optional[np.ndarray],
-        active: Optional[np.ndarray] = None,
-    ) -> "BatchSearchResult":
-        decisions = self._lta.decide_batch(
-            self._masked_compete(row_currents, active)
-        )
-        timing, energy = self._nominal_batch_accounting(
-            dl_first, row_currents
-        )
-        return BatchSearchResult(
-            winners=decisions.winners.astype(int),
-            row_units=row_currents / self.tech.cell.unit_current,
-            timing_per_query=timing,
-            energy_per_query=energy,
-        )
+    # ------------------------------------------------------------------
+    # Batch pipeline: score -> select
+    # ------------------------------------------------------------------
+    def _score_bias(
+        self, sl_matrix: np.ndarray, dl_matrix: np.ndarray
+    ) -> np.ndarray:
+        """(n_queries, rows) row currents for arbitrary bias matrices:
+        the compiled kernel when every query matches the registered
+        alphabet, else the float physics in blocked 3-D numpy."""
+        row_currents = self._generic_kernel_currents(sl_matrix, dl_matrix)
+        if row_currents is None:
+            row_currents = np.empty((len(sl_matrix), self.rows))
+            for block in self._blocks(len(sl_matrix)):
+                row_currents[block] = self._row_currents_block(
+                    sl_matrix[block], dl_matrix[block]
+                )
+        return row_currents
 
-    def _finish_search_k_batch(
+    def _score_values(
         self,
-        row_currents: np.ndarray,
-        dl_first: Optional[np.ndarray],
-        k: int,
-        active: Optional[np.ndarray] = None,
-    ) -> "BatchSearchKResult":
-        n_queries = row_currents.shape[0]
-        compete = self._masked_compete(row_currents, active)
-        winners = np.empty((n_queries, k), dtype=int)
-        arange = np.arange(n_queries)
-        for round_ in range(k):
-            decisions = self._lta.decide_batch(compete)
-            winners[:, round_] = decisions.winners
-            compete[arange, decisions.winners] = np.inf
-        timing, energy = self._nominal_batch_accounting(
-            dl_first, row_currents
-        )
-        return BatchSearchKResult(
-            winners=winners,
-            row_units=row_currents / self.tech.cell.unit_current,
-            timing_per_query=timing,
-            energy_per_query=energy,
-        )
+        sl_values: np.ndarray,
+        dl_values: np.ndarray,
+        value_index: np.ndarray,
+    ) -> np.ndarray:
+        """(n_queries, rows) row currents for alphabet-indexed queries:
+        the compiled kernel when the array is eligible, else per-block
+        value-select from the cached float table.
 
-    def _finish_search_k_batch_ranked(
-        self,
-        row_currents: np.ndarray,
-        dl_first: Optional[np.ndarray],
-        k: int,
-        active: Optional[np.ndarray] = None,
-    ) -> "BatchSearchKResult":
-        """Kernel-path equivalent of :meth:`_finish_search_k_batch`.
-
-        With every comparator offset zero — a kernel eligibility
-        condition — each LTA round is a stable argmin, and masking the
-        winner to ``+inf`` then re-deciding selects exactly the next
-        entry of the original stable order.  The ``k`` rounds therefore
-        collapse to the first ``k`` columns of one stable argsort,
-        bit-identical winners at a fraction of the cost.
+        The table's per-cell floats are exactly the ones
+        :meth:`_row_currents_block` produces and the reduction after
+        the select is the same, so the float branch is bit-identical
+        to :meth:`_score_bias` on the expanded matrices at a fraction
+        of its cost.
         """
-        compete = self._masked_compete(row_currents, active)
-        winners = np.argsort(compete, axis=1, kind="stable")[:, :k]
-        timing, energy = self._nominal_batch_accounting(
-            dl_first, row_currents
+        kernel = self._kernel_for(sl_values, dl_values)
+        if kernel is not None:
+            return kernel.row_currents(value_index)
+        table = self._bias_current_table(sl_values, dl_values)
+        row_currents = np.empty((len(value_index), self.rows))
+        for block in self._blocks(len(value_index)):
+            index = value_index[block][:, None, :]
+            if len(table) > 1:
+                currents = np.where(index == 0, table[0], table[1])
+            else:
+                currents = np.broadcast_to(
+                    table[0], (len(index), *table.shape[1:])
+                )
+            for v in range(2, len(table)):
+                np.copyto(currents, table[v], where=index == v)
+            row_currents[block] = (
+                currents.sum(axis=2) * self.variation.row_gain[None, :]
+            )
+        return row_currents
+
+    def _select(
+        self,
+        row_currents: np.ndarray,
+        active: Optional[np.ndarray],
+        k: int,
+    ) -> np.ndarray:
+        """(n_queries, k) LTA winners, nearest first.
+
+        Each LTA round flags the stable minimum of the offset-adjusted
+        competition currents, and masking that winner to ``+inf`` then
+        re-deciding flags the next entry of the same stable order — so
+        the ``k`` winner-masking rounds of serial :meth:`search_k` are
+        the first ``k`` columns of one stable argsort, whatever the
+        comparator offsets.
+        """
+        offsets = self._lta.offsets
+        if active is not None:
+            # A masked row's LTA branch is disconnected: +inf, exactly
+            # as serial search models it (finite current + inf = inf).
+            offsets = np.where(active, offsets, np.inf)
+        return np.argsort(
+            row_currents + offsets, axis=1, kind="stable"
+        )[:, :k]
+
+    def _finish(
+        self,
+        row_currents: np.ndarray,
+        dl_first: Optional[np.ndarray],
+        active: Optional[np.ndarray],
+        k: int,
+    ) -> BatchSearchKResult:
+        """Select the winners and attach the per-query timing/energy
+        at nominal activity (nominal margin, first query's currents)."""
+        timing = self.timing_model.search_timing()
+        energy = self.energy_model.search_energy(
+            row_currents[0] if len(row_currents) else np.zeros(self.rows),
+            dl_first
+            if dl_first is not None
+            else np.zeros(self.physical_cols, int),
+            timing,
         )
+        energy.add("lta", 0.0)  # defensive parity with serial search()
         return BatchSearchKResult(
-            winners=winners.astype(int),
+            winners=self._select(row_currents, active, k),
             row_units=row_currents / self.tech.cell.unit_current,
             timing_per_query=timing,
             energy_per_query=energy,
         )
 
-    def _check_batch_k(
-        self, k: int, active: Optional[np.ndarray]
-    ) -> None:
-        n_competing = self.rows if active is None else int(active.sum())
-        if not 1 <= k <= n_competing:
-            raise ValueError(f"k={k} outside [1, {n_competing}]")
-
-    def search_batch(
+    def search_k_batch(
         self,
         sl_matrix: np.ndarray,
         dl_matrix: np.ndarray,
-        chunk: Optional[int] = None,
+        k: int,
         active_rows: Optional[np.ndarray] = None,
-    ) -> "BatchSearchResult":
-        """Vectorised search over a batch of arbitrary bias vectors.
+    ) -> BatchSearchKResult:
+        """Vectorised k-nearest search over a batch of arbitrary bias
+        vectors.
 
-        Electrically equivalent to calling :meth:`search` per query (the
-        array is time-multiplexed; nothing is shared between queries) and
-        bit-identical to it by construction: cell currents are evaluated
-        through the same blocked 3-D kernel
-        (:meth:`cell_currents_block`, in ``(chunk, rows, cols)`` tensors)
-        and winners come from the same vectorised LTA decision path
-        (:meth:`LoserTakeAll.decide_batch`) that serial :meth:`search`
-        delegates to — including comparator offsets and stable tie
-        ordering.  Per-query timing/energy are identical across the
-        batch at the nominal margin, so the models are evaluated once.
+        Electrically equivalent to calling :meth:`search_k` per query
+        (the array is time-multiplexed; nothing is shared between
+        queries) and bit-identical to it in winners and ``row_units``:
+        cell currents come from the same kernel / blocked 3-D physics
+        serial :meth:`search` evaluates, and the winners are the ``k``
+        winner-masking LTA rounds — comparator offsets and stable tie
+        ordering included — read off one stable argsort.  Per-query
+        timing/energy are identical across the batch at the nominal
+        margin, so the models are evaluated once.
 
         When the batch is drawn from a small bias alphabet (every query
         picks each column's bias from a few encoded levels — the AM
-        setting), :meth:`search_batch_values` is substantially faster.
+        setting), :meth:`search_k_batch_values` is substantially faster.
 
         Parameters
         ----------
         sl_matrix / dl_matrix:
             (n_queries, physical_cols) search voltages and drain levels.
-        chunk:
-            Queries per numpy block (bounds peak memory at
-            ``chunk * rows * cols`` floats); values below 1 are clamped
-            to 1, ``None`` auto-sizes for cache residency.
+        k:
+            Winners per query, bounded by the number of competing rows.
         active_rows:
             Optional (rows,) bool mask; ``False`` rows still conduct but
-            their LTA branch is disabled (used for unwritten capacity
-            and tombstoned rows in a :class:`repro.index.FerexIndex`
-            bank), exactly as in serial :meth:`search`.
+            their LTA branch is disabled in every round (used for
+            unwritten capacity and tombstoned rows in a
+            :class:`repro.index.FerexIndex` bank), exactly as in serial
+            :meth:`search`.
         """
         sl_matrix, dl_matrix = self._validate_batch_bias(
             sl_matrix, dl_matrix
         )
-        active = self._validate_active_rows(active_rows)
-        row_currents = self._generic_kernel_currents(sl_matrix, dl_matrix)
-        if row_currents is None:
-            row_currents = self._batch_row_currents(
-                sl_matrix, dl_matrix, chunk
-            )
-        dl_first = dl_matrix[0] if len(dl_matrix) else None
-        return self._finish_search_batch(row_currents, dl_first, active)
+        active = self._validate_competition(active_rows, k)
+        return self._finish(
+            self._score_bias(sl_matrix, dl_matrix),
+            dl_matrix[0] if len(dl_matrix) else None,
+            active,
+            k,
+        )
 
-    def search_batch_values(
+    def search_k_batch_values(
         self,
         sl_values: np.ndarray,
         dl_values: np.ndarray,
         value_index: np.ndarray,
-        chunk: Optional[int] = None,
+        k: int,
         active_rows: Optional[np.ndarray] = None,
-    ) -> "BatchSearchResult":
-        """Vectorised batch search over a small per-column bias alphabet.
+    ) -> BatchSearchKResult:
+        """Vectorised k-nearest search over a small per-column bias
+        alphabet — the associative-memory fast path.
 
-        The associative-memory fast path: every query biases column ``c``
-        with one of ``n_values`` encoded levels, so per-cell currents are
-        precomputed once into a ``(n_values, rows, cols)`` table (cached
-        across calls until the array is re-programmed) and each query
-        block is assembled by value-select instead of re-evaluating the
-        device physics.  Results are bit-identical to
-        :meth:`search_batch` / looped :meth:`search` on the equivalent
-        expanded matrices — the summed per-cell floats are exactly the
-        ones the shared physics kernel produces.
+        Every query biases column ``c`` with one of ``n_values`` encoded
+        levels, so the compiled kernel gathers integer scores per
+        (value, stored code); on ineligible (varied / drifted) arrays
+        per-cell currents are precomputed once into a
+        ``(n_values, rows, cells)`` table (cached across calls until the
+        array is re-programmed) and each query block is assembled by
+        value-select instead of re-evaluating the device physics.
+        Results are bit-identical to :meth:`search_k_batch` / looped
+        :meth:`search_k` on the equivalent expanded matrices.
 
         Parameters
         ----------
@@ -1065,55 +1057,69 @@ class FeReXArray:
         value_index:
             (n_queries, cells) integer alphabet row per query per
             encoded element.
-        chunk / active_rows:
-            As in :meth:`search_batch`.
+        k / active_rows:
+            As in :meth:`search_k_batch`.
         """
         sl_values, dl_values, value_index = self._validate_value_bias(
             sl_values, dl_values, value_index
         )
-        active = self._validate_active_rows(active_rows)
-        kernel = self._kernel_for(sl_values, dl_values)
-        if kernel is not None:
-            row_currents = kernel.row_currents(value_index)
-        else:
-            table = self._bias_current_table(sl_values, dl_values)
-            row_currents = self._row_currents_from_table(
-                table, value_index, chunk
-            )
-        return self._finish_search_batch(
-            row_currents, self._first_query_dl(dl_values, value_index),
+        active = self._validate_competition(active_rows, k)
+        return self._finish(
+            self._score_values(sl_values, dl_values, value_index),
+            self._first_query_dl(dl_values, value_index),
             active,
+            k,
         )
+
+    def search_batch(
+        self,
+        sl_matrix: np.ndarray,
+        dl_matrix: np.ndarray,
+        active_rows: Optional[np.ndarray] = None,
+    ) -> BatchSearchResult:
+        """Vectorised nearest-neighbor search over a batch of arbitrary
+        bias vectors: the ``k = 1`` view of :meth:`search_k_batch`,
+        bit-identical to looping serial :meth:`search`."""
+        return self.search_k_batch(
+            sl_matrix, dl_matrix, 1, active_rows
+        ).nearest()
+
+    def search_batch_values(
+        self,
+        sl_values: np.ndarray,
+        dl_values: np.ndarray,
+        value_index: np.ndarray,
+        active_rows: Optional[np.ndarray] = None,
+    ) -> BatchSearchResult:
+        """Vectorised nearest-neighbor search over the bias alphabet:
+        the ``k = 1`` view of :meth:`search_k_batch_values`."""
+        return self.search_k_batch_values(
+            sl_values, dl_values, value_index, 1, active_rows
+        ).nearest()
 
     def readout_batch_values(
         self,
         sl_values: np.ndarray,
         dl_values: np.ndarray,
         value_index: np.ndarray,
-        chunk: Optional[int] = None,
     ) -> np.ndarray:
         """(n_queries, rows) unit-current readings over the bias
-        alphabet — :meth:`search_batch_values` without the comparator.
+        alphabet — :meth:`search_k_batch_values` without the select.
 
         The shortlist/coarse-tier primitive: a caller that ranks rows
         itself (e.g. merging readouts across banks) only needs the
         match-line currents, so the LTA decision and the per-query
         timing/energy accounting of a full search would be pure
         overhead.  The readings are exactly the ``row_units`` the full
-        search returns — same kernel, same float path.
+        search returns — same scorer.
         """
         sl_values, dl_values, value_index = self._validate_value_bias(
             sl_values, dl_values, value_index
         )
-        kernel = self._kernel_for(sl_values, dl_values)
-        if kernel is not None:
-            row_currents = kernel.row_currents(value_index)
-        else:
-            table = self._bias_current_table(sl_values, dl_values)
-            row_currents = self._row_currents_from_table(
-                table, value_index, chunk
-            )
-        return row_currents / self.tech.cell.unit_current
+        return (
+            self._score_values(sl_values, dl_values, value_index)
+            / self.tech.cell.unit_current
+        )
 
     def search_k(
         self,
@@ -1131,71 +1137,3 @@ class FeReXArray:
             results.append(result)
             active[result.winner] = False
         return results
-
-    def search_k_batch(
-        self,
-        sl_matrix: np.ndarray,
-        dl_matrix: np.ndarray,
-        k: int,
-        chunk: Optional[int] = None,
-        active_rows: Optional[np.ndarray] = None,
-    ) -> "BatchSearchKResult":
-        """Vectorised iterative k-nearest search over a query batch.
-
-        Equivalent to calling :meth:`search_k` per query: row currents
-        are evaluated once through the blocked 3-D kernel, then the
-        vectorised LTA decides ``k`` rounds, masking each round's winner
-        out of the competition (the interface MUX disconnecting the ScL,
-        exactly as in the serial flow).  ``active_rows`` pre-masks rows
-        out of every round (unwritten capacity / tombstones); ``k`` is
-        then bounded by the number of competing rows.
-        """
-        sl_matrix, dl_matrix = self._validate_batch_bias(
-            sl_matrix, dl_matrix
-        )
-        active = self._validate_active_rows(active_rows)
-        self._check_batch_k(k, active)
-        row_currents = self._generic_kernel_currents(sl_matrix, dl_matrix)
-        if row_currents is not None:
-            dl_first = dl_matrix[0] if len(dl_matrix) else None
-            return self._finish_search_k_batch_ranked(
-                row_currents, dl_first, k, active
-            )
-        row_currents = self._batch_row_currents(sl_matrix, dl_matrix, chunk)
-        dl_first = dl_matrix[0] if len(dl_matrix) else None
-        return self._finish_search_k_batch(row_currents, dl_first, k, active)
-
-    def search_k_batch_values(
-        self,
-        sl_values: np.ndarray,
-        dl_values: np.ndarray,
-        value_index: np.ndarray,
-        k: int,
-        chunk: Optional[int] = None,
-        active_rows: Optional[np.ndarray] = None,
-    ) -> "BatchSearchKResult":
-        """Bias-alphabet fast path of :meth:`search_k_batch`.
-
-        Same value-select current assembly as
-        :meth:`search_batch_values`, followed by the ``k``-round
-        winner-masking LTA flow over the ``active_rows`` competition.
-        """
-        sl_values, dl_values, value_index = self._validate_value_bias(
-            sl_values, dl_values, value_index
-        )
-        active = self._validate_active_rows(active_rows)
-        self._check_batch_k(k, active)
-        kernel = self._kernel_for(sl_values, dl_values)
-        if kernel is not None:
-            return self._finish_search_k_batch_ranked(
-                kernel.row_currents(value_index),
-                self._first_query_dl(dl_values, value_index), k, active,
-            )
-        table = self._bias_current_table(sl_values, dl_values)
-        row_currents = self._row_currents_from_table(
-            table, value_index, chunk
-        )
-        return self._finish_search_k_batch(
-            row_currents, self._first_query_dl(dl_values, value_index), k,
-            active,
-        )

@@ -21,15 +21,17 @@ The hot path for the paper's workloads (Fig. 7 Monte Carlo, Fig. 8 HDC
 inference) is thousands of queries against one programmed array.  Next
 to the one-query methods the engine therefore exposes:
 
-* :meth:`FeReX.search_batch` — (n, dims) queries in one call, returning
-  a :class:`repro.arch.crossbar.BatchSearchResult`.  Evaluated in
-  blocked 3-D numpy and decided by the same vectorised LTA kernel the
-  serial path uses, so winners and ``row_units`` are bit-identical to
-  looping :meth:`FeReX.search` — just orders of magnitude faster to
-  simulate (see ``benchmarks/bench_batch_throughput.py``).
-* :meth:`FeReX.search_k_batch` — the batched counterpart of
-  :meth:`FeReX.search_k` (iterative LTA winner masking), returning a
+* :meth:`FeReX.search_k_batch` — (n, dims) queries in one call through
+  the array's score -> select pipeline, returning a
   :class:`repro.arch.crossbar.BatchSearchKResult` with (n, k) winners.
+  Winners and ``row_units`` are bit-identical to looping
+  :meth:`FeReX.search_k` (iterative LTA winner masking) — just orders
+  of magnitude faster to simulate (see
+  ``benchmarks/bench_batch_throughput.py``).
+* :meth:`FeReX.search_batch` — its ``k = 1`` view, returning a
+  :class:`repro.arch.crossbar.BatchSearchResult`.
+* :meth:`FeReX.readout_batch` — the scorer alone: (n, rows) distance
+  readings with no winner selection.
 
 Example
 -------
@@ -424,7 +426,11 @@ class FeReX:
             array_result=result,
         )
 
-    def _validate_query_batch(self, queries: np.ndarray) -> np.ndarray:
+    def _batch_bias(self, queries: np.ndarray) -> tuple:
+        """``(sl alphabet, dl alphabet, value index)`` — a validated
+        (n, dims) query batch in the array's bias-alphabet form."""
+        if self.array is None:
+            raise NotProgrammedError(_NOT_PROGRAMMED)
         queries = np.asarray(queries, dtype=int)
         if queries.ndim != 2 or queries.shape[1] != self.dims:
             raise ValueError(
@@ -434,47 +440,7 @@ class FeReX:
             queries.min() < 0 or queries.max() >= self.n_values
         ):
             raise ValueError(f"query values outside [0, {self.n_values})")
-        return queries
-
-    def search_batch(
-        self,
-        queries: np.ndarray,
-        active_rows: Optional[np.ndarray] = None,
-    ):
-        """Vectorised nearest-neighbor search over a query batch.
-
-        Returns a :class:`repro.arch.crossbar.BatchSearchResult` whose
-        winners and ``row_units`` are bit-identical to looping
-        :meth:`search` (same per-cell physics, same vectorised LTA
-        decision path) but orders of magnitude faster to simulate: the
-        query batch rides the array's bias-alphabet fast path
-        (:meth:`FeReXArray.search_batch_values`).  ``active_rows``
-        optionally masks rows out of the LTA competition (unwritten
-        capacity, tombstones).
-        """
-        if self.array is None:
-            raise NotProgrammedError(_NOT_PROGRAMMED)
-        queries = self._validate_query_batch(queries)
-        return self.array.search_batch_values(
-            self._sl_value_table, self._dl_value_table, queries,
-            active_rows=active_rows,
-        )
-
-    def readout_batch(self, queries: np.ndarray) -> np.ndarray:
-        """(n, rows) hardware distance readings without an LTA decision.
-
-        The coarse-tier/shortlist primitive: bit-identical to
-        ``search_batch(queries).row_units`` (same kernel or float
-        physics path) but skips the comparator and the per-query
-        timing/energy accounting — callers that merge and rank readouts
-        across banks pay only for the array evaluation.
-        """
-        if self.array is None:
-            raise NotProgrammedError(_NOT_PROGRAMMED)
-        queries = self._validate_query_batch(queries)
-        return self.array.readout_batch_values(
-            self._sl_value_table, self._dl_value_table, queries
-        )
+        return self._sl_value_table, self._dl_value_table, queries
 
     def search_k_batch(
         self,
@@ -488,17 +454,47 @@ class FeReX:
         decides ``k`` rounds with each round's winner masked out.
         Returns a :class:`repro.arch.crossbar.BatchSearchKResult` with
         (n, k) winners (nearest first) and the full (n, rows) hardware
-        distance readings.  ``active_rows`` optionally pre-masks rows
-        out of every round; ``k`` is then bounded by the number of
+        distance readings, bit-identical to looping :meth:`search_k`
+        but orders of magnitude faster to simulate: the batch rides the
+        array's one score -> select pipeline
+        (:meth:`FeReXArray.search_k_batch_values`).  ``active_rows``
+        optionally pre-masks rows out of every round (unwritten
+        capacity, tombstones); ``k`` is then bounded by the number of
         competing rows.
         """
-        if self.array is None:
-            raise NotProgrammedError(_NOT_PROGRAMMED)
-        queries = self._validate_query_batch(queries)
+        bias = self._batch_bias(queries)
         return self.array.search_k_batch_values(
-            self._sl_value_table, self._dl_value_table, queries, k,
-            active_rows=active_rows,
+            *bias, k, active_rows=active_rows
         )
+
+    def search_batch(
+        self,
+        queries: np.ndarray,
+        active_rows: Optional[np.ndarray] = None,
+    ):
+        """Vectorised nearest-neighbor search over a query batch: the
+        ``k = 1`` view of :meth:`search_k_batch`.
+
+        Returns a :class:`repro.arch.crossbar.BatchSearchResult` whose
+        winners and ``row_units`` are bit-identical to looping
+        :meth:`search`.
+        """
+        bias = self._batch_bias(queries)
+        return self.array.search_batch_values(
+            *bias, active_rows=active_rows
+        )
+
+    def readout_batch(self, queries: np.ndarray) -> np.ndarray:
+        """(n, rows) hardware distance readings without an LTA decision.
+
+        The coarse-tier/shortlist primitive: bit-identical to
+        ``search_batch(queries).row_units`` (same scorer) but skips the
+        select and the per-query timing/energy accounting — callers
+        that merge and rank readouts across banks pay only for the
+        array evaluation.
+        """
+        bias = self._batch_bias(queries)
+        return self.array.readout_batch_values(*bias)
 
     def search_k(
         self, query: Sequence[int], k: int

@@ -32,11 +32,18 @@ implementations ship:
   ``estimate_only=True`` for the estimator-only legacy mode.
 * :class:`TieredBackend` — coarse-to-fine search: a cheap low-bit
   :class:`FerexBackend` pass over all banks nominates the top
-  ``refine_factor * k`` candidates, which are rescored at full
-  precision (:meth:`DistanceMetric.rowwise`).  The classic ANN
-  accelerator pattern the paper's reconfigurability enables: the same
-  stored set served at two precisions, paying the wide-alphabet cell
-  cost only for a shortlist.
+  ``refine_factor * k`` candidates, which :func:`refine` rescores at
+  full precision.  The classic ANN accelerator pattern the paper's
+  reconfigurability enables: the same stored set served at two
+  precisions, paying the wide-alphabet cell cost only for a shortlist.
+
+Every search is the same nominate -> merge shape: banks (or clusters,
+in :mod:`repro.index.routing`) nominate candidate positions with a
+score, and one (score, global position) lexsort (:func:`merge_top_k`)
+keeps the best ``k``.  Tiered search — here and as the routed
+backend's ``inner="tiered"`` — puts :func:`refine` between the two:
+the one place nominated positions are rescored exactly against a
+full-precision code store (:func:`code_store`).
 
 Memory note
 -----------
@@ -178,6 +185,62 @@ def metric_element_lut(metric: DistanceMetric, bits: int) -> np.ndarray:
         ],
         dtype=np.int64,
     )
+
+
+#: Global-position sentinel for unfilled candidate slots: orders after
+#: every real position in the lexsort merge.
+PAD_POSITION = np.int64(2**62)
+
+
+def merge_top_k(
+    positions: np.ndarray, distances: np.ndarray, k: int
+) -> Tuple[np.ndarray, np.ndarray]:
+    """The ``k`` best of each row's (n, C) candidates in (distance,
+    global position) order — lexsort's last key is primary, and the
+    position tie-break is the exact backend's stable ordering."""
+    order = np.lexsort((positions, distances))[:, :k]
+    return (
+        np.take_along_axis(positions, order, axis=1),
+        np.take_along_axis(distances, order, axis=1),
+    )
+
+
+def code_store(dims: int, bits: int) -> np.ndarray:
+    """An empty (0, dims) full-precision code store for :func:`refine`,
+    in the narrowest signed dtype that holds ``2**bits - 1`` (never
+    below int16): the narrow gather + narrow metric arithmetic is what
+    the rescore hot path spends most of its time on, but a code must
+    never wrap."""
+    dtype = np.promote_types(np.int16, np.min_scalar_type(-(1 << bits)))
+    return np.empty((0, dims), dtype=dtype)
+
+
+def refine(
+    config: BankConfig,
+    store: np.ndarray,
+    queries: np.ndarray,
+    candidates: np.ndarray,
+    k: int,
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Exact full-precision rescore of nominated positions: the top
+    ``k`` of each query's (n, C) ``candidates`` by (exact distance,
+    position), with the distances as floats.
+
+    ``store`` is the :func:`code_store` the positions index;
+    :data:`PAD_POSITION` slots rescore to ``inf``.
+    """
+    padded = candidates == PAD_POSITION
+    # validate=False: the index validated the queries and the
+    # candidates come from its own add-validated store — the range
+    # scans would be pure overhead on the rescore hot path.
+    rescored = config.resolved.rowwise(
+        np.asarray(queries, dtype=store.dtype),
+        store[np.where(padded, 0, candidates)],
+        config.bits,
+        validate=False,
+    ).astype(float)
+    rescored[padded] = np.inf
+    return merge_top_k(candidates, rescored, k)
 
 
 class GPUBackend(ExactBackend):
@@ -609,9 +672,8 @@ class FerexBackend:
         Each bank contributes its ``min(k, live rows)`` nearest rows per
         query from one :meth:`FeReX.search_k_batch` call (unwritten and
         tombstoned rows masked out of the LTA); candidates merge on
-        (analog distance, global position) — lexsort's last key is
-        primary, and the position tie-break matches the exact backend's
-        stable ordering.  Queries re-quantise per bank, so a
+        (analog distance, global position) through
+        :func:`merge_top_k`.  Queries re-quantise per bank, so a
         heterogeneous fleet competes each bank at its own precision
         (distances from narrower banks are coarse by construction —
         the tiered search's rescore is what restores full precision).
@@ -634,12 +696,10 @@ class FerexBackend:
             bank_dist.append(
                 np.take_along_axis(result.row_units, result.winners, axis=1)
             )
-        idx = np.concatenate(bank_idx, axis=1)
-        dist = np.concatenate(bank_dist, axis=1)
-        order = np.lexsort((idx, dist))[:, :k]
-        return (
-            np.take_along_axis(idx, order, axis=1),
-            np.take_along_axis(dist, order, axis=1),
+        return merge_top_k(
+            np.concatenate(bank_idx, axis=1),
+            np.concatenate(bank_dist, axis=1),
+            k,
         )
 
     def shortlist(
@@ -735,7 +795,7 @@ class TieredBackend:
     nearest candidates per query — a much cheaper array evaluation,
     since the low-bit cell needs fewer FeFETs per element — then
     rescores only those candidates with exact full-precision distances
-    (:meth:`DistanceMetric.rowwise`) and returns the top ``k``.
+    (:func:`refine`) and returns the top ``k``.
 
     Returned distances are therefore *exact integer* distances (as
     floats) rather than analog unit currents, and results are
@@ -783,10 +843,8 @@ class TieredBackend:
             encoder=encoder,
             seed=None,
         )
-        #: Rescore store in int16: values are code levels (< 2**bits),
-        #: and the narrow gather + narrow metric arithmetic is what the
-        #: rescore hot path spends most of its time on.
-        self._vectors = np.empty((0, dims), dtype=np.int16)
+        #: Full-precision rescore store (see :func:`code_store`).
+        self._vectors = code_store(dims, self.config.bits)
         self._alive = np.empty(0, dtype=bool)
 
     @property
@@ -799,7 +857,7 @@ class TieredBackend:
     def add(self, vectors: np.ndarray) -> None:
         self.coarse.add(self._quantize(vectors))
         self._vectors = np.concatenate(
-            [self._vectors, np.asarray(vectors, dtype=np.int16)]
+            [self._vectors, np.asarray(vectors, dtype=self._vectors.dtype)]
         )
         self._alive = np.concatenate(
             [self._alive, np.ones(len(vectors), dtype=bool)]
@@ -812,7 +870,7 @@ class TieredBackend:
     def rebuild(self, vectors: np.ndarray) -> None:
         vectors = np.asarray(vectors, dtype=int)
         self.coarse.rebuild(self._quantize(vectors))
-        self._vectors = np.array(vectors, dtype=np.int16)
+        self._vectors = np.array(vectors, dtype=self._vectors.dtype)
         self._alive = np.ones(len(vectors), dtype=bool)
 
     def search(
@@ -823,20 +881,7 @@ class TieredBackend:
         candidates = self.coarse.shortlist(
             self._quantize(np.asarray(queries, dtype=int)), shortlist
         )
-        # validate=False: the index validated the queries and the
-        # candidates come from its own add-validated store — the range
-        # scans would be pure overhead on the rescore hot path.
-        rescored = self.config.resolved.rowwise(
-            np.asarray(queries, dtype=np.int16),
-            self._vectors[candidates],
-            self.config.bits,
-            validate=False,
-        ).astype(float)
-        order = np.lexsort((candidates, rescored))[:, :k]
-        return (
-            np.take_along_axis(candidates, order, axis=1),
-            np.take_along_axis(rescored, order, axis=1),
-        )
+        return refine(self.config, self._vectors, queries, candidates, k)
 
 
 #: Backend registry used by the index facade and by persistence.

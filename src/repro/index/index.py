@@ -35,10 +35,16 @@ Reconfigurability — the paper's "R" — is first-class: the index carries
 a :class:`repro.core.BankConfig` (metric + bits), banks may be
 re-voltaged *online* at a new config via :meth:`reconfigure`
 (re-programmed from the retained stored codes, bit-identical to a fresh
-index built at the target config), and ``search(mode="tiered")`` runs a
-cheap low-bit coarse pass over all banks with a full-precision rescore
-of the shortlist — the coarse-to-fine pattern reconfigurable precision
-exists to enable.
+index built at the target config), and ``backend="tiered"`` (or
+``backend="routed"`` with ``inner="tiered"``) runs a cheap low-bit
+coarse pass with a full-precision rescore of the shortlist — the
+coarse-to-fine pattern reconfigurable precision exists to enable.
+
+Search itself is one line of policy here: :meth:`FerexIndex.search`
+validates, asks the configured backend for positions, maps them to ids
+and pads.  *How* rows are scored and selected is the backend's
+business (:mod:`repro.index.backends`), so there is exactly one search
+path per index and no per-call mode.
 """
 
 from __future__ import annotations
@@ -53,12 +59,7 @@ import numpy as np
 from ..core.config import BankConfig
 from ..core.distance import DistanceMetric
 from ..core.engine import NotProgrammedError
-from .backends import (
-    BACKENDS,
-    FerexBackend,
-    SearchBackend,
-    TieredBackend,
-)
+from .backends import BACKENDS, FerexBackend, SearchBackend
 from .routing import RoutedBackend
 
 #: Bumped when the on-disk layout changes.  Version 2 added
@@ -186,18 +187,6 @@ class FerexIndex:
         #: arrays alias another process's segments, so mutation is
         #: refused — writes go to the publisher, which republishes.
         self._read_only = False
-        # Lazily-built shadow for search(mode="tiered") over a
-        # non-tiered primary backend; synced incrementally on write
-        # generation bumps (appends and tombstones only touch dirty
-        # banks) and dropped wholesale on reconfigure.  ``synced_rows``
-        # counts canonical rows already in the shadow; ``shadow_alive``
-        # snapshots the alive mask at the last sync so only newly-dead
-        # positions are re-deactivated.
-        self._shadow_tiered: Optional[TieredBackend] = None
-        self._shadow_key: Optional[tuple] = None
-        self._shadow_generation: Optional[int] = None
-        self._shadow_synced_rows = 0
-        self._shadow_alive = np.empty(0, dtype=bool)
 
     def _make_backend(
         self, backend: Union[str, SearchBackend]
@@ -472,11 +461,6 @@ class FerexIndex:
             int(id_): pos for pos, id_ in enumerate(self._ids)
         }
         self._backend.rebuild(self._vectors)
-        # Positions were reassigned, so the shadow's positional
-        # alignment is gone: force its next sync down the full-rebuild
-        # path instead of the incremental delta.
-        self._shadow_synced_rows = 0
-        self._shadow_alive = np.empty(0, dtype=bool)
         self._note_mutation(b"compact")
 
     # ------------------------------------------------------------------
@@ -507,8 +491,8 @@ class FerexIndex:
         coarse precision — the building block of a coarse tier — while
         the index-level config (and the add/search validation alphabet)
         stays put.  Distances merged from mixed-precision banks mix
-        scales by construction; pair with ``search(mode="tiered")`` or
-        rescore the shortlist yourself.
+        scales by construction; rescore the shortlist yourself, or use
+        ``backend="tiered"`` for a managed coarse tier.
 
         Either form is atomic (a config with no feasible cell encoding
         raises without mutating anything), bumps the write generation —
@@ -558,8 +542,6 @@ class FerexIndex:
                 self._config = previous
                 raise
             self._backend = backend
-        self._shadow_tiered = None
-        self._shadow_key = None
         self._note_mutation(
             b"reconfigure",
             json.dumps(
@@ -617,32 +599,16 @@ class FerexIndex:
     # ------------------------------------------------------------------
     # Search
     # ------------------------------------------------------------------
-    def search(
-        self,
-        queries: np.ndarray,
-        k: int = 1,
-        mode: str = "flat",
-        coarse_bits: Optional[int] = None,
-        refine_factor: Optional[int] = None,
-    ) -> SearchOutcome:
+    def search(self, queries: np.ndarray, k: int = 1) -> SearchOutcome:
         """Batch k-nearest search: (n, dims) queries to a
         :class:`SearchOutcome` of (n, k) ids and distances.
 
-        ``mode="flat"`` (default) searches the configured backend at
-        full precision.  ``mode="tiered"`` runs the coarse-to-fine
-        path instead: a ``coarse_bits`` FeReX pass over all banks keeps
-        the top ``k * refine_factor`` candidates per query, which are
-        rescored with exact full-precision distances — typically
-        severalfold faster than flat search at high recall
-        (``benchmarks/bench_reconfig.py`` tracks the trade).  The two
-        knobs default to the backend's own settings when it is a
-        :class:`TieredBackend` (no shadow needed) and to
-        ``coarse_bits=1`` / ``refine_factor=8`` otherwise; passing a
-        value that differs from a tiered backend's configuration is
-        honored through a shadow tier rather than silently ignored.
-        Over a non-tiered backend the coarse tier is always a shadow
-        :class:`TieredBackend`, built lazily and re-synced (O(n)
-        re-program) after each mutation.
+        The configured backend decides how rows are scored and
+        selected — full-precision LTA search for ``"ferex"``, a
+        low-bit coarse pass plus exact rescore for ``"tiered"``
+        (typically severalfold faster at high recall;
+        ``benchmarks/bench_reconfig.py`` tracks the trade),
+        cluster-routed bank selection for ``"routed"``.
 
         When ``k`` exceeds the number of live (non-tombstoned) rows the
         trailing columns are padded with ``(-1, inf)`` — every backend
@@ -650,16 +616,6 @@ class FerexIndex:
         across backends by construction and the output shape is always
         ``(n, k)``.
         """
-        if mode not in ("flat", "tiered"):
-            raise ValueError(
-                f"unknown search mode {mode!r}; known: 'flat', 'tiered'"
-            )
-        if mode == "flat" and not (
-            coarse_bits is None and refine_factor is None
-        ):
-            raise ValueError(
-                "coarse_bits/refine_factor only apply to mode='tiered'"
-            )
         if self.ntotal == 0:
             raise NotProgrammedError(
                 "add() must be called before search(): the index is empty"
@@ -674,25 +630,7 @@ class FerexIndex:
                 ids=np.empty((0, k), dtype=np.int64),
                 distances=np.empty((0, k)),
             )
-        backend = self._backend
-        if mode == "tiered":
-            if isinstance(backend, TieredBackend):
-                wanted = (
-                    backend.coarse_bits
-                    if coarse_bits is None
-                    else min(int(coarse_bits), self.bits),
-                    backend.refine_factor
-                    if refine_factor is None
-                    else int(refine_factor),
-                )
-                if wanted != (backend.coarse_bits, backend.refine_factor):
-                    backend = self._tiered_shadow(*wanted)
-            else:
-                backend = self._tiered_shadow(
-                    1 if coarse_bits is None else int(coarse_bits),
-                    8 if refine_factor is None else int(refine_factor),
-                )
-        positions, distances = backend.search(queries, k_eff)
+        positions, distances = self._backend.search(queries, k_eff)
         ids = self._ids[positions]
         if k_eff < k:
             pad = k - k_eff
@@ -703,63 +641,6 @@ class FerexIndex:
                 [distances, np.full((n, pad), np.inf)], axis=1
             )
         return SearchOutcome(ids=ids, distances=distances)
-
-    def _tiered_shadow(
-        self, coarse_bits: int, refine_factor: int
-    ) -> TieredBackend:
-        """The lazily-synced coarse tier behind ``search(mode="tiered")``
-        on a non-tiered backend.
-
-        One shadow is kept per (coarse_bits, refine_factor) request —
-        asking with different knobs rebuilds it — and synced from the
-        canonical store whenever the write generation moved.  The store
-        is append-only between compactions, so the sync is incremental:
-        new rows go in through the coarse tier's row-level write path
-        (dirty banks only — untouched banks keep their arrays, write
-        generations and compiled kernels) and only positions that died
-        since the last sync are re-tombstoned.  A :meth:`compact`
-        reassigns positions and forces the next sync down the full
-        re-program path.
-        """
-        key = (int(coarse_bits), int(refine_factor))
-        if self._shadow_tiered is None or self._shadow_key != key:
-            self._shadow_tiered = TieredBackend(
-                self._config,
-                dims=self.dims,
-                bank_rows=self.bank_rows,
-                encoder=self.encoder,
-                seed=None,
-                coarse_bits=key[0],
-                refine_factor=key[1],
-            )
-            self._shadow_key = key
-            self._shadow_generation = None
-            self._shadow_synced_rows = 0
-            self._shadow_alive = np.empty(0, dtype=bool)
-        if self._shadow_generation != self._write_generation:
-            synced = self._shadow_synced_rows
-            n = len(self._vectors)
-            if synced == 0 or n < synced:
-                # Fresh shadow, or a compact shrank the store: positions
-                # moved, re-program everything.
-                self._shadow_tiered.rebuild(self._vectors)
-                dead = np.flatnonzero(~self._alive)
-                if len(dead):
-                    self._shadow_tiered.deactivate(dead)
-            else:
-                if n > synced:
-                    self._shadow_tiered.add(self._vectors[synced:])
-                newly_dead = np.flatnonzero(
-                    self._shadow_alive & ~self._alive[:synced]
-                )
-                tail_dead = synced + np.flatnonzero(~self._alive[synced:])
-                dead = np.concatenate([newly_dead, tail_dead])
-                if len(dead):
-                    self._shadow_tiered.deactivate(dead)
-            self._shadow_alive = self._alive.copy()
-            self._shadow_synced_rows = n
-            self._shadow_generation = self._write_generation
-        return self._shadow_tiered
 
     # ------------------------------------------------------------------
     # Persistence and state export

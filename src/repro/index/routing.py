@@ -31,8 +31,9 @@ unchanged, in either of two inner modes:
   compact / reconfigure).
 * ``inner="tiered"`` — probed clusters are voltaged at ``coarse_bits``
   and nominate ``refine_factor * k`` candidates via the shortlist
-  readout; an exact full-precision rescore decides, mirroring
-  :class:`TieredBackend` within the routed subset.
+  readout; the exact full-precision rescore :class:`TieredBackend`
+  uses (:func:`repro.index.backends.refine`) decides across the
+  routed subset.
 
 Routing is approximate exactly insofar as a true neighbor lives in an
 unprobed cluster.  The accounting is honest: every search records
@@ -83,11 +84,15 @@ import numpy as np
 
 from ..core.config import BankConfig, as_bank_config, quantize_codes
 from ..core.kernel import LUTKernel
-from .backends import BACKENDS, FerexBackend, metric_element_lut
-
-#: Global-position sentinel for unfilled candidate slots: orders after
-#: every real position in the lexsort merge.
-_PAD_POSITION = np.int64(2**62)
+from .backends import (
+    BACKENDS,
+    PAD_POSITION,
+    FerexBackend,
+    code_store,
+    merge_top_k,
+    metric_element_lut,
+    refine,
+)
 
 
 def train_centroids(
@@ -276,11 +281,11 @@ class RoutedBackend:
         #: Accounting for the most recent search (None before one):
         #: probed clusters, scanned rows, scan fraction, expansions.
         self.last_routing: Optional[dict] = None
-        # Rescore / re-pin mirror of everything physically written
-        # (int16: values are code levels), plus the global -> (cluster,
-        # local row) maps.  -1 in the local map marks a tombstone whose
-        # row a watermark compaction already reclaimed.
-        self._vectors = np.empty((0, dims), dtype=np.int16)
+        # Rescore / re-pin mirror of everything physically written,
+        # plus the global -> (cluster, local row) maps.  -1 in the
+        # local map marks a tombstone whose row a watermark compaction
+        # already reclaimed.
+        self._vectors = code_store(dims, self.config.bits)
         self._alive = np.empty(0, dtype=bool)
         self._cluster_of = np.empty(0, dtype=np.int32)
         self._local_of = np.empty(0, dtype=np.int64)
@@ -441,7 +446,7 @@ class RoutedBackend:
             return
         start = len(self._vectors)
         self._vectors = np.concatenate(
-            [self._vectors, vectors.astype(np.int16)]
+            [self._vectors, vectors.astype(self._vectors.dtype)]
         )
         self._alive = np.concatenate(
             [self._alive, np.ones(len(vectors), dtype=bool)]
@@ -514,7 +519,7 @@ class RoutedBackend:
         """Fresh build of the live set (the index ``compact``):
         re-train on the new insertion order and re-pin everything."""
         vectors = np.asarray(vectors, dtype=int)
-        self._vectors = np.empty((0, self.dims), dtype=np.int16)
+        self._vectors = code_store(self.dims, self.config.bits)
         self._alive = np.empty(0, dtype=bool)
         self._cluster_of = np.empty(0, dtype=np.int32)
         self._local_of = np.empty(0, dtype=np.int64)
@@ -591,10 +596,10 @@ class RoutedBackend:
     # ------------------------------------------------------------------
     def _probe_plan(
         self, queries: np.ndarray, need: int
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    ) -> Tuple[np.ndarray, np.ndarray]:
         """Routing pass: per query, the clusters to probe.
 
-        Returns ``(member, p_eff, live_counts)`` where ``member`` is an
+        Returns ``(member, live_counts)`` where ``member`` is an
         (n, m) boolean probe matrix covering the ``top_p`` nearest
         clusters by (centroid distance, cluster index) — widened per
         query, in routing order, until the probed clusters hold at
@@ -627,27 +632,27 @@ class RoutedBackend:
             self.last_routing["rows_scanned"]
             / max(1, self.last_routing["rows_live"])
         )
-        return member, p_eff, live_counts
+        return member, live_counts
 
-    def search(
-        self, queries: np.ndarray, k: int
+    def _gather(
+        self, queries: np.ndarray, need: int, count: int, nominate
     ) -> Tuple[np.ndarray, np.ndarray]:
-        """Route, search within the probed clusters, merge on
-        (distance, global position).
+        """Route, then scatter every probed cluster's nominees into
+        per-query candidate slots.
 
-        ``inner="flat"`` distances are analog unit currents exactly as
-        the flat backend reports them; ``inner="tiered"`` distances are
-        exact integer rescores (as floats), like the tiered backend.
+        The probe plan covers at least ``need`` live rows per query;
+        each probed cluster contributes its ``min(count, live rows)``
+        best through ``nominate(sub, sub_queries, c)`` on its
+        :class:`FerexBackend`, which returns ``(local rows, scores)``.
+        Returns (n, cap) global positions and scores, unfilled slots
+        holding ``(PAD_POSITION, inf)``.
         """
-        queries = np.asarray(queries, dtype=int)
-        if self.inner == "tiered":
-            return self._search_tiered(queries, k)
-        member, _, live_counts = self._probe_plan(queries, k)
+        member, live_counts = self._probe_plan(queries, need)
         n = len(queries)
-        contributions = np.minimum(live_counts[None, :], k) * member
+        contributions = np.minimum(live_counts[None, :], count) * member
         cap = int(contributions.sum(axis=1).max())
-        cand_pos = np.full((n, cap), _PAD_POSITION, dtype=np.int64)
-        cand_dist = np.full((n, cap), np.inf)
+        cand_pos = np.full((n, cap), PAD_POSITION, dtype=np.int64)
+        cand_score = np.full((n, cap), np.inf)
         fill = np.zeros(n, dtype=np.int64)
         # Quantise once for the whole batch; the per-cluster code is an
         # elementwise function of the query row, so slicing rows out of
@@ -655,84 +660,52 @@ class RoutedBackend:
         sub_queries = self._sub_codes(queries)
         for ci, cluster in enumerate(self._clusters):
             rows = np.flatnonzero(member[:, ci])
-            kc = min(k, cluster.n_live)
-            if not len(rows) or kc == 0:
+            c = min(count, cluster.n_live)
+            if not len(rows) or c == 0:
                 continue
-            local, dist = cluster.sub.search(sub_queries[rows], kc)
-            cols = fill[rows, None] + np.arange(kc)[None, :]
+            local, score = nominate(cluster.sub, sub_queries[rows], c)
+            cols = fill[rows, None] + np.arange(c)[None, :]
             cand_pos[rows[:, None], cols] = cluster.globals_[local]
-            cand_dist[rows[:, None], cols] = dist
-            fill[rows] += kc
-        order = np.lexsort((cand_pos, cand_dist))[:, :k]
-        return (
-            np.take_along_axis(cand_pos, order, axis=1),
-            np.take_along_axis(cand_dist, order, axis=1),
-        )
+            cand_score[rows[:, None], cols] = score
+            fill[rows] += c
+        return cand_pos, cand_score
 
-    def _search_tiered(
+    def search(
         self, queries: np.ndarray, k: int
     ) -> Tuple[np.ndarray, np.ndarray]:
-        """Tiered inner mode: coarse shortlist within probed clusters,
-        one exact full-precision rescore across the union."""
-        nominate = max(k * self.refine_factor, k)
-        member, _, live_counts = self._probe_plan(queries, k)
-        n = len(queries)
-        contributions = np.minimum(live_counts[None, :], nominate) * member
-        cap = int(contributions.sum(axis=1).max())
-        cand_pos = np.full((n, cap), _PAD_POSITION, dtype=np.int64)
-        fill = np.zeros(n, dtype=np.int64)
-        sub_queries = self._sub_codes(queries)
-        for ci, cluster in enumerate(self._clusters):
-            rows = np.flatnonzero(member[:, ci])
-            cc = min(nominate, cluster.n_live)
-            if not len(rows) or cc == 0:
-                continue
-            local = cluster.sub.shortlist(sub_queries[rows], cc)
-            cols = fill[rows, None] + np.arange(cc)[None, :]
-            cand_pos[rows[:, None], cols] = cluster.globals_[local]
-            fill[rows] += cc
-        padded = cand_pos == _PAD_POSITION
-        rescored = self.config.resolved.rowwise(
-            queries.astype(np.int16),
-            self._vectors[np.where(padded, 0, cand_pos)],
-            self.config.bits,
-            validate=False,
-        ).astype(float)
-        rescored[padded] = np.inf
-        order = np.lexsort((cand_pos, rescored))[:, :k]
-        return (
-            np.take_along_axis(cand_pos, order, axis=1),
-            np.take_along_axis(rescored, order, axis=1),
+        """Route, search within the probed clusters, merge on
+        (distance, global position).
+
+        ``inner="flat"`` clusters answer through the full-precision LTA
+        path and distances are analog unit currents exactly as the flat
+        backend reports them; ``inner="tiered"`` clusters nominate
+        ``refine_factor * k`` rows each by coarse readout and one exact
+        full-precision :func:`refine` across the union decides, so
+        distances are exact integer rescores (as floats), like the
+        tiered backend.
+        """
+        if self.inner == "tiered":
+            candidates, _ = self._gather(
+                queries, k, max(k * self.refine_factor, k), _shortlist
+            )
+            return refine(self.config, self._vectors, queries, candidates, k)
+        positions, distances = self._gather(
+            queries, k, k, FerexBackend.search
         )
+        return merge_top_k(positions, distances, k)
 
     def shortlist(self, queries: np.ndarray, c: int) -> np.ndarray:
         """(n, c) nearest global positions by row-current readout
         within the routed subset — the probe plan widens until the
         probed clusters hold ``c`` live rows, then per-cluster
         shortlists merge on (unit current, global position)."""
-        queries = np.asarray(queries, dtype=int)
-        member, _, live_counts = self._probe_plan(queries, c)
-        n = len(queries)
-        contributions = np.minimum(live_counts[None, :], c) * member
-        cap = int(contributions.sum(axis=1).max())
-        cand_pos = np.full((n, cap), _PAD_POSITION, dtype=np.int64)
-        cand_units = np.full((n, cap), np.inf)
-        fill = np.zeros(n, dtype=np.int64)
-        sub_queries = self._sub_codes(queries)
-        for ci, cluster in enumerate(self._clusters):
-            rows = np.flatnonzero(member[:, ci])
-            cc = min(c, cluster.n_live)
-            if not len(rows) or cc == 0:
-                continue
-            local, units = cluster.sub.shortlist(
-                sub_queries[rows], cc, with_units=True
-            )
-            cols = fill[rows, None] + np.arange(cc)[None, :]
-            cand_pos[rows[:, None], cols] = cluster.globals_[local]
-            cand_units[rows[:, None], cols] = units
-            fill[rows] += cc
-        order = np.lexsort((cand_pos, cand_units))[:, :c]
-        return np.take_along_axis(cand_pos, order, axis=1)
+        return merge_top_k(*self._gather(queries, c, c, _shortlist), c)[0]
+
+
+def _shortlist(sub: FerexBackend, queries: np.ndarray, c: int):
+    """A cluster's ``c`` nearest local rows by row-current readout,
+    with the unit currents backing the order."""
+    return sub.shortlist(queries, c, with_units=True)
 
 
 BACKENDS[RoutedBackend.name] = RoutedBackend

@@ -42,8 +42,13 @@ class TestBatchEquivalence:
         queries = rng.integers(0, 4, size=(9, 8))
         sl = engine._search_volt_lut[queries].reshape(9, -1)
         dl = engine._search_mult_lut[queries].reshape(9, -1)
-        a = engine.array.search_batch(sl, dl, chunk=2)
-        b = engine.array.search_batch(sl, dl, chunk=100)
+        array = engine.array
+        array.kernel_enabled = False  # blocks only exist on the float path
+        cells = array.rows * array.physical_cols
+        array.BLOCK_CELLS = 2 * cells  # 2 queries per block
+        a = array.search_batch(sl, dl)
+        array.BLOCK_CELLS = 100 * cells  # one block
+        b = array.search_batch(sl, dl)
         assert np.array_equal(a.winners, b.winners)
         assert np.allclose(a.row_units, b.row_units)
 
@@ -120,12 +125,18 @@ class TestBatchEdgeCases:
         assert "lta" in batch.energy_per_query.components
 
     def test_chunk_below_one_clamped(self, engine, rng):
+        """A block budget smaller than one query still evaluates one
+        query per block."""
         queries = rng.integers(0, 4, size=(5, 8))
         sl = engine._search_volt_lut[queries].reshape(5, -1)
         dl = engine._search_mult_lut[queries].reshape(5, -1)
-        a = engine.array.search_batch(sl, dl, chunk=0)
-        b = engine.array.search_batch(sl, dl, chunk=-3)
-        c = engine.array.search_batch(sl, dl)
+        array = engine.array
+        array.kernel_enabled = False  # blocks only exist on the float path
+        c = array.search_batch(sl, dl)
+        array.BLOCK_CELLS = 1
+        a = array.search_batch(sl, dl)
+        array.BLOCK_CELLS = 0
+        b = array.search_batch(sl, dl)
         assert np.array_equal(a.winners, c.winners)
         assert np.array_equal(b.winners, c.winners)
         assert np.allclose(a.row_units, c.row_units)

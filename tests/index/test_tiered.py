@@ -1,12 +1,19 @@
 """Tiered coarse-to-fine search: the low-bit shortlist + full-precision
-rescore path, both as `search(mode="tiered")` and as the `"tiered"`
-backend kind."""
+rescore path of the `"tiered"` backend kind (the only form — there is
+no per-call search mode)."""
 
 import numpy as np
 import pytest
 
+from repro.core import BankConfig
 from repro.core.distance import get_metric
-from repro.index import FerexIndex, TieredBackend
+from repro.index import (
+    ExactBackend,
+    FerexIndex,
+    RoutedBackend,
+    TieredBackend,
+)
+from repro.index.backends import refine
 
 DIMS = 8
 BITS = 3
@@ -22,7 +29,7 @@ def queries(rng):
     return rng.integers(0, 1 << BITS, size=(12, DIMS))
 
 
-def build(stored, backend="ferex", **kwargs):
+def build(stored, backend="tiered", **kwargs):
     index = FerexIndex(
         dims=DIMS,
         metric="manhattan",
@@ -47,10 +54,9 @@ class TestTieredMode:
         """With a shortlist covering every row the rescore is a full
         exact search: distance-at-rank must equal the exact backend's
         at every rank (ids may swap only within ties)."""
-        index = build(stored)
+        index = build(stored, backend_options={"refine_factor": 1000})
         exact = build(stored, backend="exact")
-        tiered = index.search(queries, k=5, mode="tiered",
-                              refine_factor=1000)
+        tiered = index.search(queries, k=5)
         reference = exact.search(queries, k=5)
         np.testing.assert_array_equal(
             tiered.distances, reference.distances
@@ -62,7 +68,7 @@ class TestTieredMode:
 
     def test_distances_are_exact_integers(self, stored, queries):
         index = build(stored)
-        result = index.search(queries, k=3, mode="tiered")
+        result = index.search(queries, k=3)
         assert np.array_equal(result.distances, result.distances.round())
         np.testing.assert_array_equal(
             exact_rank_distances(queries, stored, result.ids),
@@ -73,35 +79,47 @@ class TestTieredMode:
         index = build(stored)
         dead = [1, 7, 20, 33]
         index.remove(dead)
-        result = index.search(queries, k=10, mode="tiered")
+        result = index.search(queries, k=10)
         assert not np.isin(result.ids, dead).any()
 
-    def test_shadow_resyncs_after_mutation(self, stored, queries, rng):
+    def test_coarse_tier_sees_rows_added_later(self, stored, queries):
         index = build(stored[:20])
-        first = index.search(queries, k=3, mode="tiered")
+        first = index.search(queries, k=3)
         index.add(stored[20:])
-        second = index.search(queries, k=3, mode="tiered")
-        # The shadow saw the new rows (some query must now prefer one).
+        second = index.search(queries, k=3)
+        # The coarse tier saw the new rows (some query must now prefer
+        # one).
         assert first.ids.max() < 20
         assert second.ids.max() >= 20
 
     def test_padding_matches_flat(self, stored, queries):
         index = build(stored[:3])
-        result = index.search(queries, k=5, mode="tiered")
+        flat = build(stored[:3], backend="ferex")
+        result = index.search(queries, k=5)
         assert result.ids.shape == (len(queries), 5)
         assert (result.ids[:, 3:] == -1).all()
         assert np.isinf(result.distances[:, 3:]).all()
+        padding = flat.search(queries, k=5)
+        np.testing.assert_array_equal(result.ids[:, 3:], padding.ids[:, 3:])
+        np.testing.assert_array_equal(
+            result.distances[:, 3:], padding.distances[:, 3:]
+        )
 
     def test_unknown_mode_rejected(self, stored, queries):
+        """Tiered search is a backend, not a per-call mode: any
+        ``mode=`` keyword is rejected outright."""
         index = build(stored)
-        with pytest.raises(ValueError, match="unknown search mode"):
+        with pytest.raises(TypeError):
             index.search(queries, k=1, mode="fuzzy")
+        with pytest.raises(TypeError):
+            index.search(queries, k=1, mode="tiered")
 
-    def test_tiered_knobs_rejected_on_flat_mode(self, stored, queries):
+    def test_tiered_knobs_rejected_on_search(self, stored, queries):
+        """The tiered knobs are backend options, not search keywords."""
         index = build(stored)
-        with pytest.raises(ValueError, match="mode='tiered'"):
+        with pytest.raises(TypeError):
             index.search(queries, k=1, refine_factor=4)
-        with pytest.raises(ValueError, match="mode='tiered'"):
+        with pytest.raises(TypeError):
             index.search(queries, k=1, coarse_bits=1)
 
     def test_recall_reasonable_on_clustered_data(self):
@@ -122,7 +140,11 @@ class TestTieredMode:
             (1 << BITS) - 1,
         )
         index = FerexIndex(
-            dims=DIMS, metric="manhattan", bits=BITS, bank_rows=32
+            dims=DIMS,
+            metric="manhattan",
+            bits=BITS,
+            bank_rows=32,
+            backend="tiered",
         )
         index.add(stored)
         exact = FerexIndex(
@@ -130,7 +152,7 @@ class TestTieredMode:
         )
         exact.add(stored)
         k = 5
-        tiered = index.search(queries, k=k, mode="tiered")
+        tiered = index.search(queries, k=k)
         truth = exact.search(queries, k=k)
         # Tie-tolerant recall: a returned id is correct if its true
         # distance is within the true k-th distance.
@@ -181,22 +203,16 @@ class TestTieredBackend:
         with pytest.raises(ValueError, match="refine_factor"):
             TieredBackend("hamming", 2, DIMS, refine_factor=0)
 
-    def test_explicit_knobs_win_over_backend_settings(self, stored):
-        """Regression: `search(mode="tiered", refine_factor=...)` on a
-        tiered-backend index must honor the explicit knob (through a
-        shadow), not silently use the backend's own."""
-        index = build(
-            stored,
-            backend="tiered",
-            backend_options={"refine_factor": 1},
-        )
+    def test_refine_factor_widens_the_shortlist(self, stored):
+        """The backend's ``refine_factor`` option is honored: a wide
+        shortlist must beat a ``refine_factor=1`` one."""
         queries = stored[:6]
-        narrow = index.search(queries, k=8, mode="tiered")
-        wide = index.search(
-            queries, k=8, mode="tiered", refine_factor=1000
-        )
-        # The widened shortlist is a full exact search; the backend's
-        # own refine_factor=1 shortlist of 8 cannot beat it everywhere.
+        narrow_index = build(stored, backend_options={"refine_factor": 1})
+        wide_index = build(stored, backend_options={"refine_factor": 1000})
+        narrow = narrow_index.search(queries, k=8)
+        wide = wide_index.search(queries, k=8)
+        # The widened shortlist is a full exact search; a
+        # refine_factor=1 shortlist of 8 cannot beat it everywhere.
         assert (wide.distances <= narrow.distances).all()
         assert (wide.distances < narrow.distances).any()
 
@@ -208,3 +224,60 @@ class TestTieredBackend:
         after = index.search(queries, k=4)
         np.testing.assert_array_equal(before.ids, after.ids)
         np.testing.assert_array_equal(before.distances, after.distances)
+
+
+class TestWideCodes:
+    """Regression: the rescore stores were hard-coded int16, so codes
+    >= 32768 wrapped silently (16-bit tiered search disagreed with
+    exact while 15-bit agreed).  The shared store constructor now
+    widens with the alphabet."""
+
+    DIMS = 4
+
+    def _data(self, bits):
+        rng = np.random.default_rng(bits)
+        stored = rng.integers(0, 1 << bits, size=(40, self.DIMS))
+        stored[0] = (1 << bits) - 1  # the widest code is always present
+        queries = rng.integers(0, 1 << bits, size=(6, self.DIMS))
+        return stored, queries
+
+    @pytest.mark.parametrize("bits", [15, 16])
+    def test_full_refine_matches_exact(self, bits):
+        stored, queries = self._data(bits)
+        reference = FerexIndex(
+            dims=self.DIMS, metric="manhattan", bits=bits, backend="exact"
+        )
+        reference.add(stored)
+        tiered = FerexIndex(
+            dims=self.DIMS,
+            metric="manhattan",
+            bits=bits,
+            backend="tiered",
+            backend_options={"refine_factor": 1000},
+        )
+        tiered.add(stored)
+        expected = reference.search(queries, k=5)
+        result = tiered.search(queries, k=5)
+        np.testing.assert_array_equal(result.ids, expected.ids)
+        np.testing.assert_array_equal(result.distances, expected.distances)
+
+    @pytest.mark.parametrize("bits", [15, 16])
+    def test_routed_tiered_rescore_matches_exact(self, bits):
+        """The routed backend's rescore leg: its store and the shared
+        ``refine`` over every row.  (Driven below the router — centroid
+        scoring needs a 4**bits-entry LUT, so a routed index this wide
+        cannot be built end to end.)"""
+        stored, queries = self._data(bits)
+        config = BankConfig("manhattan", bits)
+        routed = RoutedBackend(config, dims=self.DIMS, inner="tiered")
+        store = routed._vectors
+        assert np.iinfo(store.dtype).max >= (1 << bits) - 1
+        store = np.concatenate([store, stored.astype(store.dtype)])
+        np.testing.assert_array_equal(store, stored)
+        candidates = np.tile(np.arange(len(stored)), (len(queries), 1))
+        exact = ExactBackend(config, dims=self.DIMS)
+        exact.add(stored)
+        expected = exact.search(queries, 5)
+        result = refine(config, store, queries, candidates, 5)
+        np.testing.assert_array_equal(result[0], expected[0])
+        np.testing.assert_array_equal(result[1], expected[1])

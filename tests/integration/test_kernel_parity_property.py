@@ -31,13 +31,16 @@ def _rng(metric, bits, salt=""):
     )
 
 
-def _flat_index(metric, bits, stored, tombstones):
+def _flat_index(
+    metric, bits, stored, tombstones, backend="ferex", options=None
+):
     index = FerexIndex(
         dims=stored.shape[1],
         metric=metric,
         bits=bits,
-        backend="ferex",
+        backend=backend,
         bank_rows=8,
+        backend_options=options,
     )
     index.add(stored)
     if tombstones:
@@ -128,7 +131,14 @@ class TestIndexPathParity:
         rng = _rng(metric, bits, f"tiered/{tombstones}")
         hi = 1 << bits
         stored = rng.integers(0, hi, size=(30, 12))
-        flat = _flat_index(metric, bits, stored, tombstones)
+        index = _flat_index(
+            metric,
+            bits,
+            stored,
+            tombstones,
+            backend="tiered",
+            options={"refine_factor": 64},
+        )
         exact = FerexIndex(
             dims=12, metric=metric, bits=bits, backend="exact"
         )
@@ -137,9 +147,7 @@ class TestIndexPathParity:
             exact.remove([2, 9, 17])
         queries = rng.integers(0, hi, size=(10, 12))
 
-        tiered = flat.search(
-            queries, k=3, mode="tiered", refine_factor=64
-        )
+        tiered = index.search(queries, k=3)
         reference = exact.search(queries, k=3)
         assert np.array_equal(tiered.ids, reference.ids)
         assert np.array_equal(tiered.distances, reference.distances)
