@@ -1,9 +1,11 @@
 """Behavioural simulator of the 1FeFET1R crossbar array.
 
 This is the Python stand-in for the paper's Cadence array netlist.  It
-keeps per-device state (threshold voltage, series resistance — both with
-sampled process variation), applies the paper's biasing schemes, and
-evaluates search currents vectorised over the whole array:
+stores what was written to each device (its Vth level), derives the
+electrical state a search sees (threshold voltage, series resistance —
+both with sampled process variation) where it is read, applies the
+paper's biasing schemes, and evaluates search currents vectorised over
+the whole array:
 
 * **write/erase** (paper Sec. III-A): one row selected (RL = 0 V), all
   others inhibited at ``Vwrite / 2`` so their gate stacks never see a
@@ -175,6 +177,29 @@ class FeReXArray:
     (K FeFETs per encoded element) is handled by the mapping layer in
     :mod:`repro.core.engine`, which drives this class with per-column
     voltages.
+
+    Stored versus derived
+    ---------------------
+    A multi-bit FeFET cell's whole state is which Vth level it was
+    programmed to, so that is all the array stores per cell; the
+    electrical state a search sees is computed where it is read:
+
+    ======================  =======  ==================================
+    state                   held     as
+    ======================  =======  ==================================
+    ``levels``              stored   (rows, cols) narrowest int dtype
+                                     holding ``-1 .. n_vth_levels - 1``
+    disturb drift           stored   (rows,) volts — half-select
+                                     stress is uniform along a row
+    ``variation``           adopted  the caller's sample, uncopied
+                                     (ideal: zero-stride constants)
+    ``vth``                 derived  ``lut[levels] + vth_offset +
+                                     drift[:, None]``
+    ``resistance``          derived  ``R * r_factor``
+    ======================  =======  ==================================
+
+    Scoring derives ``vth`` / ``resistance`` once per call (the float
+    physics) or not at all (the compiled kernel reads ``levels``).
     """
 
     #: Threshold drift per disturb event, volts per volt of overdrive
@@ -223,17 +248,20 @@ class FeReXArray:
         self.variation = variation
 
         fefet = self.tech.fefet
-        erased = fefet.vth_low + fefet.memory_window
-        #: Programmed nominal threshold per cell (erased initially).
-        self._vth_nominal = np.full((rows, physical_cols), erased)
-        #: Disturb-induced drift accumulated per cell, volts.
-        self._disturb_drift = np.zeros((rows, physical_cols))
-        #: Series resistance per cell, ohms (static variation applied).
-        self._resistance = (
-            self.tech.cell.resistance * variation.r_factor
+        #: Nominal threshold per stored level.  The erased state comes
+        #: last so that ``_vth_lut[levels]`` reads it at level -1.
+        self._vth_lut = np.array(
+            [fefet.vth_level(lv) for lv in range(fefet.n_vth_levels)]
+            + [fefet.vth_low + fefet.memory_window]
         )
+        #: Disturb-induced drift accumulated per row, volts.
+        self._disturb_drift = np.zeros(rows)
         #: Stored MLC level per cell, -1 = erased.
-        self.levels = np.full((rows, physical_cols), -1, dtype=int)
+        self.levels = np.full(
+            (rows, physical_cols),
+            -1,
+            dtype=np.min_scalar_type(-fefet.n_vth_levels),
+        )
 
         self.parasitics: ArrayParasitics = extract(
             rows,
@@ -275,15 +303,15 @@ class FeReXArray:
     def vth(self) -> np.ndarray:
         """Actual per-cell thresholds: nominal + D2D offset + drift."""
         return (
-            self._vth_nominal
+            self._vth_lut[self.levels]
             + self.variation.vth_offset
-            + self._disturb_drift
+            + self._disturb_drift[:, None]
         )
 
     @property
     def resistance(self) -> np.ndarray:
         """Actual per-cell series resistance, ohms."""
-        return self._resistance
+        return self.tech.cell.resistance * self.variation.r_factor
 
     # ------------------------------------------------------------------
     # Write path
@@ -292,11 +320,9 @@ class FeReXArray:
         """Block-erase one row to the highest threshold state."""
         self._check_row(row)
         self.write_generation += 1
-        fefet = self.tech.fefet
-        self._vth_nominal[row, :] = fefet.vth_low + fefet.memory_window
         self.levels[row, :] = -1
         self._account_write(self.physical_cols)
-        self._apply_disturb(row)
+        self._apply_disturb_rows(row, 1, pulses_per_row=1)
 
     def program_row(self, row: int, levels: Sequence[int]) -> None:
         """Erase-then-program a full row of MLC levels.
@@ -318,11 +344,9 @@ class FeReXArray:
 
         self.erase_row(row)
         self.write_generation += 1
-        nominal = np.array([fefet.vth_level(lv) for lv in levels])
-        self._vth_nominal[row, :] = nominal
         self.levels[row, :] = levels
         self._account_write(self.physical_cols)
-        self._apply_disturb(row)
+        self._apply_disturb_rows(row, 1, pulses_per_row=1)
 
     def program_matrix(self, levels: np.ndarray) -> None:
         """Program every row of the array from a (rows, cols) level matrix.
@@ -376,10 +400,6 @@ class FeReXArray:
             raise ValueError("level outside the device MLC range")
 
         self.write_generation += 1
-        vth_lut = np.array(
-            [fefet.vth_level(lv) for lv in range(fefet.n_vth_levels)]
-        )
-        self._vth_nominal[start : start + n] = vth_lut[levels]
         self.levels[start : start + n] = levels
         # Each written row costs one erase pulse + one program pulse over
         # all of its cells, exactly as in program_row.
@@ -394,9 +414,11 @@ class FeReXArray:
         Each pulse on a written row half-selects every *other* row, so a
         row outside the slice sees ``pulses_per_row * n`` events while a
         row inside it sees ``pulses_per_row * (n - 1)`` (it is fully
-        selected, not inhibited, during its own write) — the same
-        exposure the per-row :meth:`_apply_disturb` loop accumulates,
-        summed analytically.
+        selected, not inhibited, during its own write).  The inhibited
+        stack voltage is ``Vwrite - Vwrite/2 = Vwrite/2``; if that
+        exceeds the safe fraction of the coercive voltage the threshold
+        of inhibited rows drifts down slightly and the events are
+        counted.  With the paper's inhibition scheme it never triggers.
         """
         fefet = self.tech.fefet
         half = 0.5 * self.tech.driver.write_voltage
@@ -407,7 +429,7 @@ class FeReXArray:
         events = np.full(self.rows, pulses_per_row * n, dtype=float)
         events[start : start + n] = pulses_per_row * (n - 1)
         self._disturb_drift -= (
-            self.DISTURB_DRIFT_PER_VOLT * overdrive * events[:, None]
+            self.DISTURB_DRIFT_PER_VOLT * overdrive * events
         )
         self.disturb_violations += (
             pulses_per_row * n * (self.rows - 1) * self.physical_cols
@@ -417,27 +439,6 @@ class FeReXArray:
         self.write_energy_total += (
             n_pulses * self.energy_model.write_energy(n_cells).total
         )
-
-    def _apply_disturb(self, written_row: int) -> None:
-        """Model half-select stress on every *other* row.
-
-        The inhibited stack voltage is ``Vwrite - Vwrite/2 = Vwrite/2``.
-        If that exceeds the safe fraction of the coercive voltage the
-        threshold of inhibited cells drifts down slightly and the event is
-        counted; with the paper's inhibition scheme it never triggers.
-        """
-        fefet = self.tech.fefet
-        half = 0.5 * self.tech.driver.write_voltage
-        safe = self.DISTURB_SAFE_FRACTION * fefet.coercive_voltage
-        overdrive = half - safe
-        if overdrive <= 0:
-            return
-        mask = np.ones(self.rows, dtype=bool)
-        mask[written_row] = False
-        self._disturb_drift[mask, :] -= (
-            self.DISTURB_DRIFT_PER_VOLT * overdrive
-        )
-        self.disturb_violations += int(mask.sum()) * self.physical_cols
 
     def _check_row(self, row: int) -> None:
         if not 0 <= row < self.rows:
@@ -485,24 +486,27 @@ class FeReXArray:
         one-query case, which keeps serial and batch results
         bit-identical.
         """
-        sl = np.asarray(sl_block, dtype=float)
-        dl = np.asarray(dl_block, dtype=int)
-        if sl.ndim != 2 or sl.shape[1] != self.physical_cols:
-            raise ValueError(
-                f"expected (n, {self.physical_cols}) SL block, got "
-                f"{sl.shape}"
-            )
-        if dl.shape != sl.shape:
-            raise ValueError("SL and DL blocks must have equal shapes")
+        sl, dl = self._validate_batch_bias(sl_block, dl_block)
+        return self._physics(sl, dl, self.vth, self.resistance)
+
+    def _physics(
+        self,
+        sl: np.ndarray,
+        dl: np.ndarray,
+        vth: np.ndarray,
+        resistance: np.ndarray,
+    ) -> np.ndarray:
+        """:meth:`cell_currents_block` on shape-checked bias blocks
+        against an already derived device state, so a caller evaluating
+        many blocks derives ``vth`` / ``resistance`` once."""
         cell = self.tech.cell
         if dl.size and (dl.min() < 0 or dl.max() > cell.max_vds_multiple):
             raise ValueError("DL multiple outside the selector's range")
-
         return fast_cell_currents(
             sl[:, None, :],
             dl[:, None, :],
-            self.vth[None, :, :],
-            self._resistance[None, :, :],
+            vth[None, :, :],
+            resistance[None, :, :],
             self.tech.fefet,
             cell,
         )
@@ -521,17 +525,25 @@ class FeReXArray:
             n, self.rows, self.cells, self.cell_fanout
         ).sum(axis=3)
 
-    def _row_currents_block(
-        self, sl_block: np.ndarray, dl_block: np.ndarray
+    def _row_currents(
+        self, sl_matrix: np.ndarray, dl_matrix: np.ndarray
     ) -> np.ndarray:
-        """(n_queries, rows) aggregated, gain-scaled ScL currents."""
-        currents = self.cell_currents_block(sl_block, dl_block)
-        # Per-row sensing gain: residual ScL clamp error scales every
-        # cell's Vds in a row, hence the whole row reading.
-        return (
-            self._cell_sums(currents).sum(axis=2)
-            * self.variation.row_gain[None, :]
-        )
+        """(n_queries, rows) aggregated, gain-scaled ScL currents by
+        float physics: the device state is derived once and the queries
+        are evaluated one cache-resident block at a time."""
+        vth, resistance = self.vth, self.resistance
+        row_currents = np.empty((len(sl_matrix), self.rows))
+        for block in self._blocks(len(sl_matrix)):
+            currents = self._physics(
+                sl_matrix[block], dl_matrix[block], vth, resistance
+            )
+            # Per-row sensing gain: residual ScL clamp error scales
+            # every cell's Vds in a row, hence the whole row reading.
+            row_currents[block] = (
+                self._cell_sums(currents).sum(axis=2)
+                * self.variation.row_gain[None, :]
+            )
+        return row_currents
 
     def search(
         self,
@@ -555,15 +567,7 @@ class FeReXArray:
             raise ValueError(
                 f"expected {self.physical_cols} DL levels, got {dl.shape}"
             )
-        kernel_currents = self._generic_kernel_currents(
-            sl[None, :], dl[None, :]
-        )
-        if kernel_currents is not None:
-            row_currents = kernel_currents[0]
-        else:
-            row_currents = self._row_currents_block(
-                sl[None, :], dl[None, :]
-            )[0]
+        row_currents = self._score_bias(sl[None, :], dl[None, :])[0]
 
         active = self._validate_active_rows(active_rows)
         compete = self._masked_compete(row_currents[None, :], active)[0]
@@ -728,9 +732,7 @@ class FeReXArray:
             state, axis=0, return_index=True, return_inverse=True
         )
         codes = codes.reshape(self.rows, self.cells)
-        vth_symbols = self._vth_nominal.reshape(
-            self.rows * self.cells, k
-        )[first]
+        vth_symbols = self._vth_lut[state[first]]
         raw = compile_current_lut(
             sl_cells[:, 0, :], dl_cells[:, 0, :], vth_symbols, self.tech
         )
@@ -887,11 +889,7 @@ class FeReXArray:
         alphabet, else the float physics in blocked 3-D numpy."""
         row_currents = self._generic_kernel_currents(sl_matrix, dl_matrix)
         if row_currents is None:
-            row_currents = np.empty((len(sl_matrix), self.rows))
-            for block in self._blocks(len(sl_matrix)):
-                row_currents[block] = self._row_currents_block(
-                    sl_matrix[block], dl_matrix[block]
-                )
+            row_currents = self._row_currents(sl_matrix, dl_matrix)
         return row_currents
 
     def _score_values(
@@ -905,7 +903,7 @@ class FeReXArray:
         value-select from the cached float table.
 
         The table's per-cell floats are exactly the ones
-        :meth:`_row_currents_block` produces and the reduction after
+        :meth:`_row_currents` produces and the reduction after
         the select is the same, so the float branch is bit-identical
         to :meth:`_score_bias` on the expanded matrices at a fraction
         of its cost.

@@ -2,7 +2,12 @@
 distance encoding and the search-engine API built on it.
 """
 
-from .config import BankConfig, as_bank_config, quantize_codes
+from .config import (
+    BankConfig,
+    as_bank_config,
+    code_dtype,
+    quantize_codes,
+)
 from .constructive import (
     constructive_cell,
     euclidean_cell,
@@ -71,6 +76,7 @@ __all__ = [
     "CellEncoding",
     "CellSolution",
     "check_feasibility",
+    "code_dtype",
     "ConfigurationError",
     "Constraint",
     "constructive_cell",

@@ -22,6 +22,9 @@ registry name or a :class:`DistanceMetric` instance.
 configs of different widths: a ``b``-bit code serves a narrower
 ``b' < b`` bank by keeping its top ``b'`` bits (a uniform re-quantise,
 exactly what re-programming the array at fewer Vth levels does).
+:func:`code_dtype` is the one rule for how wide a stored code is below
+the index: every code mirror (engine, bank, rescore store) takes its
+dtype from it.
 """
 
 from __future__ import annotations
@@ -155,3 +158,17 @@ def quantize_codes(
     if shift <= 0:
         return codes
     return np.asarray(codes, dtype=int) >> shift
+
+
+def code_dtype(bits: int) -> np.dtype:
+    """The dtype every ``bits``-wide code mirror below the index is
+    held in: the narrowest signed integer in which a squared
+    per-element difference (the widest intermediate any closed-form
+    metric produces) still fits — the condition under which
+    :meth:`DistanceMetric.rowwise` computes on narrow blocks without
+    widening them.  A code itself (``< 2**bits``) then never wraps.
+    """
+    for dtype in (np.int8, np.int16, np.int32):
+        if (1 << (2 * bits)) <= np.iinfo(dtype).max:
+            return np.dtype(dtype)
+    return np.dtype(np.int64)

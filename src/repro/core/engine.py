@@ -55,7 +55,7 @@ import numpy as np
 from ..arch.crossbar import FeReXArray, SearchResult
 from ..devices.tech import TechConfig, DEFAULT_TECH
 from ..devices.variation import ArrayVariation, VariationSampler
-from .config import BankConfig, as_bank_config
+from .config import BankConfig, as_bank_config, code_dtype
 from .constructive import constructive_cell, has_constructive
 from .dm import DistanceMatrix
 from .distance import DistanceMetric
@@ -338,7 +338,7 @@ class FeReX:
         self.array = self._build_array(rows, None)
         levels = self._store_lut[vectors].reshape(rows, self.physical_cols)
         self.array.program_matrix(levels)
-        self.stored = vectors.copy()
+        self.stored = vectors.astype(code_dtype(self.bits))
         self._row_written = np.ones(rows, dtype=bool)
 
     def allocate(
@@ -363,7 +363,9 @@ class FeReX:
         if capacity < 1:
             raise ValueError("capacity must be >= 1")
         self.array = self._build_array(capacity, variation)
-        self.stored = np.zeros((capacity, self.dims), dtype=int)
+        self.stored = np.zeros(
+            (capacity, self.dims), dtype=code_dtype(self.bits)
+        )
         self._row_written = np.zeros(capacity, dtype=bool)
 
     def write_rows(self, start: int, vectors: np.ndarray) -> None:

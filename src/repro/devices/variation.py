@@ -116,10 +116,16 @@ class VariationSampler:
 
 
 def nominal_variation(rows: int, cols: int) -> ArrayVariation:
-    """A zero-variation instance (ideal devices) of the given shape."""
+    """A zero-variation instance (ideal devices) of the given shape.
+
+    The fields are constants, so they are zero-stride read-only
+    broadcasts rather than materialised arrays: an ideal array costs no
+    per-cell memory, and an in-place write — which would silently
+    de-idealise a cell — raises instead.
+    """
     return ArrayVariation(
-        vth_offset=np.zeros((rows, cols)),
-        r_factor=np.ones((rows, cols)),
-        lta_offset=np.zeros(rows),
-        row_gain=np.ones(rows),
+        vth_offset=np.broadcast_to(0.0, (rows, cols)),
+        r_factor=np.broadcast_to(1.0, (rows, cols)),
+        lta_offset=np.broadcast_to(0.0, rows),
+        row_gain=np.broadcast_to(1.0, rows),
     )

@@ -47,12 +47,25 @@ full-precision code store (:func:`code_store`).
 
 Memory note
 -----------
-Backends mirror the vectors the index stores canonically (and the ferex
-path additionally keeps each bank engine's ``stored`` copy): at
-simulation scale this duplication is trivial next to the per-cell device
-state, and it keeps the backend protocol free of callbacks into the
-index.  A zero-copy view protocol is the obvious refactor if
-million-row indexes ever become the target.
+Who holds the stored codes, per element, on ideal devices:
+
+* the index's canonical ``_vectors`` — int64, 8 B.  It is the persisted
+  and shared-memory wire format (workers attach it zero-copy), so its
+  width is a format decision, not a footprint one.
+* each bank's ``vectors`` mirror and its engine's ``stored`` mirror —
+  :func:`repro.core.code_dtype`, 1 B up to 3-bit codes.  They keep the
+  backend protocol free of callbacks into the index and let a bank
+  re-voltage without the index's help.
+* the crossbar's ``levels`` — 1 B per FeFET, K per element; everything
+  else the device model needs is derived from it on read (see
+  :class:`repro.arch.crossbar.FeReXArray`).
+* the compiled kernel's ``codes`` (int64) and float64 weights — 8 B
+  each, the largest share.  They are the search hot path's operands;
+  narrowing them is a kernel change, not a state one.
+
+A seeded bank additionally holds its variation sample (two float64 per
+FeFET), once: every allocation slices it and the array adopts the
+slice uncopied.
 
 Variation discipline
 --------------------
@@ -75,7 +88,12 @@ from typing import List, Optional, Protocol, Tuple, runtime_checkable
 
 import numpy as np
 
-from ..core.config import BankConfig, as_bank_config, quantize_codes
+from ..core.config import (
+    BankConfig,
+    as_bank_config,
+    code_dtype,
+    quantize_codes,
+)
 from ..core.distance import DistanceMetric
 from ..core.engine import FeReX
 from ..core.kernel import KernelOverflowError, LUTKernel
@@ -206,13 +224,12 @@ def merge_top_k(
 
 
 def code_store(dims: int, bits: int) -> np.ndarray:
-    """An empty (0, dims) full-precision code store for :func:`refine`,
-    in the narrowest signed dtype that holds ``2**bits - 1`` (never
-    below int16): the narrow gather + narrow metric arithmetic is what
-    the rescore hot path spends most of its time on, but a code must
-    never wrap."""
-    dtype = np.promote_types(np.int16, np.min_scalar_type(-(1 << bits)))
-    return np.empty((0, dims), dtype=dtype)
+    """An empty (0, dims) code store at :func:`repro.core.code_dtype`:
+    the bank mirrors and the full-precision store :func:`refine`
+    gathers from.  The narrow gather + narrow metric arithmetic is what
+    the rescore hot path spends most of its time on, and a code never
+    wraps."""
+    return np.empty((0, dims), dtype=code_dtype(bits))
 
 
 def refine(
@@ -379,8 +396,9 @@ class _Bank:
     #: Global position of this bank's row 0.
     start: int
     #: Vectors physically written, in row order (tombstones included),
-    #: kept at the *backend* alphabet — the bank re-quantises on write,
-    #: so re-voltaging the bank never needs the index's help.
+    #: kept at the *backend* alphabet (a :func:`code_store`) — the bank
+    #: re-quantises on write, so re-voltaging the bank never needs the
+    #: index's help.
     vectors: np.ndarray
     #: Per written row: does it still compete?
     alive: np.ndarray = field(default_factory=lambda: np.empty(0, bool))
@@ -503,7 +521,7 @@ class FerexBackend:
             config=self.config,
             capacity=self.bank_rows,
             start=index * self.bank_rows,
-            vectors=np.empty((0, self.dims), dtype=int),
+            vectors=code_store(self.dims, self.config.bits),
             alive=np.empty(0, dtype=bool),
             variation=variation,
         )
@@ -525,26 +543,24 @@ class FerexBackend:
         old = bank.written
         total = old + len(vectors)
         array = bank.engine.array
+        # The engine validates the codes as given; only then does the
+        # narrow mirror take them, so an out-of-range code raises
+        # instead of wrapping.
         if array is None or array.rows < total:
             alloc = min(bank.capacity, max(total, 2 * old))
             bank.engine.allocate(
                 alloc, variation=_slice_variation(bank.variation, alloc)
             )
-            bank.vectors = np.concatenate([bank.vectors, vectors])
-            bank.engine.write_rows(
-                0,
-                quantize_codes(
-                    bank.vectors, self.config.bits, bank.config.bits
-                ),
-            )
+            start, written = 0, np.concatenate([bank.vectors, vectors])
         else:
-            bank.vectors = np.concatenate([bank.vectors, vectors])
-            bank.engine.write_rows(
-                old,
-                quantize_codes(
-                    vectors, self.config.bits, bank.config.bits
-                ),
-            )
+            start, written = old, vectors
+        bank.engine.write_rows(
+            start,
+            quantize_codes(written, self.config.bits, bank.config.bits),
+        )
+        bank.vectors = np.concatenate(
+            [bank.vectors, np.asarray(vectors, dtype=bank.vectors.dtype)]
+        )
         bank.alive = np.concatenate(
             [bank.alive, np.ones(len(vectors), dtype=bool)]
         )
@@ -584,7 +600,7 @@ class FerexBackend:
             config=config,
             capacity=old.capacity,
             start=old.start,
-            vectors=np.empty((0, self.dims), dtype=int),
+            vectors=code_store(self.dims, self.config.bits),
             alive=np.empty(0, dtype=bool),
             variation=variation,
         )
@@ -715,8 +731,9 @@ class FerexBackend:
         winners one at a time), a shortlist only needs the row distance
         readings once; under ideal devices the (current, position)
         ordering is exactly the sequence those ``c`` LTA rounds would
-        emit, at the cost of a single evaluation.  ``c`` must not
-        exceed the live row count.
+        emit, at the cost of a single evaluation.  Like :meth:`search`,
+        a ``c`` above the live row count returns every live row: a
+        masked (tombstoned or never-written) row is never nominated.
 
         ``with_units=True`` additionally returns the (n, c) unit
         currents backing the ordering — callers merging shortlists
@@ -724,10 +741,13 @@ class FerexBackend:
         """
         units: List[np.ndarray] = []
         positions: List[np.ndarray] = []
+        n_live = 0
         for bank in self._banks:
             active = bank.active_rows()
-            if not active.any():
+            live = int(active.sum())
+            if live == 0:
                 continue
+            n_live += live
             readout = np.array(
                 bank.engine.readout_batch(
                     quantize_codes(
@@ -747,7 +767,7 @@ class FerexBackend:
         # in order), so the (value, column)-stable partial selection
         # tie-breaks on position — matching the lexsort merge and the
         # exact backend.
-        picks = _top_c_stable(all_units, c)
+        picks = _top_c_stable(all_units, min(c, n_live))
         if with_units:
             return (
                 all_positions[picks],

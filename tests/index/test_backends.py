@@ -1,6 +1,7 @@
 """SearchBackend implementations: protocol, ordering, GPU estimates."""
 
 import numpy as np
+import pytest
 
 from repro.index import (
     BACKENDS,
@@ -116,3 +117,23 @@ class TestFerexBackendSharding:
         assert backend.engines[0].array.rows > 9
         positions, _ = backend.search(rng.integers(0, 4, size=(20, 8)), 3)
         assert positions.max() < 9
+
+    @pytest.mark.parametrize("c", [4, 5, 7])
+    def test_shortlist_clamps_to_live_rows_like_search(self, rng, c):
+        """Regression: ``shortlist`` with ``c`` above the live count
+        returned tombstoned and never-written positions (their masked
+        ``+inf`` readings were nominated).  Seven rows over a full bank
+        and a part-filled one whose array has a spare erased row, two
+        tombstoned: five live, so ``c`` sits below, at and above the
+        live count."""
+        backend = FerexBackend("hamming", 2, 8, bank_rows=4)
+        for n in (5, 1, 1):
+            backend.add(rng.integers(0, 4, size=(n, 8)))
+        assert backend.engines[1].array.rows == 4
+        assert backend._banks[1].written == 3
+        backend.deactivate(np.array([1, 4]))
+        queries = rng.integers(0, 4, size=(7, 8))
+        expected, _ = backend.search(queries, c)
+        assert expected.shape == (7, min(c, 5))
+        assert not np.isin(expected, [1, 4]).any()
+        np.testing.assert_array_equal(backend.shortlist(queries, c), expected)

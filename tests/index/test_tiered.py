@@ -5,10 +5,11 @@ no per-call search mode)."""
 import numpy as np
 import pytest
 
-from repro.core import BankConfig
-from repro.core.distance import get_metric
+from repro.core import BankConfig, code_dtype
+from repro.core.distance import DistanceMetric, get_metric
 from repro.index import (
     ExactBackend,
+    FerexBackend,
     FerexIndex,
     RoutedBackend,
     TieredBackend,
@@ -229,10 +230,13 @@ class TestTieredBackend:
 class TestWideCodes:
     """Regression: the rescore stores were hard-coded int16, so codes
     >= 32768 wrapped silently (16-bit tiered search disagreed with
-    exact while 15-bit agreed).  The shared store constructor now
-    widens with the alphabet."""
+    exact while 15-bit agreed).  Every code mirror below the index now
+    takes its dtype from the one ``code_dtype`` rule; the cases sit on
+    both sides of each of its boundaries (int8 -> int16 at 3 / 4 bits,
+    int16 -> int32 at 7 / 8, int32 -> int64 at 15 / 16)."""
 
     DIMS = 4
+    BOUNDARY_BITS = [3, 4, 7, 8, 15, 16]
 
     def _data(self, bits):
         rng = np.random.default_rng(bits)
@@ -241,7 +245,7 @@ class TestWideCodes:
         queries = rng.integers(0, 1 << bits, size=(6, self.DIMS))
         return stored, queries
 
-    @pytest.mark.parametrize("bits", [15, 16])
+    @pytest.mark.parametrize("bits", BOUNDARY_BITS)
     def test_full_refine_matches_exact(self, bits):
         stored, queries = self._data(bits)
         reference = FerexIndex(
@@ -261,7 +265,7 @@ class TestWideCodes:
         np.testing.assert_array_equal(result.ids, expected.ids)
         np.testing.assert_array_equal(result.distances, expected.distances)
 
-    @pytest.mark.parametrize("bits", [15, 16])
+    @pytest.mark.parametrize("bits", BOUNDARY_BITS)
     def test_routed_tiered_rescore_matches_exact(self, bits):
         """The routed backend's rescore leg: its store and the shared
         ``refine`` over every row.  (Driven below the router — centroid
@@ -271,6 +275,7 @@ class TestWideCodes:
         config = BankConfig("manhattan", bits)
         routed = RoutedBackend(config, dims=self.DIMS, inner="tiered")
         store = routed._vectors
+        assert store.dtype == code_dtype(bits)
         assert np.iinfo(store.dtype).max >= (1 << bits) - 1
         store = np.concatenate([store, stored.astype(store.dtype)])
         np.testing.assert_array_equal(store, stored)
@@ -281,3 +286,55 @@ class TestWideCodes:
         result = refine(config, store, queries, candidates, 5)
         np.testing.assert_array_equal(result[0], expected[0])
         np.testing.assert_array_equal(result[1], expected[1])
+
+    @pytest.mark.parametrize("bits", [3, 4, 7, 8])
+    def test_engine_and_bank_mirrors_keep_the_widest_code(self, bits):
+        """``_Bank.vectors`` and ``FeReX.stored`` round-trip
+        ``2**bits - 1``, across a bank grow.  (A 15 / 16-bit cell has
+        no feasible encoding to build; those widths are covered at the
+        store level above.)"""
+        stored, _ = self._data(bits)
+        backend = FerexBackend("hamming", bits, dims=self.DIMS, bank_rows=64)
+        backend.add(stored[:3])
+        backend.add(stored[3:])
+        (bank,) = backend._banks
+        assert bank.vectors.dtype == code_dtype(bits)
+        assert bank.engine.stored.dtype == code_dtype(bits)
+        np.testing.assert_array_equal(bank.vectors, stored)
+        np.testing.assert_array_equal(
+            bank.engine.stored[: len(stored)], stored
+        )
+
+    @pytest.mark.parametrize("bits", BOUNDARY_BITS)
+    def test_rowwise_passes_narrow_blocks_through_per_code_dtype(
+        self, bits, monkeypatch
+    ):
+        """``rowwise`` computes on a narrow block untouched exactly
+        when the block is at least ``code_dtype(bits)`` wide, and at
+        that width the widest squared difference does not wrap."""
+        seen = []
+        bulk_sum = DistanceMetric._bulk_sum
+
+        def spy(metric, q, s, bits):
+            seen.append(q.dtype)
+            return bulk_sum(metric, q, s, bits)
+
+        monkeypatch.setattr(DistanceMetric, "_bulk_sum", spy)
+        euclidean = get_metric("euclidean")
+        for dtype in (np.int8, np.int16, np.int32, np.int64):
+            fits = np.dtype(dtype).itemsize >= code_dtype(bits).itemsize
+            euclidean.rowwise(
+                np.ones((2, self.DIMS), dtype),
+                np.zeros((2, 3, self.DIMS), dtype),
+                bits,
+            )
+            assert seen[-1] == (dtype if fits else np.int64)
+        widest = (1 << bits) - 1
+        distances = euclidean.rowwise(
+            np.full((2, self.DIMS), widest, code_dtype(bits)),
+            np.zeros((2, 3, self.DIMS), code_dtype(bits)),
+            bits,
+        )
+        assert seen[-1] == code_dtype(bits)
+        assert np.all(distances == self.DIMS * widest * widest)
+
