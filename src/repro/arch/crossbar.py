@@ -36,11 +36,12 @@ point:
   (:meth:`FeReXArray.search_k_batch`) are matched back onto the
   registered alphabet and take the same kernel, or fall through to the
   blocked float physics (:meth:`FeReXArray.cell_currents_block`).
-* **select** — one stable argsort of the offset-adjusted competition
-  currents (``_select``): masking an LTA winner to ``+inf`` and
-  re-deciding picks the next entry of that same order, so its first
-  ``k`` columns *are* the ``k`` winner-masking rounds, for any
-  comparator offsets.
+* **select** — one exact stable partial top-k of the offset-adjusted
+  competition currents (``_select`` via
+  :func:`repro.circuits.lta.stable_top_k`): masking an LTA winner to
+  ``+inf`` and re-deciding picks the next entry of the stable order, so
+  its first ``k`` entries *are* the ``k`` winner-masking rounds, for
+  any comparator offsets — and no row is sorted beyond them.
 
 :meth:`FeReXArray.search_batch` / :meth:`FeReXArray.search_batch_values`
 are the ``k = 1`` views and :meth:`FeReXArray.readout_batch_values` is
@@ -73,7 +74,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from ..circuits.lta import LoserTakeAll, LTADecision
+from ..circuits.lta import LoserTakeAll, LTADecision, stable_top_k
 from ..devices.cell import compile_current_lut, fast_cell_currents
 from ..devices.tech import TechConfig, DEFAULT_TECH
 from ..devices.variation import ArrayVariation, nominal_variation
@@ -276,6 +277,9 @@ class FeReXArray:
         self.timing_model = TimingModel(
             rows, physical_cols, self.tech, self.parasitics
         )
+        #: Batch searches' per-query timing at the nominal margin: it
+        #: depends on the geometry alone, so it is evaluated once.
+        self._nominal_timing = self.timing_model.search_timing()
         self._lta = LoserTakeAll(
             rows, self.tech.lta, offsets=variation.lta_offset
         )
@@ -700,9 +704,10 @@ class FeReXArray:
         )
 
     def _compile_kernel(self, sl_values: np.ndarray, dl_values: np.ndarray):
-        """Compile (codes, LUT) for one write generation; ``None`` when
-        ineligible (varied/drifted devices, a bias alphabet that is not
-        cell-uniform, or a geometry beyond the exact-integer bound).
+        """Compile (codes, LUT) for one write generation over the
+        programmed row prefix; ``None`` when ineligible (varied/drifted
+        devices, a bias alphabet that is not cell-uniform, or a geometry
+        beyond the exact-integer bound).
         """
         if not self._variation_is_ideal() or np.any(self._disturb_drift):
             return None
@@ -727,11 +732,22 @@ class FeReXArray:
             select_quantum,
         )
 
-        state = self.levels.reshape(self.rows * self.cells, k)
-        _, first, codes = np.unique(
+        # Only rows up to the last one holding a programmed level are
+        # compiled: past it every row is erased, which on an ideal array
+        # scores one integer per query (QuantizedKernel broadcasts it).
+        # The erased cell leads the state, so its symbol is always in
+        # the LUT.
+        programmed = np.flatnonzero(self.levels.max(axis=1) >= 0)
+        prefix = int(programmed[-1]) + 1 if len(programmed) else 0
+        state = np.concatenate([
+            np.full((1, k), -1, dtype=self.levels.dtype),
+            self.levels[:prefix].reshape(prefix * self.cells, k),
+        ])
+        _, first, inverse = np.unique(
             state, axis=0, return_index=True, return_inverse=True
         )
-        codes = codes.reshape(self.rows, self.cells)
+        inverse = inverse.reshape(-1)
+        codes = inverse[1:].reshape(prefix, self.cells)
         vth_symbols = self._vth_lut[state[first]]
         raw = compile_current_lut(
             sl_cells[:, 0, :], dl_cells[:, 0, :], vth_symbols, self.tech
@@ -748,7 +764,11 @@ class FeReXArray:
         except KernelOverflowError:
             return None
         return QuantizedKernel(
-            kernel=kernel, quantum=quantum, raw_currents=raw
+            kernel=kernel,
+            quantum=quantum,
+            raw_currents=raw,
+            rows=self.rows,
+            erased=int(inverse[0]),
         )
 
     def quantized_kernel(self):
@@ -940,17 +960,16 @@ class FeReXArray:
         competition currents, and masking that winner to ``+inf`` then
         re-deciding flags the next entry of the same stable order — so
         the ``k`` winner-masking rounds of serial :meth:`search_k` are
-        the first ``k`` columns of one stable argsort, whatever the
-        comparator offsets.
+        the first ``k`` entries of that order, whatever the comparator
+        offsets.  :func:`stable_top_k` reads them off exactly, without
+        ordering the rows that lose.
         """
         offsets = self._lta.offsets
         if active is not None:
             # A masked row's LTA branch is disconnected: +inf, exactly
             # as serial search models it (finite current + inf = inf).
             offsets = np.where(active, offsets, np.inf)
-        return np.argsort(
-            row_currents + offsets, axis=1, kind="stable"
-        )[:, :k]
+        return stable_top_k(row_currents + offsets, k)
 
     def _finish(
         self,
@@ -961,7 +980,7 @@ class FeReXArray:
     ) -> BatchSearchKResult:
         """Select the winners and attach the per-query timing/energy
         at nominal activity (nominal margin, first query's currents)."""
-        timing = self.timing_model.search_timing()
+        timing = self._nominal_timing
         energy = self.energy_model.search_energy(
             row_currents[0] if len(row_currents) else np.zeros(self.rows),
             dl_first
@@ -993,7 +1012,7 @@ class FeReXArray:
         cell currents come from the same kernel / blocked 3-D physics
         serial :meth:`search` evaluates, and the winners are the ``k``
         winner-masking LTA rounds — comparator offsets and stable tie
-        ordering included — read off one stable argsort.  Per-query
+        ordering included — read off one stable partial top-k.  Per-query
         timing/energy are identical across the batch at the nominal
         margin, so the models are evaluated once.
 

@@ -26,6 +26,9 @@ Behavioural model
 * **Energy**: static bias per competing row during the decision window
   plus a fixed latch term (paper Fig. 6(a): LTA power "grows
   insignificantly as the number of rows increases" — amortised per bit).
+* **Top-k**: masking a winner to ``+inf`` and re-deciding
+  (:meth:`LoserTakeAll.decide_k`) emits rows in stable (value, row)
+  order, so a batch reads its ``k`` winners off :func:`stable_top_k`.
 """
 
 from __future__ import annotations
@@ -37,6 +40,35 @@ from typing import Optional, Sequence
 import numpy as np
 
 from ..devices.tech import LTAParams
+
+
+def stable_top_k(values: np.ndarray, k: int) -> np.ndarray:
+    """Per-row column indices of the ``k`` smallest entries of an
+    (n, m) array in (value, column) order — exactly
+    ``np.argsort(values, axis=1, kind="stable")[:, :k]`` without sorting
+    whole rows.
+
+    An ``argpartition`` alone breaks value ties arbitrarily; the
+    boundary rule below keeps every column strictly inside the k-th
+    value plus the *lowest-column* ties at it, then orders the surviving
+    ``k`` entries with one small stable sort.
+    """
+    n, m = values.shape
+    if not 0 < k < m:
+        return np.argsort(values, axis=1, kind="stable")[:, :k]
+    boundary = np.partition(values, k - 1, axis=1)[:, k - 1 : k]
+    strict = values < boundary
+    at_boundary = values == boundary
+    quota = k - strict.sum(axis=1, keepdims=True)
+    # int32 accumulator: cumsum on a bool block otherwise promotes to
+    # int64 and the widening dominates the whole selection.
+    tie_rank = np.cumsum(at_boundary, axis=1, dtype=np.int32)
+    keep = strict | (at_boundary & (tie_rank <= quota))
+    idx = np.nonzero(keep)[1].reshape(n, k)  # column-ascending per row
+    order = np.argsort(
+        np.take_along_axis(values, idx, axis=1), axis=1, kind="stable"
+    )
+    return np.take_along_axis(idx, order, axis=1)
 
 
 @dataclass(frozen=True)

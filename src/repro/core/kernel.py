@@ -277,6 +277,12 @@ class QuantizedKernel:
     Compiled by :meth:`repro.arch.crossbar.FeReXArray.quantized_kernel`
     from the array's programmed state and a cell-uniform bias alphabet;
     valid for exactly one write generation.
+
+    ``kernel`` covers the programmed row prefix only.  Every row from
+    ``kernel.rows`` to ``rows`` holds the ``erased`` symbol in every
+    cell, so its score is the one exact integer
+    ``sum_c lut[value_index[q, c], erased]`` per query, broadcast into
+    the tail: full-width scores equal a kernel compiled over all rows.
     """
 
     kernel: LUTKernel
@@ -286,6 +292,10 @@ class QuantizedKernel:
     #: The raw (n_values, n_symbols) current table the LUT quantized,
     #: kept for introspection and error analysis.
     raw_currents: np.ndarray
+    #: Full array height the scores span.
+    rows: int
+    #: The erased cell's symbol (always a LUT column).
+    erased: int
 
     @property
     def codes(self) -> np.ndarray:
@@ -295,12 +305,25 @@ class QuantizedKernel:
     def lut(self) -> np.ndarray:
         return self.kernel.lut
 
+    def _scores(self, value_index: np.ndarray) -> np.ndarray:
+        """(n, rows) exact scores: the kernel over the prefix, the
+        erased row's score over the tail."""
+        prefix = self.kernel.scores(value_index)
+        if self.rows == self.kernel.rows:
+            return prefix
+        out = np.empty((len(prefix), self.rows))
+        out[:, : self.kernel.rows] = prefix
+        out[:, self.kernel.rows :] = self.lut[
+            np.asarray(value_index), self.erased
+        ].sum(axis=1, keepdims=True)
+        return out
+
     def row_scores(self, value_index: np.ndarray) -> np.ndarray:
         """(n, rows) integer scores (int64) — the masking/ranking
         domain."""
-        return self.kernel.scores(value_index).astype(np.int64)
+        return self._scores(value_index).astype(np.int64)
 
     def row_currents(self, value_index: np.ndarray) -> np.ndarray:
         """(n, rows) row currents in amps, exact ``score * quantum``
         float64 products."""
-        return self.kernel.scores(value_index) * self.quantum
+        return self._scores(value_index) * self.quantum

@@ -60,8 +60,11 @@ Who holds the stored codes, per element, on ideal devices:
   else the device model needs is derived from it on read (see
   :class:`repro.arch.crossbar.FeReXArray`).
 * the compiled kernel's ``codes`` (int64) and float64 weights — 8 B
-  each, the largest share.  They are the search hot path's operands;
-  narrowing them is a kernel change, not a state one.
+  each, the largest share, but only over a bank's programmed row
+  prefix: the erased capacity a doubling allocation leaves past the
+  last written row is scored as one integer per query, not stored.
+  They are the search hot path's operands; narrowing them is a kernel
+  change, not a state one.
 
 A seeded bank additionally holds its variation sample (two float64 per
 FeFET), once: every allocation slices it and the array adopts the
@@ -88,6 +91,7 @@ from typing import List, Optional, Protocol, Tuple, runtime_checkable
 
 import numpy as np
 
+from ..circuits.lta import stable_top_k
 from ..core.config import (
     BankConfig,
     as_bank_config,
@@ -142,8 +146,8 @@ class ExactBackend:
     """Exact software search over the live vector set.
 
     One :meth:`DistanceMetric.pairwise` call per batch; candidates order
-    by (distance, position) via a stable argsort, the same tie-break the
-    multi-bank analog merge uses.
+    by (distance, position) via :func:`stable_top_k`, the same tie-break
+    the multi-bank analog merge uses.
     """
 
     name = "exact"
@@ -183,7 +187,7 @@ class ExactBackend:
         distances = self.metric.pairwise(
             queries, self._vectors[live], self.bits
         ).astype(float)
-        order = np.argsort(distances, axis=1, kind="stable")[:, :k]
+        order = stable_top_k(distances, k)
         return (
             live[order],
             np.take_along_axis(distances, order, axis=1),
@@ -277,7 +281,7 @@ class GPUBackend(ExactBackend):
       silently (``backend.xp.name`` says which module serves).  Winners
       and distances are bit-identical to :class:`ExactBackend` — the
       arithmetic is exact on every IEEE-754 backend and the final
-      ranking is numpy's stable argsort either way.
+      ranking is the same :func:`stable_top_k` either way.
     * **estimate only** (``estimate_only=True``): no kernel and no
       array module; winners come from :class:`ExactBackend`'s pairwise
       reference, preserving the original roofline-estimator behaviour.
@@ -366,7 +370,7 @@ class GPUBackend(ExactBackend):
                 table = kernel.scores_with(
                     self.xp, np.asarray(queries, dtype=np.int64)
                 )
-                order = np.argsort(table, axis=1, kind="stable")[:, :k]
+                order = stable_top_k(table, k)
                 positions = live[order]
                 distances = np.take_along_axis(table, order, axis=1)
         # XOR + popcount for Hamming, subtract/abs-or-square/accumulate
@@ -764,45 +768,16 @@ class FerexBackend:
         all_units = np.concatenate(units, axis=1)
         all_positions = np.concatenate(positions)
         # Columns are globally position-ascending (banks in order, rows
-        # in order), so the (value, column)-stable partial selection
+        # in order), so the LTA's (value, column)-stable selection
         # tie-breaks on position — matching the lexsort merge and the
         # exact backend.
-        picks = _top_c_stable(all_units, min(c, n_live))
+        picks = stable_top_k(all_units, min(c, n_live))
         if with_units:
             return (
                 all_positions[picks],
                 np.take_along_axis(all_units, picks, axis=1),
             )
         return all_positions[picks]
-
-
-def _top_c_stable(units: np.ndarray, c: int) -> np.ndarray:
-    """Per-row column indices of the ``c`` smallest entries in
-    (value, column) order — exactly the first ``c`` columns of
-    ``argsort(kind="stable")`` without sorting whole rows.
-
-    An ``argpartition`` alone breaks value ties arbitrarily, which
-    would let the shortlist diverge from the LTA's stable emission
-    order on equal currents; the boundary fix below keeps every column
-    strictly inside the c-th value plus the *lowest-column* ties at it,
-    then orders the surviving ``c`` entries with one small stable sort.
-    """
-    n, m = units.shape
-    if c >= m:
-        return np.argsort(units, axis=1, kind="stable")[:, :c]
-    boundary = np.partition(units, c - 1, axis=1)[:, c - 1 : c]
-    strict = units < boundary
-    at_boundary = units == boundary
-    quota = c - strict.sum(axis=1, keepdims=True)
-    # int32 accumulator: cumsum on a bool block otherwise promotes to
-    # int64 and the widening dominates the whole selection.
-    tie_rank = np.cumsum(at_boundary, axis=1, dtype=np.int32)
-    keep = strict | (at_boundary & (tie_rank <= quota))
-    idx = np.nonzero(keep)[1].reshape(n, c)  # column-ascending per row
-    order = np.argsort(
-        np.take_along_axis(units, idx, axis=1), axis=1, kind="stable"
-    )
-    return np.take_along_axis(idx, order, axis=1)
 
 
 class TieredBackend:

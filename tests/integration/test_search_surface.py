@@ -3,7 +3,7 @@
 Cheap structural assertions that a second search path has not grown
 back: the index takes no per-call mode, the crossbar exposes no block
 size knob, and exactly one array method ranks batch competition
-currents.
+currents (through :func:`repro.circuits.lta.stable_top_k`).
 """
 
 import inspect
@@ -39,15 +39,21 @@ def test_no_crossbar_search_method_takes_chunk():
 
 
 def test_exactly_one_array_method_ranks_batch_currents():
-    """Ranking = an argsort or a batched LTA decision in the method's
-    own source; everything else must delegate to it."""
+    """Ranking = an argsort, a stable top-k or a batched LTA decision
+    in the method's own source; everything else must delegate to it."""
     ranking = [
         name
         for name, member in vars(FeReXArray).items()
         if inspect.isfunction(member)
         and any(
             call in inspect.getsource(member)
-            for call in ("argsort(", "decide_batch(")
+            for call in ("argsort(", "stable_top_k(", "decide_batch(")
         )
     ]
     assert ranking == ["_select"]
+
+
+def test_select_does_not_sort_whole_rows():
+    source = inspect.getsource(FeReXArray._select)
+    assert "stable_top_k(" in source
+    assert "argsort(" not in source
