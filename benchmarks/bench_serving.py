@@ -1,16 +1,16 @@
-"""Serving throughput: coalesced micro-batching, adaptive wait, and the
-multi-process replica pool vs naive per-query dispatch.
+"""Serving throughput: coalesced micro-batching and the multi-process
+replica pool vs naive per-query dispatch.
 
 The FeReX batch path amortises one array evaluation over many queries;
 :class:`repro.serve.FerexServer` is what converts *concurrent traffic*
 into those batches.  This bench measures end-to-end served queries/sec
-at client concurrency 1 / 8 / 64 for four configurations:
+at client concurrency 1 / 8 / 64 for three configurations:
 
 * **naive** — per-query dispatch (``max_batch_size=1``): every request
   becomes its own one-query index search;
-* **coalesced** — the classic fixed-window coalescing server;
-* **adaptive** — coalescing with the adaptive flush window: sparse
-  traffic dispatches near-directly, bursts still batch;
+* **coalesced** — the coalescing server (its flush window adapts to
+  the arrival rate: sparse traffic dispatches near-directly, bursts
+  batch);
 * **pool** — the coalescing server over a
   :class:`~repro.serve.ProcReplicaPool` (worker processes attached to
   shared-memory index segments), on a heavier per-query workload where
@@ -27,8 +27,6 @@ Headline assertions:
 
 * at concurrency 64 the coalesced server serves >= 5x the naive
   per-query dispatch rate;
-* with the adaptive window, concurrency-1 p50 latency is <= 1.2x a
-  direct (non-coalesced) ``index.search`` call;
 * the process pool serves >= 1.5x the single-process coalesced rate at
   concurrency 64 (enforced when >= 2 cores are available — on a
   single-core host the ratio is recorded but cannot be meaningful).
@@ -68,8 +66,6 @@ QUICK_N_QUERIES = {1: 32, 8: 128, 64: 512}
 NAIVE_SAMPLE = 64
 HEADLINE_CONCURRENCY = 64
 MIN_SPEEDUP_AT_64 = 5.0
-#: Adaptive-wait acceptance: concurrency-1 served p50 vs direct p50.
-MAX_ADAPTIVE_P50_VS_DIRECT = 1.2
 
 #: Pool workload: many stored rows so per-query work dominates the
 #: per-call overhead — the regime where worker processes (instead of
@@ -84,25 +80,11 @@ POOL_N_QUERIES = 512
 POOL_QUICK_N_QUERIES = 256
 MIN_POOL_SPEEDUP_AT_64 = 1.5
 
-#: Dispatch-transport workload: few stored rows (search is cheap) and
-#: wide vectors (the query batch is big) — the regime where moving the
-#: batch to the worker dominates, i.e. what the slab transport removes.
-TRANSPORT_ROWS = 16
-TRANSPORT_DIMS = 1024
-TRANSPORT_BATCHES = (64, 256)
-TRANSPORT_REPS = 40
-TRANSPORT_QUICK_REPS = 16
-#: Floor: shared-memory slab dispatch >= 1.3x pickled dispatch at
-#: batch >= 64 (enforced when >= 2 cores are available).
-MIN_SLAB_VS_PICKLE_AT_64 = 1.3
-
 #: Explicit workload seeds: stored set, query stream, pool workload.
 SEED_STORED = 31
 SEED_QUERIES = 37
 SEED_POOL_STORED = 41
 SEED_POOL_QUERIES = 43
-SEED_TRANSPORT_STORED = 47
-SEED_TRANSPORT_QUERIES = 53
 
 
 def _effective_cores() -> int:
@@ -142,8 +124,8 @@ def _make_queries(n, dims=DIMS, seed=SEED_QUERIES) -> np.ndarray:
 
 def _measure_serial_loop(index: FerexIndex, queries: np.ndarray) -> dict:
     """Reference line: a synchronous per-query loop, no serving stack.
-    Records per-query latencies so the adaptive series can be compared
-    against *direct* search latency, not just throughput."""
+    Records per-query latencies so served latency can be read against
+    *direct* search latency, not just throughput."""
     index.search(queries[:1], k=K)  # warm the bias tables
     sample = queries[:NAIVE_SAMPLE]
     latencies = []
@@ -167,15 +149,14 @@ def _measure_server(
     queries: np.ndarray,
     concurrency: int,
     max_batch_size: int,
-    adaptive_wait: bool = False,
     pool: "ProcReplicaPool | None" = None,
 ) -> dict:
     """``concurrency`` client tasks drain a shared queue through one
     server (cache off: every request must hit the array).
 
     ``max_batch_size=1`` is the naive per-query dispatch baseline;
-    ``MAX_BATCH`` is the coalescing configuration under test;
-    ``adaptive_wait``/``pool`` select the new series.
+    ``MAX_BATCH`` is the coalescing configuration under test; ``pool``
+    selects the pooled series.
     """
 
     async def client(server, stream, outcomes):
@@ -192,7 +173,6 @@ def _measure_server(
             max_batch_size=max_batch_size,
             max_wait_ms=MAX_WAIT_MS,
             cache_size=0,
-            adaptive_wait=adaptive_wait,
             pool=pool,
         )
         async with server:
@@ -209,8 +189,8 @@ def _measure_server(
             )
             elapsed = time.perf_counter() - t0
             snapshot = server.stats.snapshot()
-        # The serving layer must not change a single answer — pooled,
-        # adaptive or not.
+        # The serving layer must not change a single answer — pooled or
+        # not.
         direct = index.search(queries, k=K)
         ids = np.stack([o.ids for o in outcomes])
         distances = np.stack([o.distances for o in outcomes])
@@ -303,106 +283,6 @@ def _measure_pool_series(quick: bool) -> dict:
     }
 
 
-def _measure_dispatch(
-    pool: ProcReplicaPool, batch: np.ndarray, reps: int
-) -> dict:
-    """Closed-loop dispatch round-trips through one pool worker; with
-    16 stored rows the index search is near-free, so the time is the
-    transport: batch out, results back."""
-    for _ in range(3):  # warm the worker and (for slabs) their sizing
-        pool.search(batch, k=K)
-    t0 = time.perf_counter()
-    for _ in range(reps):
-        pool.search(batch, k=K)
-    elapsed = time.perf_counter() - t0
-    return {
-        "batch_rows": len(batch),
-        "reps": reps,
-        "qps": reps * len(batch) / elapsed,
-        "dispatch_ms": elapsed / reps * 1e3,
-    }
-
-
-def _measure_transport_series(quick: bool) -> dict:
-    """Slab vs pickle dispatch at batch 64/256 on the transport-bound
-    workload — same index, same queries, one worker each, so the only
-    difference between the two series is how the batch crosses the
-    process boundary."""
-    reps = TRANSPORT_QUICK_REPS if quick else TRANSPORT_REPS
-    index = _build_index(
-        rows=TRANSPORT_ROWS, dims=TRANSPORT_DIMS, seed=SEED_TRANSPORT_STORED
-    )
-    queries = _make_queries(
-        max(TRANSPORT_BATCHES),
-        dims=TRANSPORT_DIMS,
-        seed=SEED_TRANSPORT_QUERIES,
-    )
-    series = {}
-    with ProcReplicaPool(
-        index,
-        n_workers=1,
-        transport="slab",
-        slab_batch_rows=max(TRANSPORT_BATCHES),
-    ) as slab_pool:
-        with ProcReplicaPool(
-            index, n_workers=1, transport="pickle"
-        ) as pickle_pool:
-            # Both transports must hand back the same bits before any
-            # of their timings mean anything.
-            direct = index.search(queries, k=K)
-            for pool in (slab_pool, pickle_pool):
-                outcome = pool.search(queries, k=K)
-                assert np.array_equal(outcome.ids, direct.ids)
-                assert np.array_equal(outcome.distances, direct.distances)
-
-            for n in TRANSPORT_BATCHES:
-                batch = queries[:n]
-                slab = _measure_dispatch(slab_pool, batch, reps)
-                pickled = _measure_dispatch(pickle_pool, batch, reps)
-                first = slab["qps"] / pickled["qps"]
-
-                def _retry(batch=batch):
-                    return (
-                        _measure_dispatch(slab_pool, batch, reps)["qps"]
-                        / _measure_dispatch(pickle_pool, batch, reps)["qps"]
-                    )
-
-                best = _deflake_gate(
-                    first,
-                    _retry,
-                    prefer=max,
-                    passes=lambda value, n=n: (
-                        _effective_cores() < 2
-                        or n < 64
-                        or value >= MIN_SLAB_VS_PICKLE_AT_64
-                    ),
-                )
-                series[f"batch_{n}"] = {
-                    "slab": slab,
-                    "pickle": pickled,
-                    "slab_vs_pickle_speedup": first,
-                    "best_slab_vs_pickle_speedup": best,
-                }
-            slab_state = slab_pool.snapshot()
-    return {
-        "workload": {
-            "rows": TRANSPORT_ROWS,
-            "dims": TRANSPORT_DIMS,
-            "bits": BITS,
-            "k": K,
-            "reps": reps,
-            "payload_bytes_per_query": TRANSPORT_DIMS * 8,
-        },
-        "results": series,
-        "slab_state": {
-            "n_slab_dispatches": slab_state["n_slab_dispatches"],
-            "n_slab_grows": slab_state["n_slab_grows"],
-            "slab_request_bytes": slab_state["slab_request_bytes"],
-        },
-        "effective_cores": _effective_cores(),
-    }
-
-
 def run(quick=False):
     """Bench body shared by the pytest and ``python -m`` entry points."""
     sizes = QUICK_N_QUERIES if quick else N_QUERIES
@@ -419,64 +299,23 @@ def run(quick=False):
         coalesced = _measure_server(
             index, queries, concurrency, max_batch_size=MAX_BATCH
         )
-        adaptive = _measure_server(
-            index,
-            queries,
-            concurrency,
-            max_batch_size=MAX_BATCH,
-            adaptive_wait=True,
-        )
         results[f"concurrency_{concurrency}"] = {
             "concurrency": concurrency,
             "naive": naive,
             "coalesced": coalesced,
-            "adaptive": adaptive,
             "speedup_vs_naive": coalesced["qps"] / naive["qps"],
-            "adaptive_speedup_vs_naive": adaptive["qps"] / naive["qps"],
         }
 
     pool_series = _measure_pool_series(quick)
-    transport_series = _measure_transport_series(quick)
 
-    c1_queries = all_queries[: sizes[1]]
-
-    def _adaptive_ratio():
-        retry_serial = _measure_serial_loop(index, c1_queries)
-        retry_adaptive = _measure_server(
-            index,
-            c1_queries,
-            1,
-            max_batch_size=MAX_BATCH,
-            adaptive_wait=True,
-        )
-        return (
-            retry_adaptive["latency_p50_ms"]
-            / retry_serial["latency_p50_ms"]
-        )
-
-    first_adaptive_ratio = (
-        results["concurrency_1"]["adaptive"]["latency_p50_ms"]
-        / serial_loop["latency_p50_ms"]
-    )
-    adaptive_p50_vs_direct = _deflake_gate(
-        first_adaptive_ratio,
-        _adaptive_ratio,
-        prefer=min,
-        passes=lambda value: value <= MAX_ADAPTIVE_P50_VS_DIRECT,
-    )
-
-    headline_slab = transport_series["results"][
-        f"batch_{TRANSPORT_BATCHES[0]}"
-    ]["slab_vs_pickle_speedup"]
     rows_out = [
         [
             f"{r['concurrency']}",
             f"{r['coalesced']['n_queries']}",
             f"{r['naive']['qps']:.0f}",
             f"{r['coalesced']['qps']:.0f}",
-            f"{r['adaptive']['qps']:.0f}",
             f"{r['coalesced']['mean_batch_size']:.1f}",
-            f"{r['adaptive']['latency_p50_ms']:.2f}",
+            f"{r['coalesced']['latency_p50_ms']:.2f}",
             f"{r['speedup_vs_naive']:.1f}x",
         ]
         for r in results.values()
@@ -487,22 +326,20 @@ def run(quick=False):
             "Queries",
             "Naive q/s",
             "Coalesced q/s",
-            "Adaptive q/s",
             "Mean batch",
-            "Adaptive p50 ms",
+            "Coalesced p50 ms",
             "Speedup",
         ],
         rows_out,
         title=(
-            f"FerexServer: coalesced/adaptive vs naive dispatch "
+            f"FerexServer: coalesced vs naive dispatch "
             f"({ROWS}x{DIMS}, k={K}, serial loop "
-            f"{serial_loop['qps']:.0f} q/s) | pool "
+            f"{serial_loop['qps']:.0f} q/s, p50 "
+            f"{serial_loop['latency_p50_ms']:.2f} ms) | pool "
             f"({POOL_ROWS}x{POOL_DIMS}, {POOL_WORKERS} workers): "
             f"{pool_series['pool']['qps']:.0f} q/s = "
             f"{pool_series['speedup_vs_single_process']:.2f}x "
-            f"single-process | slab dispatch "
-            f"({TRANSPORT_ROWS}x{TRANSPORT_DIMS}, batch "
-            f"{TRANSPORT_BATCHES[0]}): {headline_slab:.2f}x pickle"
+            f"single-process"
         ),
     )
     save_artifact("serving", text)
@@ -527,12 +364,7 @@ def run(quick=False):
             },
             "serial_loop": serial_loop,
             "results": results,
-            # The first, unretried measurement (the trajectory signal);
-            # the gate below uses the de-flaked best.
-            "adaptive_p50_vs_direct_at_concurrency_1": first_adaptive_ratio,
-            "adaptive_p50_vs_direct_best": adaptive_p50_vs_direct,
             "pool_series": pool_series,
-            "transport_series": transport_series,
         },
     )
 
@@ -562,18 +394,9 @@ def run(quick=False):
         f"concurrency {HEADLINE_CONCURRENCY}; regression below the "
         f"{MIN_SPEEDUP_AT_64:.0f}x floor"
     )
-    # Coalescing must actually coalesce under concurrent load —
-    # adaptive included (the window may shrink, batching must not).
+    # Coalescing must actually coalesce under concurrent load (the
+    # adaptive window may shrink, batching must not).
     assert headline["coalesced"]["mean_batch_size"] > 1.5
-    assert headline["adaptive"]["mean_batch_size"] > 1.5
-
-    # Adaptive wait closes the concurrency-1 latency gap: served p50
-    # within 1.2x of a direct index.search call.
-    assert adaptive_p50_vs_direct <= MAX_ADAPTIVE_P50_VS_DIRECT, (
-        f"adaptive concurrency-1 p50 is {adaptive_p50_vs_direct:.2f}x "
-        f"direct search latency; ceiling is "
-        f"{MAX_ADAPTIVE_P50_VS_DIRECT:.1f}x"
-    )
 
     # The process pool must beat one GIL-bound process where there are
     # cores to do it with (the CI runner has 2; a 1-core host can only
@@ -593,26 +416,6 @@ def run(quick=False):
             f"{pool_speedup:.2f}x"
         )
 
-    # Slab dispatch must beat pickled dispatch wherever the batch is
-    # big enough for the copy to matter (>= 64 rows) and there is a
-    # second core to run the worker on.
-    for n in TRANSPORT_BATCHES:
-        entry = transport_series["results"][f"batch_{n}"]
-        slab_speedup = entry["best_slab_vs_pickle_speedup"]
-        if n < 64:
-            continue
-        if transport_series["effective_cores"] >= 2:
-            assert slab_speedup >= MIN_SLAB_VS_PICKLE_AT_64, (
-                f"slab dispatch only {slab_speedup:.2f}x pickled "
-                f"dispatch at batch {n}; floor is "
-                f"{MIN_SLAB_VS_PICKLE_AT_64:.1f}x"
-            )
-        else:
-            print(
-                f"[bench_serving] single core available; slab floor "
-                f"({MIN_SLAB_VS_PICKLE_AT_64:.1f}x at batch {n}) not "
-                f"enforced, measured {slab_speedup:.2f}x"
-            )
     return results
 
 

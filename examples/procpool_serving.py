@@ -1,5 +1,5 @@
 """Scaling FeReX serving beyond the GIL: the multi-process replica
-pool and the adaptive coalescer wait.
+pool behind the adaptive coalescer.
 
 Walkthrough:
 
@@ -8,9 +8,9 @@ Walkthrough:
    processes that attach them zero-copy (fingerprint-verified) — N
    replicas, ~1x canonical index RAM;
 2. put a `FerexServer` in front with `pool=` — coalesced micro-batches
-   now run truly in parallel, one per worker process — and with
-   `adaptive_wait=True`, so a lone caller is served near-directly
-   while bursts still batch;
+   now run truly in parallel, one per worker process — while the
+   coalescer's adaptive window serves a lone caller near-directly and
+   still batches bursts;
 3. write through the server: the mutation applies to the primary and
    the pool republishes a fresh generation inside the same
    single-writer critical section, so the next read sees it;
@@ -38,7 +38,6 @@ async def main(pool: ProcReplicaPool, index: FerexIndex):
         max_batch_size=16,
         max_wait_ms=2.0,
         cache_size=256,
-        adaptive_wait=True,
     )
     async with server:
         # --- concurrent wave: batches fan out across worker processes

@@ -1,20 +1,17 @@
-"""FerexServer: serving concurrent traffic over FeReX index replicas.
+"""FerexServer: serving concurrent traffic over one FeReX index.
 
-Shows the whole serving story in ~80 lines:
+Shows the whole serving story in ~60 lines:
 
-1. build two bit-identical index replicas and put a `FerexServer` in
-   front (request coalescer + LRU query cache + replica router);
+1. build an index and put a `FerexServer` in front (request coalescer
+   + LRU query cache + single-writer gate);
 2. fire concurrent client tasks at it — the coalescer folds them into
    micro-batches that ride the index's batched search path;
 3. repeat the traffic — the query cache answers without touching the
    arrays;
-4. mutate mid-flight (add/remove) — the single-writer path updates
-   every replica in order and invalidates the cache;
+4. mutate mid-flight (add) — the single-writer path waits out in-flight
+   reads, applies the write and invalidates the cache;
 5. read the stats surface: qps, batch histogram, hit rate, latency
-   percentiles;
-6. replay a skewed (Zipfian) stream under ``cache_policy="tinylfu"``
-   vs the default LRU — frequency-gated admission keeps the hot head
-   resident, lifting the hit rate at equal capacity.
+   percentiles.
 
 Run:  python examples/serve_traffic.py
 """
@@ -31,8 +28,8 @@ stored = rng.integers(0, 1 << BITS, size=(120, DIMS))
 queries = rng.integers(0, 1 << BITS, size=(48, DIMS))
 
 
-def make_replica():
-    # Same config + seed + insertion order => bit-identical replica.
+def make_index():
+    # Same config + seed + insertion order => bit-identical index.
     index = FerexIndex(
         dims=DIMS, metric="hamming", bits=BITS, bank_rows=64, seed=5
     )
@@ -53,13 +50,8 @@ async def client(server, stream):
 
 
 async def main():
-    server = FerexServer.from_factory(
-        make_replica,
-        n_replicas=2,
-        max_batch_size=16,
-        max_wait_ms=2.0,
-        cache_size=512,
-        policy="least_loaded",
+    server = FerexServer(
+        make_index(), max_batch_size=16, max_wait_ms=2.0, cache_size=512
     )
     async with server:
         # --- wave 1: 16 concurrent clients, coalesced ----------------
@@ -70,7 +62,7 @@ async def main():
         served = sorted(
             (row, outcome) for answers in results for row, outcome in answers
         )
-        direct = make_replica().search(queries, k=3)
+        direct = make_index().search(queries, k=3)
         identical = all(
             np.array_equal(outcome.ids, direct.ids[row])
             for row, outcome in served
@@ -83,44 +75,16 @@ async def main():
         print(f"wave 2: cache hit rate now "
               f"{server.stats.cache_hit_rate:.0%}")
 
-        # --- a write lands: replicas update together, cache clears ---
+        # --- a write lands: reads drain, the cache clears -------------
         new_ids = await server.add(queries[:2])
         post = await server.search(queries[0], k=1)
         print(f"added ids {new_ids.tolist()}; query 0's nearest is now "
               f"{int(post.ids[0])} (itself), generation "
               f"{server.write_generation}")
-        server.router.check_parity()   # replicas still bit-identical
 
         # --- the stats surface ---------------------------------------
         print()
         print(server.stats.format())
-
-    # --- skewed traffic: TinyLFU admission vs plain LRU --------------
-    # A long-tailed stream over a universe much larger than the cache:
-    # admit-on-miss LRU lets one-hit wonders evict the hot head, while
-    # W-TinyLFU admits only candidates whose sketched frequency beats
-    # the would-be victim's.  Same answers, fewer array scans.
-    universe = rng.integers(0, 1 << BITS, size=(2000, DIMS))
-    weights = np.arange(1, len(universe) + 1, dtype=float) ** -1.1
-    trace = np.random.default_rng(7).choice(
-        len(universe), size=4000, p=weights / weights.sum()
-    )
-    print()
-    for cache_policy in ("lru", "tinylfu"):
-        server = FerexServer.from_factory(
-            make_replica,
-            max_batch_size=16,
-            max_wait_ms=0.5,
-            cache_size=48,
-            cache_policy=cache_policy,
-        )
-        async with server:
-            for qi in trace:
-                await server.search(universe[qi], k=3)
-            snap = server.cache.snapshot()
-        print(f"zipf(1.1) x {len(trace)}, capacity 48, "
-              f"policy={cache_policy:8s} hit rate "
-              f"{snap['hit_rate']:.1%}")
 
 
 if __name__ == "__main__":

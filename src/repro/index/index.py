@@ -385,7 +385,8 @@ class FerexIndex:
         """Store vectors, opening new banks as capacity fills.
 
         Returns the assigned ids (auto-assigned sequentially unless
-        given).  Incremental calls are bit-identical to one big call:
+        given; given ids must be unique, non-negative and not already
+        stored).  Incremental calls are bit-identical to one big call:
         each vector's physical row — and its sampled device variation —
         is fixed by its insertion position alone.
         """
@@ -400,6 +401,10 @@ class FerexIndex:
             ids = np.asarray(ids, dtype=np.int64)
             if ids.shape != (n,):
                 raise ValueError(f"expected {n} ids, got shape {ids.shape}")
+            if ids.min() < 0:
+                # -1 pads search results; a stored -1 would be
+                # indistinguishable from it.
+                raise ValueError("ids must be non-negative")
             if len(np.unique(ids)) != n:
                 raise ValueError("ids must be unique")
             clashes = [int(i) for i in ids if int(i) in self._id_to_pos]

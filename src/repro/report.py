@@ -41,7 +41,6 @@ ARTIFACT_ORDER = [
     "index_scaling",
     "serving",
     "serving_net",
-    "cache",
     "reconfig",
     "routing",
 ]

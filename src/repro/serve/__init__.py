@@ -1,22 +1,19 @@
-"""The serving layer: async batching, caching and replication on top of
+"""The serving layer: async batching and caching on top of one
 :class:`repro.index.FerexIndex`.
 
-* :class:`FerexServer` — the facade: coalesced + cached + replicated
-  search that stays bit-identical to direct index search;
+* :class:`FerexServer` — the facade: coalesced + cached search that
+  stays bit-identical to direct index search;
 * :class:`RequestCoalescer` — micro-batches concurrent requests so they
-  ride the index's batched search path;
-* :class:`QueryCache` — policy-driven cache keyed on (query bytes, k,
-  write-generation), invalidated by every index mutation; admission/
-  eviction is pluggable (:mod:`repro.serve.admission_policy`):
-  :class:`LruPolicy` or :class:`TinyLfuPolicy` (W-TinyLFU — a
-  :class:`FrequencySketch` gates admission under skewed traffic);
-* :class:`ReplicaRouter` / :class:`Replica` — round-robin or
-  least-loaded reads over N bit-identical replicas, single-writer
-  mutation path with parity checking;
+  ride the index's batched search path, with a flush window sized from
+  the observed arrival and service rates;
+* :class:`QueryCache` — LRU cache keyed on (query bytes, k,
+  write-generation), invalidated by every index mutation;
+* :class:`ReplicaRouter` — the single-writer / many-reader gate in
+  front of the index;
 * :class:`ProcReplicaPool` — N worker *processes* attached zero-copy to
-  the primary index's shared-memory segments (:mod:`repro.serve.shm`),
-  for read parallelism beyond the GIL; writes drain through the
-  single-writer path and republish a fresh generation;
+  the index's shared-memory segments (:mod:`repro.serve.shm`), for read
+  parallelism beyond the GIL; writes drain through the single-writer
+  path and republish a fresh generation;
 * :class:`ServerStats` — qps, batch-size histogram, cache hit rate and
   latency percentiles for benchmarks and tests;
 * :mod:`repro.serve.net` — the HTTP wire on top: front-end, admission
@@ -25,16 +22,10 @@
   :class:`~repro.serve.net.Autoscaler`).
 """
 
-from .admission_policy import (
-    FrequencySketch,
-    LruPolicy,
-    TinyLfuPolicy,
-    make_policy,
-)
 from .cache import QueryCache, canonical_int_query
 from .coalescer import DeadlineExceededError, RequestCoalescer
 from .procpool import PoolBrokenError, ProcReplicaPool
-from .router import Replica, ReplicaParityError, ReplicaRouter
+from .router import ReplicaRouter
 from .server import FerexServer
 from .shm import (
     SegmentIntegrityError,
@@ -47,21 +38,15 @@ from .stats import ServerStats
 __all__ = [
     "DeadlineExceededError",
     "FerexServer",
-    "FrequencySketch",
-    "LruPolicy",
     "PoolBrokenError",
     "ProcReplicaPool",
     "QueryCache",
-    "Replica",
-    "ReplicaParityError",
     "ReplicaRouter",
     "RequestCoalescer",
     "SegmentIntegrityError",
     "SegmentManifest",
     "ServerStats",
-    "TinyLfuPolicy",
     "attach_index",
     "canonical_int_query",
-    "make_policy",
     "publish_index",
 ]

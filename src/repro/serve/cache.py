@@ -1,4 +1,4 @@
-"""Policy-driven query cache for the serving layer.
+"""The serving layer's LRU query cache.
 
 Entries are keyed on ``(query bytes, k, index write-generation)``: the
 generation component makes every index mutation an implicit, total
@@ -9,14 +9,8 @@ FerexServer` additionally calls :meth:`QueryCache.clear` on its write
 path so the dead generation's entries release their memory immediately
 instead of aging out.
 
-What the cache *keeps* is delegated to a pluggable eviction/admission
-policy (:mod:`repro.serve.admission_policy`): ``"lru"`` (default, the
-classic recency cache) or ``"tinylfu"`` (W-TinyLFU — a frequency
-sketch gates admission so one-hit wonders under skewed traffic cannot
-evict the hot head).  The TinyLFU frequency sketch is keyed on the
-*generation-free* part of the key (query bytes + ``k``), so popularity
-survives write-generation invalidations while the cached rows
-themselves do not.
+Every miss is admitted; past ``capacity`` the least recently used
+entry is evicted.
 
 The cache is **event-loop confined**: every access happens on the
 server's asyncio thread (lookups on the submit path, inserts after the
@@ -34,11 +28,10 @@ across invalidations.
 
 from __future__ import annotations
 
-from typing import Optional, Tuple, Union
+from collections import OrderedDict
+from typing import Optional, Tuple
 
 import numpy as np
-
-from .admission_policy import LruPolicy, TinyLfuPolicy, make_policy
 
 #: Cache key: (canonical query bytes, k, index write-generation).
 CacheKey = Tuple[bytes, int, int]
@@ -75,7 +68,7 @@ def canonical_int_query(query: np.ndarray) -> np.ndarray:
 
 
 class QueryCache:
-    """Bounded cache of ``(ids, distances)`` rows per served query.
+    """Bounded LRU of ``(ids, distances)`` rows per served query.
 
     Parameters
     ----------
@@ -83,25 +76,14 @@ class QueryCache:
         Maximum resident entries; ``0`` disables caching entirely —
         the cache is inert (lookups return ``None`` without touching
         any counter, inserts are dropped).
-    policy:
-        Eviction/admission policy: ``"lru"`` (default) or
-        ``"tinylfu"``, or an already-constructed policy object from
-        :mod:`repro.serve.admission_policy`.
     """
 
-    def __init__(
-        self,
-        capacity: int = 1024,
-        policy: Union[str, LruPolicy, TinyLfuPolicy] = "lru",
-    ):
+    def __init__(self, capacity: int = 1024):
         if capacity < 0:
             raise ValueError("capacity must be >= 0")
         self.capacity = capacity
-        if isinstance(policy, str):
-            policy = make_policy(
-                policy, capacity, frequency_key=self._frequency_key
-            )
-        self._policy = policy
+        self._entries: OrderedDict = OrderedDict()
+        self.evictions = 0
         # Lifetime counters: never reset.
         self.hits = 0
         self.misses = 0
@@ -112,12 +94,6 @@ class QueryCache:
         self.invalidations = 0
 
     # ------------------------------------------------------------------
-    @staticmethod
-    def _frequency_key(key: CacheKey) -> bytes:
-        """Generation-free sketch key: query bytes + ``k``.  Cached
-        rows die with the write generation; popularity does not."""
-        return key[0] + int(key[1]).to_bytes(8, "little", signed=True)
-
     @staticmethod
     def key(query: np.ndarray, k: int, generation: int) -> CacheKey:
         """Canonical key for one query row.
@@ -134,22 +110,7 @@ class QueryCache:
 
     # ------------------------------------------------------------------
     def __len__(self) -> int:
-        return len(self._policy)
-
-    @property
-    def policy(self):
-        """The live eviction/admission policy object."""
-        return self._policy
-
-    @property
-    def policy_name(self) -> str:
-        return self._policy.name
-
-    @property
-    def evictions(self) -> int:
-        """Entries dropped for capacity (admission rejections
-        included)."""
-        return self._policy.evictions
+        return len(self._entries)
 
     @property
     def hit_rate(self) -> float:
@@ -167,13 +128,12 @@ class QueryCache:
     def get(
         self, key: CacheKey
     ) -> Optional[Tuple[np.ndarray, np.ndarray]]:
-        """Look up one entry, refreshing its recency (and, under
-        TinyLFU, its frequency) on every call.  A disabled
+        """Look up one entry, refreshing its recency.  A disabled
         (``capacity=0``) cache is inert: ``None``, no counters
         touched."""
         if self.capacity == 0:
             return None
-        entry = self._policy.lookup(key)
+        entry = self.peek(key)
         if entry is None:
             self.misses += 1
             self.window_misses += 1
@@ -185,9 +145,7 @@ class QueryCache:
     def peek(
         self, key: CacheKey
     ) -> Optional[Tuple[np.ndarray, np.ndarray]]:
-        """Like :meth:`get` but without touching the hit/miss counters
-        (or the frequency sketch — the submit-path lookup already
-        counted this access).
+        """Like :meth:`get` but without touching the hit/miss counters.
 
         The server's *dispatch-time* probe uses this: a micro-batch row
         may have been populated by a batch that completed after this
@@ -198,42 +156,42 @@ class QueryCache:
         cache's own counters keep meaning "submit-path lookups".
         Recency still refreshes — a served entry is a used entry.
         """
-        if self.capacity == 0:
-            return None
-        return self._policy.lookup(key, record=False)
+        entry = self._entries.get(key)
+        if entry is not None:
+            self._entries.move_to_end(key)
+        return entry
 
     def put(
         self, key: CacheKey, ids: np.ndarray, distances: np.ndarray
     ) -> None:
-        """Insert one served result; the policy decides what (if
-        anything) to evict — or, under TinyLFU, whether the entry even
-        survives past the admission window."""
+        """Insert one served result as frozen copies, evicting the
+        least recently used entries past ``capacity``."""
         if self.capacity == 0:
             return
         ids = np.array(ids)
         distances = np.array(distances)
         ids.flags.writeable = False
         distances.flags.writeable = False
-        self._policy.insert(key, (ids, distances))
+        self._entries[key] = (ids, distances)
+        self._entries.move_to_end(key)
+        while len(self._entries) > self.capacity:
+            self._entries.popitem(last=False)
+            self.evictions += 1
 
     def clear(self) -> None:
         """Drop every entry (the server's write-path invalidation) and
-        start a fresh accounting window.  Lifetime counters — and the
-        TinyLFU frequency sketch, which is keyed generation-free —
-        survive."""
-        if len(self._policy):
+        start a fresh accounting window.  Lifetime counters survive."""
+        if self._entries:
             self.invalidations += 1
-        self._policy.invalidate()
+        self._entries.clear()
         self.window_hits = 0
         self.window_misses = 0
 
     def snapshot(self) -> dict:
         """Counters for the stats surface: lifetime and windowed
-        (since-last-invalidation) accounting plus the policy's own
-        state (window/main occupancy, admission rejections, sketch
-        resets under TinyLFU)."""
+        (since-last-invalidation) accounting."""
         return {
-            "size": len(self._policy),
+            "size": len(self._entries),
             "capacity": self.capacity,
             "hits": self.hits,
             "misses": self.misses,
@@ -243,5 +201,4 @@ class QueryCache:
             "window_hit_rate": self.window_hit_rate,
             "evictions": self.evictions,
             "invalidations": self.invalidations,
-            "policy": self._policy.snapshot(),
         }

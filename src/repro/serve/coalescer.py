@@ -8,8 +8,9 @@ micro-batches before they reach the index — which is exactly what
 :class:`RequestCoalescer` does:
 
 * a submitted request parks in the pending queue;
-* the queue flushes when it reaches ``max_batch_size`` **or**
-  ``max_wait_ms`` after its first request arrived, whichever is first;
+* the queue flushes when it reaches ``max_batch_size`` **or** when its
+  adaptive window (below, never longer than ``max_wait_ms``) closes,
+  whichever is first;
 * a flush groups pending requests by ``k`` (the index's batch entry
   point takes one ``k`` per call) and dispatches each group through the
   supplied async ``dispatch`` callable in arrival order;
@@ -27,9 +28,9 @@ Other requests in the same micro-batch are unaffected either way.
 Adaptive wait
 -------------
 A fixed ``max_wait_ms`` taxes sparse traffic: a lone caller always eats
-the full window even though nobody will ever join its batch.  With
-``adaptive_wait=True`` the coalescer sizes each window from the EWMAs
-of two signals it observes anyway:
+the full window even though nobody will ever join its batch.  The
+coalescer therefore sizes each window from the EWMAs of two signals it
+observes anyway:
 
 * the **inter-arrival gap** between ``submit`` calls, and
 * the **dispatch service time** of recent batches.
@@ -38,8 +39,8 @@ Waiting only pays when another request is expected before the current
 one would have been served solo — i.e. when the arrival gap undercuts
 the service time.  The scheduled window is therefore::
 
-    wait = 0                                  if ewma_gap >= ewma_service
-    wait = min(max_wait_ms, gain * ewma_gap)  otherwise
+    wait = 0                                       if ewma_gap >= ewma_service
+    wait = min(max_wait_ms, WAIT_GAIN * ewma_gap)  otherwise
 
 always clamped to ``[0, max_wait_ms]`` — the configured ceiling is a
 hard upper bound no arrival pattern can push past.  Under concurrency-1
@@ -48,7 +49,8 @@ self-stabilising) sits above the service time and the window collapses
 to zero: a singleton request arriving to an empty queue then bypasses
 the timer entirely and dispatches inline, at near-direct-search
 latency.  Under a 64-client burst the gaps are microseconds, the window
-opens, and batches keep filling exactly as with a fixed wait.
+opens, and batches keep filling exactly as with a fixed wait.  Until
+the first gap is observed the window is the full ``max_wait_ms``.
 """
 
 from __future__ import annotations
@@ -107,31 +109,29 @@ class RequestCoalescer:
     max_batch_size:
         Flush immediately once this many requests are pending.
     max_wait_ms:
-        Flush at latest this long after the oldest pending request
-        arrived; ``0`` flushes on the next event-loop tick (pure
-        opportunistic batching, no added latency).
+        Ceiling of the adaptive flush window: a request is dispatched
+        at latest this long after the oldest pending request arrived.
+        ``0`` flushes on the next event-loop tick (pure opportunistic
+        batching, no added latency).
     on_batch:
         Optional observer called with each successfully served batch
         size (the server wires :meth:`ServerStats.record_batch` here).
-    adaptive_wait:
-        Size each flush window from the arrival/service EWMAs (see the
-        module docstring) instead of always waiting ``max_wait_ms``.
-        The configured ``max_wait_ms`` stays the hard ceiling.
     inline_dispatch:
-        Optional dispatch variant used *only* for the adaptive
-        singleton fast path (a request confirmed alone under sparse
-        traffic).  The server passes a loop-blocking direct search
-        here — acceptable exactly because nothing else is in flight —
-        while timer- and size-triggered batches (including a lone-k
-        group inside a concurrent burst) keep the off-loop ``dispatch``.
-        Defaults to ``dispatch``.
-    ewma_alpha:
-        EWMA smoothing factor in ``(0, 1]`` for both signals (higher =
-        faster adaptation, noisier estimate).
-    wait_gain:
-        Multiple of the arrival-gap EWMA used as the window when
-        waiting is worthwhile.
+        Optional dispatch variant used *only* for the sparse-traffic
+        singleton fast path (a request confirmed alone).  The server
+        passes a loop-blocking direct search here — acceptable exactly
+        because nothing else is in flight — while timer- and
+        size-triggered batches (including a lone-k group inside a
+        concurrent burst) keep the off-loop ``dispatch``.  Defaults to
+        ``dispatch``.
     """
+
+    #: EWMA smoothing factor for both signals (higher = faster
+    #: adaptation, noisier estimate).
+    EWMA_ALPHA = 0.25
+    #: Multiple of the arrival-gap EWMA used as the window when waiting
+    #: is worthwhile.
+    WAIT_GAIN = 8.0
 
     def __init__(
         self,
@@ -139,35 +139,25 @@ class RequestCoalescer:
         max_batch_size: int = 64,
         max_wait_ms: float = 2.0,
         on_batch: Optional[Callable[[int], None]] = None,
-        adaptive_wait: bool = False,
-        ewma_alpha: float = 0.25,
-        wait_gain: float = 8.0,
         inline_dispatch: Optional[DispatchFn] = None,
     ):
         if max_batch_size < 1:
             raise ValueError("max_batch_size must be >= 1")
         if max_wait_ms < 0:
             raise ValueError("max_wait_ms must be >= 0")
-        if not 0.0 < ewma_alpha <= 1.0:
-            raise ValueError("ewma_alpha must be in (0, 1]")
-        if wait_gain <= 0:
-            raise ValueError("wait_gain must be > 0")
         self._dispatch = dispatch
         self._inline_dispatch = inline_dispatch or dispatch
         self.max_batch_size = max_batch_size
         self.max_wait_s = max_wait_ms / 1000.0
         self._on_batch = on_batch
-        self.adaptive_wait = adaptive_wait
-        self._ewma_alpha = ewma_alpha
-        self._wait_gain = wait_gain
         #: EWMA of submit inter-arrival gaps (seconds; None = no data).
         self._ewma_gap: Optional[float] = None
         #: EWMA of batch dispatch durations (seconds; None = no data).
         self._ewma_service: Optional[float] = None
         self._last_arrival: Optional[float] = None
         #: Recent scheduled windows (seconds) — every value is in
-        #: ``[0, max_wait_s]`` by construction; tests and stats
-        #: surfaces read this to audit the adaptive policy.
+        #: ``[0, max_wait_s]`` by construction; tests read this to
+        #: audit the window policy.
         self.scheduled_waits: deque = deque(maxlen=256)
         self._pending: List[_Pending] = []
         self._flush_handle: Optional[asyncio.TimerHandle] = None
@@ -210,7 +200,7 @@ class RequestCoalescer:
             if self._ewma_gap is None:
                 self._ewma_gap = gap
             else:
-                alpha = self._ewma_alpha
+                alpha = self.EWMA_ALPHA
                 self._ewma_gap = alpha * gap + (1 - alpha) * self._ewma_gap
         self._last_arrival = now
 
@@ -218,7 +208,7 @@ class RequestCoalescer:
         if self._ewma_service is None:
             self._ewma_service = duration
         else:
-            alpha = self._ewma_alpha
+            alpha = self.EWMA_ALPHA
             self._ewma_service = (
                 alpha * duration + (1 - alpha) * self._ewma_service
             )
@@ -226,7 +216,7 @@ class RequestCoalescer:
     def next_wait_s(self) -> float:
         """The flush window the next empty-queue arrival would get,
         always within ``[0, max_wait_s]``."""
-        if not self.adaptive_wait or self._ewma_gap is None:
+        if self._ewma_gap is None:
             return self.max_wait_s
         # Until a batch has been served, assume waiting may pay (the
         # ceiling itself is the most conservative service estimate).
@@ -239,7 +229,7 @@ class RequestCoalescer:
             # Arrivals are slower than serving solo: batch-mates will
             # not materialise, so waiting only adds latency.
             return 0.0
-        return min(self.max_wait_s, self._wait_gain * self._ewma_gap)
+        return min(self.max_wait_s, self.WAIT_GAIN * self._ewma_gap)
 
     async def submit(
         self,
@@ -270,11 +260,7 @@ class RequestCoalescer:
         self._observe_arrival(now)
         future = loop.create_future()
         pending = _Pending(query, k, future, deadline)
-        if (
-            self.adaptive_wait
-            and not self._pending
-            and self.next_wait_s() == 0.0
-        ):
+        if not self._pending and self.next_wait_s() == 0.0:
             # Sparse-traffic fast path: nobody is parked and the policy
             # says nobody is coming.  Park and yield exactly once —
             # submits already sitting in the event loop's ready queue
@@ -375,7 +361,7 @@ class RequestCoalescer:
         for k, group in by_k.items():
             # max_batch_size is a hard bound on dispatched batches, not
             # just a flush trigger: a request parked outside the normal
-            # size check (the adaptive fast path's one-tick yield) must
+            # size check (the sparse fast path's one-tick yield) must
             # not let a sweep exceed the cap.
             for start in range(0, len(group), self.max_batch_size):
                 chunk = group[start : start + self.max_batch_size]

@@ -36,15 +36,13 @@ Endpoints
     ``{"top_p":, "n_clusters":}`` to move the routed backend's probe
     width / cluster count (one kind per request).
 ``GET /healthz``
-    Liveness + replica/pool integrity (``503`` once the fleet is
-    poisoned or the server closed).
+    Liveness + pool integrity (``503`` once the process pool is
+    broken).
 ``GET /metrics``
     One JSON document: the :class:`~repro.serve.stats.ServerStats`
     snapshot (its ``cache`` section carries both lifetime and
-    windowed — since-last-invalidation — hit accounting plus the
-    admission-policy state: window/main occupancy, admission
-    rejections and sketch resets under W-TinyLFU), wire counters,
-    admission budget, autoscaler state, pool state.  Plain
+    windowed — since-last-invalidation — hit accounting), wire
+    counters, admission budget, autoscaler state, pool state.  Plain
     ints/floats throughout — ``json.dumps`` clean.
 
 Overload behaviour (admission + deadlines) is the point of the layer:
@@ -73,7 +71,6 @@ import numpy as np
 from ...core.engine import NotProgrammedError
 from ..coalescer import DeadlineExceededError
 from ..procpool import PoolBrokenError
-from ..router import ReplicaParityError
 from ..server import FerexServer
 from .admission import AdmissionController, AdmissionError
 from .autoscaler import Autoscaler
@@ -93,7 +90,7 @@ from .protocol import (
 )
 
 #: Retry-After attached to 503 shedding responses (deadline expiry,
-#: poisoned fleet) when no admission controller supplies one.
+#: broken pool) when no admission controller supplies one.
 _DEFAULT_RETRY_AFTER_S = 0.05
 
 
@@ -332,11 +329,7 @@ class NetFrontend:
             return HttpError(
                 429, str(exc), retry_after_s=exc.retry_after_s
             )
-        if isinstance(exc, DeadlineExceededError):
-            return HttpError(
-                503, str(exc), retry_after_s=self._retry_after_s()
-            )
-        if isinstance(exc, (PoolBrokenError, ReplicaParityError)):
+        if isinstance(exc, (DeadlineExceededError, PoolBrokenError)):
             return HttpError(
                 503, str(exc), retry_after_s=self._retry_after_s()
             )
@@ -687,20 +680,14 @@ class NetFrontend:
     async def _handle_healthz(self, request: Request, reader):
         await self._read_json(request, reader)
         server = self._server
-        problems = []
-        if server.router.poisoned:
-            problems.append("replica fleet is poisoned")
         pool = server.pool
         if pool is not None and pool.broken:
-            problems.append("process pool is broken")
-        if problems:
             raise HttpError(
-                503, "; ".join(problems), retry_after_s=None
+                503, "process pool is broken", retry_after_s=None
             )
         payload = {
             "status": "ok",
             "write_generation": int(server.write_generation),
-            "n_replicas": int(server.n_replicas),
         }
         if pool is not None:
             payload["pool_workers"] = int(pool.n_workers)

@@ -2,9 +2,9 @@
 
 The asyncio serving stack coalesces concurrent callers into micro-batches
 (:class:`~repro.serve.coalescer.RequestCoalescer`), but every batch still
-evaluates inside one Python process — the GIL caps a replica *fleet* at
-one core no matter how many threads carry it.  This module is the step
-past that cap:
+evaluates inside one Python process — the GIL caps the server at one
+core no matter how many threads carry it.  This module is the step past
+that cap:
 
 * the parent publishes the primary index's state once into
   shared-memory segments (:func:`repro.serve.shm.publish_index` — N
@@ -27,19 +27,17 @@ current manifest, and the request retries on another replica — reads
 are idempotent, so the caller just sees the answer.  Only when respawns
 themselves fail does the pool raise :class:`PoolBrokenError`.
 
-Dispatch transport: with ``transport="slab"`` (the default) each worker
-owns a preallocated request/response slab pair in shared memory.  The
-parent writes the query batch into the request slab and sends only a
-tiny header tuple ``(op, shape, dtype, k, generation)`` over the pipe;
-the worker wraps the slab bytes zero-copy, searches, writes
-``ids``/``distances`` straight into the response slab and replies with
-a header.  Slabs grow (and are re-announced to the worker) on
-overflow; payloads that cannot ride a slab at all — object dtypes,
-slab allocation failure — fall back to the original pickle-over-pipe
-path, which ``transport="pickle"`` selects unconditionally for
-debugging.  Results are copied on return: the worker re-enters the
-idle queue immediately, so a zero-copy view would race the very next
-dispatch into the same slab.
+Dispatch: each worker owns a request/response slab pair in shared
+memory.  The parent writes the query batch into the request slab and
+sends only a tiny header tuple ``(op, shape, dtype, k, generation)``
+over the pipe; the worker wraps the slab bytes zero-copy, searches,
+writes ``ids``/``distances`` straight into the response slab and
+replies with a header.  Slabs start at ``_INITIAL_SLAB_ROWS`` query rows
+and grow (and are re-announced to the worker) on overflow; payloads
+that cannot ride a slab at all — object dtypes, slab allocation
+failure — fall back to pickling the batch over the pipe.  Results are
+copied on return: the worker re-enters the idle queue immediately, so
+a zero-copy view would race the very next dispatch into the same slab.
 """
 
 from __future__ import annotations
@@ -90,6 +88,9 @@ class _SlabUnavailable(Exception):
 
 #: Bytes per ``(id, distance)`` result cell: int64 + float64.
 _RESULT_CELL_BYTES = 16
+#: Query rows (of ``k <= 16`` results) a fresh worker's slabs hold —
+#: the server's default ``max_batch_size``.
+_INITIAL_SLAB_ROWS = 64
 
 
 def _slab_capacity(need: int) -> int:
@@ -110,7 +111,7 @@ def _portable_exc(exc: BaseException) -> BaseException:
 
 
 def _slab_search(index, slabs, message) -> tuple:
-    """Serve one slab-transport search inside the worker: wrap the
+    """Serve one slab-dispatched search inside the worker: wrap the
     request slab zero-copy, search, write the results into the response
     slab, return the reply header."""
     _, shape, dtype_str, k, generation = message
@@ -146,14 +147,11 @@ def _slab_search(index, slabs, message) -> tuple:
 
 
 def _worker_main(
-    conn,
-    manifest: SegmentManifest,
-    slab_manifest: Optional[SlabManifest] = None,
+    conn, manifest: SegmentManifest, slab_manifest: SlabManifest
 ) -> None:
-    """Worker process body: attach the published snapshot (and, under
-    the slab transport, the dispatch slabs), then serve
-    ``search``/``search_slab``/``republish``/``ping`` requests until
-    closed."""
+    """Worker process body: attach the published snapshot and the
+    dispatch slabs, then serve ``search``/``search_slab``/``reslab``/
+    ``republish``/``ping`` requests until closed."""
     index = None
     attached = None
     slabs: Optional[DispatchSlabs] = None
@@ -172,8 +170,7 @@ def _worker_main(
     try:
         try:
             _attach(manifest)
-            if slab_manifest is not None:
-                slabs = attach_slabs(slab_manifest)
+            slabs = attach_slabs(slab_manifest)
         except Exception as exc:
             conn.send(("attach_error", _portable_exc(exc)))
             return
@@ -193,11 +190,6 @@ def _worker_main(
                     conn.send(("error", _portable_exc(exc)))
             elif op == "search_slab":
                 try:
-                    if slabs is None:
-                        raise RuntimeError(
-                            "slab dispatch reached a worker with no "
-                            "slabs attached"
-                        )
                     if message[4] != attached.manifest.generation:
                         raise RuntimeError(
                             f"slab dispatch stamped generation "
@@ -258,20 +250,14 @@ class _Worker:
 
     __slots__ = ("process", "conn", "ordinal", "served", "slabs")
 
-    def __init__(
-        self,
-        process,
-        conn,
-        ordinal: int,
-        slabs: Optional[DispatchSlabs] = None,
-    ):
+    def __init__(self, process, conn, ordinal: int, slabs: DispatchSlabs):
         self.process = process
         self.conn = conn
         self.ordinal = ordinal
         #: Searches this worker has answered (parent-side count).
         self.served = 0
         #: This worker's dispatch slab pair (parent-owned; ``None``
-        #: under the pickle transport).
+        #: once retired).
         self.slabs = slabs
 
     def __repr__(self) -> str:
@@ -308,17 +294,6 @@ class ProcReplicaPool:
         republish — forever; missing the deadline is treated exactly
         like a crash (retire, respawn, retry elsewhere).  Generous by
         default: two orders of magnitude above any bench batch.
-    transport:
-        ``"slab"`` (default) dispatches query batches through per-worker
-        shared-memory slabs — the parent memcpys the batch once and
-        sends only a header tuple over the pipe; ``"pickle"`` keeps the
-        original pickle-over-pipe path (debugging, and the automatic
-        fallback for payloads a slab cannot carry).
-    slab_batch_rows:
-        Initial request-slab sizing: rows × ``index.dims`` × 8 bytes
-        (the coalescer's ``max_batch_size`` is the natural value).
-        Slabs grow on overflow regardless, so this is a hint, not a
-        cap.
 
     Thread safety: :meth:`search` may be called from many threads (the
     server's executor does); workers are checked out of an idle queue,
@@ -332,25 +307,15 @@ class ProcReplicaPool:
         start_method: str = "spawn",
         name_prefix: str = "ferex",
         search_timeout_s: float = 120.0,
-        transport: str = "slab",
-        slab_batch_rows: int = 64,
     ):
         if n_workers < 1:
             raise ValueError("n_workers must be >= 1")
         if search_timeout_s <= 0:
             raise ValueError("search_timeout_s must be > 0")
-        if transport not in ("slab", "pickle"):
-            raise ValueError(
-                f"transport must be 'slab' or 'pickle', got {transport!r}"
-            )
-        if slab_batch_rows < 1:
-            raise ValueError("slab_batch_rows must be >= 1")
         self.search_timeout_s = search_timeout_s
         self.index = index
         self.n_workers = n_workers
-        self.transport = transport
-        #: Dispatches that rode a slab / fell back to pickle (under
-        #: ``transport="pickle"`` every dispatch counts as a fallback).
+        #: Dispatches that rode a slab / fell back to pickle.
         self.n_slab_dispatches = 0
         self.n_pickle_fallbacks = 0
         #: Slab-overflow regrows (per worker-slab pair).
@@ -358,10 +323,10 @@ class ProcReplicaPool:
         # High-water slab sizing: respawned/grown workers start at the
         # largest capacity any batch has needed so far.
         self._slab_request_bytes = _slab_capacity(
-            slab_batch_rows * max(1, index.dims) * 8
+            _INITIAL_SLAB_ROWS * max(1, index.dims) * 8
         )
         self._slab_response_bytes = _slab_capacity(
-            slab_batch_rows * 16 * _RESULT_CELL_BYTES
+            _INITIAL_SLAB_ROWS * 16 * _RESULT_CELL_BYTES
         )
         self._name_prefix = name_prefix
         self._ctx = multiprocessing.get_context(start_method)
@@ -420,7 +385,6 @@ class ProcReplicaPool:
             "n_workers": self.n_workers,
             "generation": self.generation,
             "respawns": self.respawns,
-            "transport": self.transport,
             "n_slab_dispatches": self.n_slab_dispatches,
             "n_pickle_fallbacks": self.n_pickle_fallbacks,
             "n_slab_grows": self.n_slab_grows,
@@ -439,34 +403,27 @@ class ProcReplicaPool:
     # Worker lifecycle
     # ------------------------------------------------------------------
     def _spawn_worker(self, manifest: SegmentManifest) -> _Worker:
-        slabs: Optional[DispatchSlabs] = None
-        if self.transport == "slab":
-            slabs = create_slabs(
-                self._slab_request_bytes,
-                self._slab_response_bytes,
-                name_prefix=self._name_prefix,
-            )
+        slabs = create_slabs(
+            self._slab_request_bytes,
+            self._slab_response_bytes,
+            name_prefix=self._name_prefix,
+        )
         try:
             parent_conn, child_conn = self._ctx.Pipe()
             ordinal = self._next_ordinal
             self._next_ordinal += 1
             process = self._ctx.Process(
                 target=_worker_main,
-                args=(
-                    child_conn,
-                    manifest,
-                    None if slabs is None else slabs.manifest,
-                ),
+                args=(child_conn, manifest, slabs.manifest),
                 name=f"{self._name_prefix}-replica-{ordinal}",
                 daemon=True,
             )
             process.start()
         except Exception:
-            if slabs is not None:
-                slabs.unlink()
+            slabs.unlink()
             raise
         child_conn.close()  # the worker owns its end now
-        worker = _Worker(process, parent_conn, ordinal, slabs=slabs)
+        worker = _Worker(process, parent_conn, ordinal, slabs)
         try:
             self._expect_ready(worker, manifest, timeout=_SPAWN_TIMEOUT_S)
         except Exception:
@@ -624,8 +581,7 @@ class ProcReplicaPool:
             new.unlink()
             raise _WorkerUnresponsive()
         worker.slabs = new
-        if old is not None:
-            old.unlink()
+        old.unlink()
         with self._lock:
             self.n_slab_grows += 1
 
@@ -665,15 +621,12 @@ class ProcReplicaPool:
         worker crash mid-request respawns the worker and retries the
         batch on another replica.
         """
-        batch = (
-            self._slab_batch(queries) if self.transport == "slab" else None
-        )
+        batch = self._slab_batch(queries)
         attempts = 0
         while True:
             worker = self._get_idle()
-            use_slab = batch is not None and worker.slabs is not None
             try:
-                if use_slab:
+                if batch is not None:
                     try:
                         reply = self._dispatch_slab(worker, batch, k)
                     except _SlabUnavailable:
@@ -743,8 +696,8 @@ class ProcReplicaPool:
             )
 
     def _dispatch_pickle(self, worker: _Worker, queries, k: int):
-        """The original pickle-over-pipe dispatch (the ``transport=
-        "pickle"`` path and the slab fallback)."""
+        """Pickle the batch over the pipe: the fallback for payloads a
+        slab cannot carry."""
         worker.conn.send(("search", queries, k))
         if not worker.conn.poll(self.search_timeout_s):
             raise _WorkerUnresponsive()

@@ -1,97 +1,30 @@
-"""Replica routing: N bit-identical indexes, one writer, many readers.
+"""The single-writer / many-reader gate in front of one index.
 
-A FeReX deployment scales read throughput by replicating the programmed
-arrays: every replica of a :class:`repro.index.FerexIndex` built with
-the same configuration (and seed) and driven through the same mutation
-sequence answers searches bit-identically — device variation is drawn
-per (bank, row position), not per replica.  :class:`ReplicaRouter`
-enforces exactly that discipline:
+A :class:`FerexServer` fronts exactly one :class:`repro.index.FerexIndex`
+(read parallelism beyond the GIL comes from
+:class:`~repro.serve.procpool.ProcReplicaPool`, not from in-process
+copies).  :class:`ReplicaRouter` orders the traffic on it:
 
-* **reads** pick a replica by policy — ``round_robin`` spreads requests
-  evenly, ``least_loaded`` picks the replica with the fewest in-flight
-  batches (ties fall back to round-robin order) — and run concurrently;
-* **writes** are single-writer: they serialise behind a lock, wait for
-  in-flight reads to drain, apply the mutation to *every* replica in
-  the same order, and then verify the replicas still agree (write
-  generation + fingerprint) before any new read is admitted.
-
-The parity check turns a divergence bug into a loud
-:class:`ReplicaParityError` at the write that caused it, instead of a
-silent wrong-answer somewhere downstream.
+* **reads** take a reader slot and run concurrently;
+* **writes** serialise behind a lock, stop admitting new reads, wait
+  for the in-flight ones to drain, and only then mutate — so every read
+  sees the index entirely before or entirely after any write.
 """
 
 from __future__ import annotations
 
 import asyncio
 import contextlib
-from typing import Callable, List, Sequence
+from typing import Callable
 
 from ..index import FerexIndex
 
-_POLICIES = ("round_robin", "least_loaded")
-
-
-class ReplicaParityError(RuntimeError):
-    """Raised when replicas stop being bit-identical after a write."""
-
-
-class Replica:
-    """One routed index plus its load accounting."""
-
-    __slots__ = ("index", "ordinal", "inflight", "served")
-
-    def __init__(self, index: FerexIndex, ordinal: int):
-        self.index = index
-        self.ordinal = ordinal
-        #: Reads currently executing against this replica.
-        self.inflight = 0
-        #: Total reads this replica has completed.
-        self.served = 0
-
-    def __repr__(self) -> str:
-        return (
-            f"Replica(ordinal={self.ordinal}, inflight={self.inflight}, "
-            f"served={self.served})"
-        )
-
 
 class ReplicaRouter:
-    """Routes reads across replicas; applies writes to all of them.
+    """Admits concurrent reads and exclusive writes on one index."""
 
-    Parameters
-    ----------
-    indexes:
-        One or more :class:`FerexIndex` instances.  They must already
-        agree (configuration and mutation history): the constructor
-        runs the same parity check every write runs.
-    policy:
-        ``"round_robin"`` or ``"least_loaded"``.
-    """
-
-    def __init__(
-        self,
-        indexes: Sequence[FerexIndex],
-        policy: str = "least_loaded",
-    ):
-        if not indexes:
-            raise ValueError("need at least one replica index")
-        if len({id(index) for index in indexes}) != len(indexes):
-            # The same object twice would receive every write twice —
-            # and a replica always "agrees" with itself, so the parity
-            # check could never catch it.
-            raise ValueError(
-                "replicas must be distinct FerexIndex instances"
-            )
-        if policy not in _POLICIES:
-            raise ValueError(
-                f"unknown policy {policy!r}; known: {_POLICIES}"
-            )
-        self.policy = policy
-        self._replicas = [
-            Replica(index, ordinal)
-            for ordinal, index in enumerate(indexes)
-        ]
-        self._rr_next = 0
+    def __init__(self, index: FerexIndex):
+        self.index = index
         self._write_lock = asyncio.Lock()
         self._writer_active = False
         self._readers = 0
@@ -99,179 +32,70 @@ class ReplicaRouter:
         self._no_readers.set()
         self._read_admitted = asyncio.Event()
         self._read_admitted.set()
-        #: Set when a write left the fleet divergent (should be
-        #: impossible for deterministic indexes); every subsequent read
-        #: and write is refused rather than serving wrong answers.
-        self._poisoned = False
-        self.check_parity()
-
-    # ------------------------------------------------------------------
-    @property
-    def replicas(self) -> List[Replica]:
-        """Live replica handles (read-only introspection)."""
-        return list(self._replicas)
-
-    @property
-    def n_replicas(self) -> int:
-        return len(self._replicas)
-
-    @property
-    def primary(self) -> FerexIndex:
-        """Replica 0 — the index whose generation keys the cache."""
-        return self._replicas[0].index
-
-    @property
-    def poisoned(self) -> bool:
-        """True once a write left the fleet divergent; reads and writes
-        are refused from then on (the server also checks this before
-        serving cache hits, which never reach :meth:`read`)."""
-        return self._poisoned
 
     # ------------------------------------------------------------------
     # Read path
     # ------------------------------------------------------------------
-    def _pick(self) -> Replica:
-        if self.policy == "round_robin":
-            replica = self._replicas[self._rr_next % self.n_replicas]
-            self._rr_next += 1
-            return replica
-        # least_loaded: min in-flight, round-robin among ties so an
-        # idle fleet still spreads evenly.
-        start = self._rr_next % self.n_replicas
-        ordered = self._replicas[start:] + self._replicas[:start]
-        replica = min(ordered, key=lambda r: r.inflight)
-        self._rr_next += 1
-        return replica
-
-    async def acquire_read(self) -> Replica:
-        """Admit one read and return the routed :class:`Replica`; the
-        caller must pair it with :meth:`release_read`.  Split out from
-        :meth:`read` so the serving hot path skips the async context
-        manager machinery."""
+    async def acquire_read(self) -> FerexIndex:
+        """Admit one read and return the index; the caller must pair it
+        with :meth:`release_read`.  Split out from :meth:`read` so the
+        serving hot path skips the async context manager machinery."""
         while self._writer_active:
             await self._read_admitted.wait()
-        if self._poisoned:
-            raise ReplicaParityError(
-                "replica fleet diverged on an earlier write; refusing "
-                "reads rather than serving replica-dependent answers"
-            )
-        replica = self._pick()
-        replica.inflight += 1
         self._readers += 1
         self._no_readers.clear()
-        return replica
+        return self.index
 
-    def release_read(self, replica: Replica) -> None:
+    def release_read(self) -> None:
         """Return a reader slot taken by :meth:`acquire_read`."""
-        replica.inflight -= 1
-        replica.served += 1
         self._readers -= 1
         if self._readers == 0:
             self._no_readers.set()
 
     @contextlib.asynccontextmanager
     async def read(self):
-        """Admit one read: yields the routed :class:`Replica` while
-        holding a reader slot (writers wait for all slots to clear)."""
-        replica = await self.acquire_read()
+        """Admit one read: yields the index while holding a reader slot
+        (writers wait for all slots to clear)."""
+        index = await self.acquire_read()
         try:
-            yield replica
+            yield index
         finally:
-            self.release_read(replica)
+            self.release_read()
 
     # ------------------------------------------------------------------
     # Write path
     # ------------------------------------------------------------------
     async def write(self, mutate: Callable[[FerexIndex], object]):
-        """Apply ``mutate`` to every replica under the single-writer
-        lock, then verify parity.  Returns the primary's result.
+        """Apply ``mutate`` to the index under the single-writer lock
+        and return its result.
 
-        The mutations run on a worker thread (array re-programming can
+        The mutation runs on a worker thread (array re-programming can
         take a while at scale), so the event loop keeps serving cache
         hits and timer flushes; exclusion comes from the writer flag and
         the drained reader count, not from blocking the loop.
 
-        The fleet mutation is cancellation-atomic: the per-replica loop
-        runs in a shielded task, so a caller timing out mid-write (e.g.
-        ``asyncio.wait_for``) still waits for every replica — and the
-        parity check — to finish before reads are re-admitted.  A write
-        that leaves the fleet divergent anyway poisons the router:
-        every later read/write raises :class:`ReplicaParityError`.
+        The write is cancellation-atomic: a caller timing out mid-write
+        (e.g. ``asyncio.wait_for``) still waits for the mutation to
+        finish before reads are re-admitted, so no read ever sees a
+        half-applied write.
         """
         loop = asyncio.get_running_loop()
         async with self._write_lock:
-            if self._poisoned:
-                raise ReplicaParityError(
-                    "replica fleet diverged on an earlier write; "
-                    "refusing further writes"
-                )
             self._writer_active = True
             self._read_admitted.clear()
             try:
                 await self._no_readers.wait()
-                task = loop.create_task(self._apply_to_fleet(mutate))
+                done = loop.run_in_executor(None, mutate, self.index)
                 try:
-                    return await asyncio.shield(task)
+                    return await asyncio.shield(done)
                 except asyncio.CancelledError:
-                    # The caller gave up, but a half-written fleet must
-                    # never serve: wait the shielded mutation out (and
-                    # consume its outcome) before propagating.
-                    await asyncio.wait([task])
-                    if not task.cancelled():
-                        task.exception()
+                    # The caller gave up, but the mutation is still
+                    # running: wait it out (and consume its outcome)
+                    # before propagating.
+                    await asyncio.wait([done])
+                    if not done.cancelled():
+                        done.exception()
                     raise
             finally:
                 self._writer_active = False
                 self._read_admitted.set()
-
-    async def _apply_to_fleet(
-        self, mutate: Callable[[FerexIndex], object]
-    ):
-        loop = asyncio.get_running_loop()
-        try:
-            results = []
-            for replica in self._replicas:
-                results.append(
-                    await loop.run_in_executor(
-                        None, mutate, replica.index
-                    )
-                )
-        except Exception:
-            # Index mutations are atomic and deterministic, so a
-            # rejected request fails identically on every replica
-            # without mutating any — verify that before re-raising the
-            # caller's error.
-            self._verify_or_poison()
-            raise
-        self._verify_or_poison()
-        return results[0]
-
-    def _verify_or_poison(self) -> None:
-        try:
-            self.check_parity()
-        except ReplicaParityError:
-            self._poisoned = True
-            raise
-
-    def check_parity(self) -> None:
-        """Raise :class:`ReplicaParityError` unless every replica agrees
-        with the primary on (write generation, size, fingerprint)."""
-        primary = self.primary
-        expected = (
-            primary.write_generation,
-            primary.ntotal,
-            primary.fingerprint(),
-        )
-        for replica in self._replicas[1:]:
-            index = replica.index
-            actual = (
-                index.write_generation,
-                index.ntotal,
-                index.fingerprint(),
-            )
-            if actual != expected:
-                raise ReplicaParityError(
-                    f"replica {replica.ordinal} diverged from primary: "
-                    f"(generation, ntotal, fingerprint) {actual} != "
-                    f"{expected}"
-                )

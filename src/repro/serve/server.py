@@ -1,4 +1,4 @@
-"""`FerexServer`: the async serving facade over FeReX index replicas.
+"""`FerexServer`: the async serving facade over one FeReX index.
 
 The request path composes the three serving primitives::
 
@@ -15,41 +15,36 @@ The request path composes the three serving primitives::
   (keyed on quantised query bytes, ``k`` and the index
   write-generation);
 * on a miss it parks in the :class:`~repro.serve.coalescer.
-  RequestCoalescer`, which flushes micro-batches through one replica
-  picked by the :class:`~repro.serve.router.ReplicaRouter`;
-* the batched index search runs on a worker thread
-  (``run_in_executor``), so the event loop keeps accepting and
-  coalescing requests while the array simulation crunches;
-* writes (``add``/``remove``/``compact``) go through the router's
-  single-writer path — applied to every replica in order, parity
-  checked — and clear the cache.
+  RequestCoalescer`, whose flush window adapts to the observed
+  arrival and service rates: bursts batch, and a request confirmed
+  alone under sparse traffic dispatches at once, inline on the loop;
+* micro-batches are admitted as reads by the
+  :class:`~repro.serve.router.ReplicaRouter` and the batched index
+  search runs on a worker thread (``run_in_executor``), so the event
+  loop keeps accepting and coalescing requests while the array
+  simulation crunches;
+* writes (``add``/``remove``/``compact``/``reconfigure``) go through
+  the router's single-writer path and clear the cache.
 
-Two scaling knobs extend the picture past one thread and one process:
-
-* ``adaptive_wait=True`` lets the coalescer size its flush window from
-  the observed arrival/service rates (confirmed-sparse singletons
-  additionally dispatch inline, skipping the executor hop), so sparse
-  traffic is served at near-direct-search latency while bursts still
-  batch;
-* ``pool=`` hands micro-batches to a :class:`~repro.serve.procpool.
-  ProcReplicaPool` — N worker processes attached zero-copy to the
-  primary's shared-memory segments — for true parallelism beyond the
-  GIL; the write path then republishes the segments inside the same
-  single-writer critical section, so a completed write is visible to
-  every worker before any new read is admitted.
+``pool=`` hands micro-batches to a :class:`~repro.serve.procpool.
+ProcReplicaPool` — N worker processes attached zero-copy to the
+index's shared-memory segments — for true parallelism beyond the GIL;
+the write path then republishes the segments inside the same
+single-writer critical section, so a completed write is visible to
+every worker before any new read is admitted.
 
 Every answer is bit-identical to calling ``FerexIndex.search``
 directly: batching rides the index's bit-identical batch path, cached
-rows are frozen copies of served results, and replicas (in-process or
-pooled) are kept bit-identical by construction.  ``tests/serve/``
-asserts exactly this.
+rows are frozen copies of served results, and pool workers attach a
+fingerprint-verified copy of the index.  ``tests/serve/`` asserts
+exactly this.
 """
 
 from __future__ import annotations
 
 import asyncio
 import time
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -62,68 +57,50 @@ from .stats import ServerStats
 
 
 class FerexServer:
-    """Asyncio front-end: request coalescing + query cache + replicas.
+    """Asyncio front-end: request coalescing + query cache over one index.
 
     Parameters
     ----------
-    replicas:
-        One or more bit-identical :class:`FerexIndex` instances (same
-        configuration, same mutation history — verified at
-        construction), or a single index for an unreplicated server.
-        Optional when ``pool`` is given (the pool's primary is used).
+    index:
+        The :class:`FerexIndex` to serve.  Optional when ``pool`` is
+        given (the pool's index is used).
     max_batch_size / max_wait_ms:
-        Coalescing knobs: flush a micro-batch at this size, or this
-        long after its oldest request, whichever comes first.
+        Coalescing knobs: flush a micro-batch at this size, or when its
+        adaptive window closes — never later than ``max_wait_ms`` after
+        its oldest request (see :class:`RequestCoalescer`).
     cache_size:
-        Query-cache capacity; ``0`` disables caching.
-    cache_policy:
-        Query-cache admission/eviction policy: ``"lru"`` (default,
-        admit every miss) or ``"tinylfu"`` (W-TinyLFU frequency
-        gating — under skewed traffic one-hit wonders can no longer
-        evict the hot head; see
-        :mod:`repro.serve.admission_policy`).
-    policy:
-        Replica routing policy: ``"least_loaded"`` (default) or
-        ``"round_robin"``.
+        LRU query-cache capacity; ``0`` disables caching.
     pool:
         Optional :class:`ProcReplicaPool` serving the read path from
-        worker processes.  The pool's primary index must be the
-        server's only replica (thread replicas and process replicas
-        answer identically, but mixing the two routing layers would
-        double-apply writes); the server republishes the pool on every
-        write.  The caller owns the pool's lifecycle.
-    adaptive_wait:
-        Enable the coalescer's adaptive flush window (see
-        :class:`RequestCoalescer`); ``max_wait_ms`` stays the ceiling.
+        worker processes.  Its index must be the server's index; the
+        server republishes the pool on every write.  The caller owns
+        the pool's lifecycle.
     """
 
     def __init__(
         self,
-        replicas: Union[FerexIndex, Sequence[FerexIndex], None] = None,
+        index: Optional[FerexIndex] = None,
         max_batch_size: int = 64,
         max_wait_ms: float = 2.0,
         cache_size: int = 1024,
-        cache_policy: str = "lru",
-        policy: str = "least_loaded",
         pool: Optional[ProcReplicaPool] = None,
-        adaptive_wait: bool = False,
     ):
-        if replicas is None:
+        if index is None:
             if pool is None:
-                raise ValueError("need replicas, a pool, or both")
-            replicas = [pool.index]
-        if isinstance(replicas, FerexIndex):
-            replicas = [replicas]
-        self._router = ReplicaRouter(replicas, policy=policy)
+                raise ValueError("need an index, a pool, or both")
+            index = pool.index
+        if not isinstance(index, FerexIndex):
+            raise TypeError(
+                f"FerexServer serves one FerexIndex, got "
+                f"{type(index).__name__}"
+            )
+        self._router = ReplicaRouter(index)
         self._pool = pool
         if pool is not None:
-            if (
-                self._router.n_replicas != 1
-                or self._router.primary is not pool.index
-            ):
+            if index is not pool.index:
                 raise ValueError(
-                    "a pooled server takes exactly one replica: the "
-                    "pool's primary index (writes republish through it)"
+                    "a pooled server serves the pool's primary index "
+                    "(writes republish through it)"
                 )
             if pool.generation != pool.index.write_generation:
                 raise ValueError(
@@ -132,13 +109,11 @@ class FerexServer:
                     "index was mutated after the pool published; call "
                     "pool.republish() before putting a server in front"
                 )
-        self._adaptive = adaptive_wait
         self._republish_error: Optional[BaseException] = None
         self.stats = ServerStats()
-        self._cache = QueryCache(cache_size, policy=cache_policy)
-        # /metrics and bench artifacts read the cache (and its policy
-        # state — occupancy, admission rejections, sketch resets)
-        # through the stats snapshot.
+        self._cache = QueryCache(cache_size)
+        # /metrics and bench artifacts read the cache through the stats
+        # snapshot.
         self.stats.cache_probe = self._cache.snapshot
         # The autoscaling signals: stats snapshots read the coalescer's
         # pending-queue depth (and its EWMAs / deadline drops) live
@@ -176,42 +151,16 @@ class FerexServer:
             max_batch_size=max_batch_size,
             max_wait_ms=max_wait_ms,
             on_batch=self.stats.record_batch,
-            adaptive_wait=adaptive_wait,
             # Only the coalescer's confirmed-sparse singleton fast path
             # may block the loop with a direct search; a pooled read is
             # pipe-bound and stays on the executor regardless.
-            inline_dispatch=(
-                self._dispatch_inline
-                if adaptive_wait and pool is None
-                else None
-            ),
+            inline_dispatch=self._dispatch_inline if pool is None else None,
         )
         self._closed = False
-
-    @classmethod
-    def from_factory(
-        cls,
-        factory: Callable[[], FerexIndex],
-        n_replicas: int = 1,
-        **kwargs,
-    ) -> "FerexServer":
-        """Build a server over ``n_replicas`` indexes from a factory.
-
-        The factory must be deterministic (same configuration and seed
-        each call) — the parity check rejects replica sets that are not
-        bit-identical.
-        """
-        if n_replicas < 1:
-            raise ValueError("n_replicas must be >= 1")
-        return cls([factory() for _ in range(n_replicas)], **kwargs)
 
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
-    @property
-    def router(self) -> ReplicaRouter:
-        return self._router
-
     @property
     def cache(self) -> QueryCache:
         return self._cache
@@ -225,21 +174,19 @@ class FerexServer:
         return self._pool
 
     @property
-    def n_replicas(self) -> int:
-        return self._router.n_replicas
+    def index(self) -> FerexIndex:
+        return self._router.index
 
     @property
     def write_generation(self) -> int:
-        """The primary replica's mutation epoch (cache-key component)."""
-        return self._router.primary.write_generation
+        """The index's mutation epoch (cache-key component)."""
+        return self.index.write_generation
 
     def __repr__(self) -> str:
         return (
-            f"FerexServer(replicas={self.n_replicas}, "
-            f"policy={self._router.policy!r}, "
-            f"max_batch_size={self._coalescer.max_batch_size}, "
-            f"cache={self._cache.capacity}/"
-            f"{self._cache.policy_name})"
+            f"FerexServer(max_batch_size="
+            f"{self._coalescer.max_batch_size}, "
+            f"cache={self._cache.capacity}, pooled={self._pool is not None})"
         )
 
     # ------------------------------------------------------------------
@@ -275,20 +222,20 @@ class FerexServer:
         # in the coalescer: a batched dispatch validates whole batches,
         # and one malformed query must never fail the innocent callers
         # coalesced alongside it.
-        primary = self._router.primary
-        if query.shape != (primary.dims,):
+        index = self.index
+        if query.shape != (index.dims,):
             raise ValueError(
-                f"search() serves one ({primary.dims},) query, got "
+                f"search() serves one ({index.dims},) query, got "
                 f"{query.shape}"
             )
-        hi = 1 << primary.bits
+        hi = 1 << index.bits
         if query.min() < 0 or query.max() >= hi:
             raise ValueError(f"query values outside [0, {hi})")
         if k < 1:
             raise ValueError("k must be >= 1")
         start = time.perf_counter()
-        if self._cache.capacity and not self._router.poisoned:
-            key = QueryCache.key(query, k, self.write_generation)
+        if self._cache.capacity:
+            key = QueryCache.key(query, k, index.write_generation)
             entry = self._cache.get(key)
             if entry is not None:
                 self.stats.record_request(
@@ -330,10 +277,10 @@ class FerexServer:
             )
         if len(queries) == 0:
             # Even the empty batch goes through the router's read
-            # admission: it must see poisoned-fleet errors and respect
-            # writer exclusion like every other read.
-            async with self._router.read() as replica:
-                return replica.index.search(queries, k=k)
+            # admission: it must respect writer exclusion like every
+            # other read.
+            async with self._router.read() as index:
+                return index.search(queries, k=k)
         results = await asyncio.gather(
             *(self.search(query, k, deadline=deadline) for query in queries)
         )
@@ -353,7 +300,7 @@ class FerexServer:
         return await self._dispatch(queries, k, inline=True)
 
     async def _run_search(
-        self, replica, queries: np.ndarray, k: int, inline: bool
+        self, index: FerexIndex, queries: np.ndarray, k: int, inline: bool
     ) -> SearchOutcome:
         """Evaluate one (sub-)batch on the right substrate: a pool
         worker process, inline on the loop (sparse singleton fast
@@ -364,19 +311,16 @@ class FerexServer:
                 None, self._pool.search, queries, k
             )
         if inline:
-            return replica.index.search(queries, k)
+            return index.search(queries, k)
         loop = asyncio.get_running_loop()
-        return await loop.run_in_executor(
-            None, replica.index.search, queries, k
-        )
+        return await loop.run_in_executor(None, index.search, queries, k)
 
     async def _dispatch(
         self, queries: np.ndarray, k: int, inline: bool = False
     ):
         """Coalescer flush target: probe the LRU once more, dedupe the
-        remaining rows, route the shrunken micro-batch to a replica
-        (a worker process when pooled), run the batched search
-        off-loop, populate the cache.
+        remaining rows, run the shrunken micro-batch off-loop (on a
+        worker process when pooled), populate the cache.
 
         The dispatch-time probe matters most on the pool path — a row
         already populated by a batch that completed after this row's
@@ -385,17 +329,17 @@ class FerexServer:
         burst of identical queries coalesced into one flush computes
         once and fans out.
         """
-        replica = await self._router.acquire_read()
+        index = await self._router.acquire_read()
         try:
             # The generation is stable for the whole batch: writers are
-            # excluded while any read holds the replica set.
-            generation = replica.index.write_generation
+            # excluded while any read is admitted.
+            generation = index.write_generation
             pool = self._pool
             if pool is not None and pool.generation != generation:
                 # Guarded at construction and re-synced by every server
                 # write (republish runs inside the single-writer
                 # critical section; failure poisons the pool) — this
-                # catches the remaining hole, an out-of-band primary
+                # catches the remaining hole, an out-of-band index
                 # mutation mid-serve.  An epoch mismatch must never
                 # serve: the cache would file stale rows under the new
                 # generation.
@@ -404,7 +348,7 @@ class FerexServer:
                     f"primary is at {generation}; refusing stale reads"
                 )
             if not self._cache.capacity:
-                outcome = await self._run_search(replica, queries, k, inline)
+                outcome = await self._run_search(index, queries, k, inline)
                 return outcome.ids, outcome.distances
             n = len(queries)
             keys = [QueryCache.key(query, k, generation) for query in queries]
@@ -426,7 +370,7 @@ class FerexServer:
                 self.stats.record_dispatch_dedup(deduped)
             if not hits and len(lead_rows) == n:
                 # The common cold-batch case: nothing to reassemble.
-                outcome = await self._run_search(replica, queries, k, inline)
+                outcome = await self._run_search(index, queries, k, inline)
                 for row, key in enumerate(keys):
                     self._cache.put(
                         key, outcome.ids[row], outcome.distances[row]
@@ -434,7 +378,7 @@ class FerexServer:
                 return outcome.ids, outcome.distances
             if lead_rows:
                 outcome = await self._run_search(
-                    replica, queries[np.asarray(lead_rows)], k, inline
+                    index, queries[np.asarray(lead_rows)], k, inline
                 )
                 for lead, key in enumerate(rows_by_key):
                     self._cache.put(
@@ -451,16 +395,16 @@ class FerexServer:
                     distances[row] = outcome.distances[lead]
             return ids, distances
         finally:
-            self._router.release_read(replica)
+            self._router.release_read()
 
     # ------------------------------------------------------------------
-    # Write path (single writer, every replica, cache invalidated)
+    # Write path (single writer, cache invalidated)
     # ------------------------------------------------------------------
     async def _write(self, mutate: Callable[[FerexIndex], object]):
         """Run one mutation through the router's single-writer path,
         republishing the process pool (when present) inside the same
         critical section — readers re-admitted after a write therefore
-        always see it, whether they hit a thread replica or a worker
+        always see it, whether they search in-process or on a worker
         process.
 
         The write contract is atomic-error: an exception means nothing
@@ -512,11 +456,10 @@ class FerexServer:
         vectors: np.ndarray,
         ids: Optional[Sequence[int]] = None,
     ) -> np.ndarray:
-        """Store vectors on every replica; returns the assigned ids."""
+        """Store vectors; returns the assigned ids."""
         # Cleared in a finally: a failed write mutated nothing (index
-        # mutations are atomic) so dropping the cache is merely
-        # conservative — but it must drop even then, so a write that
-        # *poisons* the fleet cannot leave stale hits behind.
+        # mutations are atomic), so dropping the cache is merely
+        # conservative.
         try:
             return await self._write(
                 lambda index: index.add(vectors, ids=ids)
@@ -525,14 +468,14 @@ class FerexServer:
             self._cache.clear()
 
     async def remove(self, ids: Sequence[int]) -> int:
-        """Tombstone ids on every replica."""
+        """Tombstone ids."""
         try:
             return await self._write(lambda index: index.remove(ids))
         finally:
             self._cache.clear()
 
     async def compact(self) -> None:
-        """Physically re-program the live set on every replica."""
+        """Physically re-program the live set."""
         try:
             await self._write(lambda index: index.compact())
         finally:
@@ -544,16 +487,16 @@ class FerexServer:
         metric=None,
         banks: Optional[Sequence[int]] = None,
     ):
-        """Re-voltage every replica at a new (metric, bits) — online,
-        under live traffic.
+        """Re-voltage the index at a new (metric, bits) — online, under
+        live traffic.
 
         Rides the same single-writer critical section as ``add``: reads
-        drain, each replica re-programs its banks from the retained
-        stored codes (:meth:`repro.index.FerexIndex.reconfigure`), the
-        process pool (when present) republishes the new-generation
-        segments, parity is re-verified, and only then are reads
-        re-admitted — so every request is answered either entirely at
-        the old config or entirely at the new one, never a mix.  The
+        drain, the index re-programs its banks from the retained stored
+        codes (:meth:`repro.index.FerexIndex.reconfigure`), the process
+        pool (when present) republishes the new-generation segments,
+        and only then are reads re-admitted — so every request is
+        answered either entirely at the old config or entirely at the
+        new one, never a mix.  The
         generation bump makes all cached results unreachable; the
         explicit cache clear just releases their memory at once.
         """
@@ -573,12 +516,12 @@ class FerexServer:
         top_p: Optional[int] = None,
         n_clusters: Optional[int] = None,
     ):
-        """Move the routed backend's probe width and/or cluster count
-        on every replica — online, under live traffic
+        """Move the routed backend's probe width and/or cluster count —
+        online, under live traffic
         (:meth:`repro.index.FerexIndex.reconfigure_routing`).
 
         Same discipline as :meth:`reconfigure`: single-writer critical
-        section, pool republish + parity re-check, generation-bumped
+        section, pool republish, generation-bumped
         cache invalidation — a request is routed entirely under the old
         geometry or entirely under the new one.
         """

@@ -73,9 +73,9 @@ class ServerStats:
         #: depth — the autoscaling signal; the server wires it up.
         self.queue_depth_probe: Optional[Callable[[], int]] = None
         #: Optional probe returning the query cache's snapshot dict
-        #: (lifetime + windowed hit accounting and the admission
-        #: policy's state); the server wires it up so ``/metrics`` and
-        #: bench artifacts see cache behaviour per era.
+        #: (lifetime + windowed hit accounting); the server wires it up
+        #: so ``/metrics`` and bench artifacts see cache behaviour per
+        #: era.
         self.cache_probe: Optional[Callable[[], dict]] = None
         #: Extra named gauges folded into every snapshot (the server
         #: registers the coalescer EWMAs and deadline-drop count here).
@@ -208,7 +208,7 @@ class ServerStats:
             )
         if self.cache_probe is not None:
             # The cache snapshot is JSON-safe by construction (plain
-            # ints/floats/strs, policy section included).
+            # ints/floats).
             snap["cache"] = self.cache_probe()
         return snap
 

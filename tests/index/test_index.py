@@ -60,7 +60,33 @@ class TestAdd:
             index.add(np.full((2, 8), 9))  # outside the alphabet
         with pytest.raises(ValueError):
             index.add(vectors[:3], ids=[1, 2])  # id count mismatch
+        with pytest.raises(ValueError, match="non-negative"):
+            index.add(vectors[:1], ids=[-1])  # reads as -1 padding
+        assert index.ntotal == 0 and index.write_generation == 0
         assert index.add(np.empty((0, 8), dtype=int)).shape == (0,)
+
+    @pytest.mark.parametrize("backend", ["ferex", "exact", "tiered"])
+    @pytest.mark.parametrize(
+        "bad_ids", [[-1], [5, -2], [np.iinfo(np.int64).min, 3]]
+    )
+    def test_negative_ids_leave_a_stored_index_untouched(
+        self, vectors, queries, backend, bad_ids
+    ):
+        """A rejected add on a populated index changes nothing: live
+        rows, write generation, the next auto id and every answer."""
+        index = make_index(backend=backend)
+        index.add(vectors[:20])
+        before = index.search(queries, k=3)
+        generation = index.write_generation
+        with pytest.raises(ValueError, match="non-negative"):
+            index.add(vectors[20 : 20 + len(bad_ids)], ids=bad_ids)
+        assert index.ntotal == 20
+        assert index.write_generation == generation
+        after = index.search(queries, k=3)
+        assert np.array_equal(after.ids, before.ids)
+        assert np.array_equal(after.distances, before.distances)
+        assert (after.ids >= 0).all()
+        assert index.add(vectors[20:21]).tolist() == [20]
 
     def test_failed_backend_add_leaves_index_empty(self, vectors):
         """add() must be atomic: a backend that rejects the write (e.g.

@@ -4,6 +4,8 @@ import asyncio
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.serve import FerexServer, QueryCache
 
@@ -127,6 +129,55 @@ class TestLRU:
         assert snap["invalidations"] == 0
         assert cache.hit_rate == 0.0
 
+    def test_put_of_resident_key_refreshes_without_evicting(self):
+        cache = QueryCache(capacity=2)
+        keys = [QueryCache.key(np.array([i]), 1, 0) for i in range(3)]
+        cache.put(keys[0], *entry(0))
+        cache.put(keys[1], *entry(1))
+        cache.put(keys[0], *entry(5))  # re-put: 1 is now LRU, no eviction
+        assert len(cache) == 2 and cache.evictions == 0
+        assert cache.peek(keys[0])[0].tolist() == [5]
+        cache.put(keys[2], *entry(2))
+        assert cache.peek(keys[1]) is None
+        assert cache.peek(keys[0]) is not None
+
+    def test_peek_refreshes_recency_without_counting(self):
+        cache = QueryCache(capacity=2)
+        keys = [QueryCache.key(np.array([i]), 1, 0) for i in range(3)]
+        cache.put(keys[0], *entry(0))
+        cache.put(keys[1], *entry(1))
+        assert cache.peek(keys[0]) is not None  # 1 is now LRU
+        assert cache.peek(keys[2]) is None
+        cache.put(keys[2], *entry(2))
+        assert cache.peek(keys[1]) is None
+        assert cache.hits == cache.misses == 0
+
+    def test_put_stores_copies_of_the_callers_rows(self):
+        cache = QueryCache(capacity=2)
+        key = QueryCache.key(np.array([1]), 1, 0)
+        ids, distances = entry(4)
+        cache.put(key, ids, distances)
+        ids[0], distances[0] = 99, 99.0
+        assert ids.flags.writeable  # the caller's arrays stay theirs
+        cached_ids, cached_distances = cache.get(key)
+        assert cached_ids.tolist() == [4]
+        assert cached_distances.tolist() == [4.0]
+
+    def test_evictions_count_every_overflow(self):
+        cache = QueryCache(capacity=3)
+        for i in range(10):
+            cache.put(QueryCache.key(np.array([i]), 1, 0), *entry(i))
+        assert len(cache) == 3 and cache.evictions == 7
+        survivors = [
+            i
+            for i in range(10)
+            if cache.peek(QueryCache.key(np.array([i]), 1, 0)) is not None
+        ]
+        assert survivors == [7, 8, 9]
+        snap = cache.snapshot()
+        assert snap["size"] == 3 and snap["capacity"] == 3
+        assert snap["evictions"] == 7
+
     def test_cached_rows_are_frozen(self):
         cache = QueryCache(capacity=2)
         key = QueryCache.key(np.array([1]), 1, 0)
@@ -173,7 +224,7 @@ class TestServerInvalidation:
                 await mutate(server)
                 assert len(server.cache) == 0  # explicit clear
                 after = await server.search(query, k=3)
-                expected = server.router.primary.search(
+                expected = server.index.search(
                     query[None], k=3
                 )
                 assert np.array_equal(after.ids, expected.ids[0])
@@ -234,3 +285,145 @@ class TestServerInvalidation:
         )
         assert key_after != key_before
         assert cache.get(key_after) is None
+
+
+class ReferenceLru:
+    """The LRU the cache promises, written the obvious way: a list of
+    keys oldest-first, admit on every put, evict from the front."""
+
+    def __init__(self, capacity):
+        self.capacity = capacity
+        self.order = []
+        self.values = {}
+        self.hits = self.misses = self.evictions = self.invalidations = 0
+
+    def touch(self, key):
+        self.order.remove(key)
+        self.order.append(key)
+
+    def get(self, key):
+        if key not in self.values:
+            self.misses += 1
+            return None
+        self.hits += 1
+        self.touch(key)
+        return self.values[key]
+
+    def peek(self, key):
+        if key in self.values:
+            self.touch(key)
+        return self.values.get(key)
+
+    def put(self, key, value):
+        if key in self.values:
+            self.order.remove(key)
+        self.order.append(key)
+        self.values[key] = value
+        while len(self.order) > self.capacity:
+            del self.values[self.order.pop(0)]
+            self.evictions += 1
+
+    def clear(self):
+        if self.order:
+            self.invalidations += 1
+        self.order, self.values = [], {}
+
+
+#: Few distinct keys so sequences keep revisiting residents; clears rare
+#: enough that eviction order gets exercised between them.
+operation_st = st.tuples(
+    st.sampled_from(["get", "peek", "put"] * 3 + ["clear"]),
+    st.integers(0, 3),
+)
+
+
+class TestAgainstReferenceLru:
+    @pytest.mark.parametrize("capacity", [1, 2, 5])
+    @given(operations=st.lists(operation_st, max_size=60))
+    @settings(max_examples=200, deadline=None)
+    def test_any_operation_sequence_matches_the_reference(
+        self, capacity, operations
+    ):
+        cache = QueryCache(capacity=capacity)
+        model = ReferenceLru(capacity)
+        for step, (op, i) in enumerate(operations):
+            key = QueryCache.key(np.array([i]), 1, 0)
+            if op == "put":
+                cache.put(key, *entry(step))
+                model.put(key, step)
+            elif op == "clear":
+                cache.clear()
+                model.clear()
+            else:
+                got = getattr(cache, op)(key)
+                want = getattr(model, op)(key)
+                if want is None:
+                    assert got is None
+                else:
+                    assert got[0].tolist() == [want]
+            assert list(cache._entries) == model.order
+        snap = cache.snapshot()
+        assert (snap["hits"], snap["misses"]) == (model.hits, model.misses)
+        assert snap["evictions"] == model.evictions
+        assert snap["invalidations"] == model.invalidations
+
+
+#: -1 is a write; query indices repeat with Zipf-like multiplicity so
+#: streams revisit a hot head, as the cache's traffic does.
+EVENT_POOL = [0] * 8 + [1] * 4 + [2] * 2 + list(range(3, 12)) + [-1] * 3
+
+
+class TestServedThroughTheCache:
+    @pytest.mark.parametrize("cache_size", [1, 4])
+    @given(
+        stream=st.lists(st.sampled_from(EVENT_POOL), min_size=4, max_size=30)
+    )
+    @settings(
+        max_examples=8,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    def test_answers_bit_identical_across_writes(
+        self, make_index, cache_size, stream
+    ):
+        """Under any request stream interleaved with writes, every
+        served row equals a direct search on a mirror index, every write
+        empties the cache, and hits/evictions are exactly what an LRU of
+        ``cache_size`` predicts for the stream."""
+        rng = np.random.default_rng(29)
+        universe = rng.integers(0, 4, size=(12, 8))
+        writes = iter(rng.integers(0, 4, size=(len(stream), 8)))
+        mirror = make_index()
+        model = ReferenceLru(cache_size)
+
+        async def main():
+            async with FerexServer(
+                make_index(),
+                max_batch_size=4,
+                max_wait_ms=0.2,
+                cache_size=cache_size,
+            ) as server:
+                for event in stream:
+                    if event == -1:
+                        row = next(writes)[None]
+                        await server.add(row)
+                        mirror.add(row)
+                        model.clear()
+                        assert len(server.cache) == 0
+                        continue
+                    outcome = await server.search(universe[event], k=2)
+                    expected = mirror.search(universe[event][None], k=2)
+                    assert np.array_equal(outcome.ids, expected.ids[0])
+                    assert np.array_equal(
+                        outcome.distances, expected.distances[0]
+                    )
+                    if model.get(event) is None:
+                        model.put(event, event)
+                snap = server.stats.snapshot()["cache"]
+                assert (snap["hits"], snap["misses"]) == (
+                    model.hits, model.misses
+                )
+                assert snap["evictions"] == model.evictions
+                assert snap["invalidations"] == model.invalidations
+
+        asyncio.run(main())

@@ -143,7 +143,7 @@ def test_cancel_during_adaptive_fast_path_park_leaves_no_ghost():
 
     async def main():
         coalescer = RequestCoalescer(
-            recorder, max_batch_size=8, max_wait_ms=1, adaptive_wait=True
+            recorder, max_batch_size=8, max_wait_ms=1
         )
         # Warm the EWMAs: one served request gives a (tiny) service
         # estimate, and the wall-clock gap to the next submit exceeds
@@ -172,14 +172,14 @@ def test_cancel_during_adaptive_fast_path_park_leaves_no_ghost():
 
 
 def test_fast_path_park_cannot_exceed_max_batch_size():
-    """Regression: a request parked by the adaptive fast path (which
+    """Regression: a request parked by the sparse fast path (which
     bypasses the normal size-trigger check) joined by a same-tick
     arrival must still dispatch in batches capped at max_batch_size."""
     recorder = Recorder()
 
     async def main():
         coalescer = RequestCoalescer(
-            recorder, max_batch_size=1, max_wait_ms=1, adaptive_wait=True
+            recorder, max_batch_size=1, max_wait_ms=1
         )
         await coalescer.submit(np.zeros(3, dtype=int), 1)  # warm EWMAs
         results = await asyncio.gather(
@@ -405,6 +405,126 @@ def test_service_and_gap_ewmas_are_none_until_observed():
         # Two arrivals -> one inter-arrival gap observed.
         assert coalescer.ewma_gap_s is not None
         assert coalescer.ewma_gap_s >= 0.0
+        await coalescer.close()
+
+    asyncio.run(main())
+
+
+# The adaptive flush window (the coalescer's only wait policy).
+def observed(max_wait_ms, gap_s, service_s):
+    """A coalescer whose EWMAs read ``gap_s`` / ``service_s`` (``None``
+    = not observed yet), fed through its own observers."""
+    coalescer = RequestCoalescer(Recorder(), max_wait_ms=max_wait_ms)
+    if gap_s is not None:
+        coalescer._observe_arrival(0.0)
+        coalescer._observe_arrival(gap_s)
+    if service_s is not None:
+        coalescer._observe_service(service_s)
+    return coalescer
+
+
+@pytest.mark.parametrize(
+    "max_wait_ms,gap_s,service_s,expected_s",
+    [
+        (2.0, None, None, 0.002),  # nothing seen: the full ceiling
+        (2.0, None, 0.001, 0.002),  # a service time alone changes nothing
+        (2.0, 0.01, None, 0.0),  # gap above the ceiling-as-service
+        (2.0, 0.0001, None, 0.0008),  # gap below it: WAIT_GAIN * gap
+        (2.0, 0.0001, 0.001, 0.0008),
+        (2.0, 0.001, 0.0005, 0.0),  # arrivals slower than service
+        (2.0, 0.0005, 0.0005, 0.0),  # a tie does not wait either
+        (2.0, 0.0009, 0.001, 0.002),  # WAIT_GAIN * gap clamped
+        (0.0, 0.0001, 0.001, 0.0),  # a zero ceiling never waits
+    ],
+)
+def test_next_wait_follows_the_window_rule(
+    max_wait_ms, gap_s, service_s, expected_s
+):
+    coalescer = observed(max_wait_ms, gap_s, service_s)
+    assert coalescer.next_wait_s() == pytest.approx(expected_s)
+    assert 0.0 <= coalescer.next_wait_s() <= coalescer.max_wait_s
+
+
+def test_ewmas_smooth_with_the_class_alpha():
+    coalescer = RequestCoalescer(Recorder())
+    alpha = RequestCoalescer.EWMA_ALPHA
+    for now in (0.0, 0.1, 0.3):
+        coalescer._observe_arrival(now)
+    assert coalescer.ewma_gap_s == pytest.approx(
+        alpha * 0.2 + (1 - alpha) * 0.1
+    )
+    coalescer._observe_service(0.004)
+    coalescer._observe_service(0.008)
+    assert coalescer.ewma_service_s == pytest.approx(
+        alpha * 0.008 + (1 - alpha) * 0.004
+    )
+
+
+def test_one_long_idle_gap_is_capped_at_one_second():
+    coalescer = RequestCoalescer(Recorder())
+    coalescer._observe_arrival(0.0)
+    coalescer._observe_arrival(3600.0)
+    assert coalescer.ewma_gap_s == 1.0
+
+
+def test_first_request_waits_the_full_ceiling():
+    recorder = Recorder()
+
+    async def main():
+        coalescer = RequestCoalescer(
+            recorder, max_batch_size=8, max_wait_ms=3
+        )
+        await coalescer.submit(np.zeros(3, dtype=int), 1)
+        assert list(coalescer.scheduled_waits) == [pytest.approx(0.003)]
+        await coalescer.close()
+
+    asyncio.run(main())
+
+
+def test_burst_after_idle_reopens_the_window_and_batches():
+    """A lone request after an idle spell gets a zero window, and the
+    burst that follows drives the gap EWMA under the service time, so
+    the window opens again and the burst still coalesces."""
+    recorder = Recorder(delay_s=0.002)
+
+    async def main():
+        coalescer = RequestCoalescer(
+            recorder, max_batch_size=64, max_wait_ms=5
+        )
+        await coalescer.submit(np.zeros(3, dtype=int), 1)
+        await asyncio.sleep(0.05)
+        await coalescer.submit(np.ones(3, dtype=int), 1)
+        assert coalescer.scheduled_waits[-1] == 0.0
+        for _ in range(4):
+            await asyncio.gather(
+                *(coalescer.submit(np.full(3, i), 1) for i in range(32))
+            )
+        assert coalescer.ewma_gap_s < coalescer.ewma_service_s
+        assert coalescer.next_wait_s() > 0.0
+        assert max(len(batch) for batch, _ in recorder.batches) > 1
+        await coalescer.close()
+
+    asyncio.run(main())
+
+
+@pytest.mark.parametrize("max_wait_ms", [0.0, 0.5, 2.0])
+def test_scheduled_windows_never_exceed_the_ceiling(max_wait_ms):
+    recorder = Recorder(delay_s=0.001)
+
+    async def main():
+        coalescer = RequestCoalescer(
+            recorder, max_batch_size=8, max_wait_ms=max_wait_ms
+        )
+        for wave in range(6):
+            await asyncio.gather(
+                *(coalescer.submit(np.full(3, i), 1) for i in range(wave))
+            )
+            await asyncio.sleep(0.002 * (wave % 2))
+        assert coalescer.scheduled_waits
+        assert all(
+            0.0 <= wait <= coalescer.max_wait_s
+            for wait in coalescer.scheduled_waits
+        )
         await coalescer.close()
 
     asyncio.run(main())

@@ -65,7 +65,6 @@ def test_adaptive_coalescer_exactly_once_bit_identical(schedule):
             dispatch,
             max_batch_size=4,
             max_wait_ms=MAX_WAIT_MS,
-            adaptive_wait=True,
         )
         tasks = []
         for delay_ms, k, payload in schedule:
@@ -122,7 +121,6 @@ def test_adaptive_wait_never_exceeds_ceiling(schedule):
             dispatch,
             max_batch_size=3,
             max_wait_ms=MAX_WAIT_MS,
-            adaptive_wait=True,
         )
         loop = asyncio.get_running_loop()
         observed = []

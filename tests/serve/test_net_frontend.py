@@ -28,7 +28,9 @@ def test_healthz_and_metrics(make_index):
                     assert health.status == 200
                     payload = health.json()
                     assert payload["status"] == "ok"
-                    assert payload["n_replicas"] == 1
+                    assert (
+                        payload["write_generation"] == server.write_generation
+                    )
                     # A little traffic, then a clean metrics document.
                     await client.request(
                         "POST",
@@ -89,6 +91,13 @@ def test_routing_errors(make_index):
                         "POST", "/v1/search", body=b'[1, 2]'
                     )
                     assert not_array.status == 400
+                    negative_id = await client.request(
+                        "POST",
+                        "/v1/add",
+                        json_body={"vectors": [[0] * DIMS], "ids": [-1]},
+                    )
+                    assert negative_id.status == 400
+                    assert "non-negative" in negative_id.json()["message"]
                     # The connection survived every fully-read error
                     # body: still serving on the same socket.
                     ok = await client.request(

@@ -402,8 +402,6 @@ class TestPooledServer:
             with ProcReplicaPool(index, n_workers=1) as pool:
                 with pytest.raises(ValueError, match="primary"):
                     FerexServer(other, pool=pool)
-                with pytest.raises(ValueError, match="primary"):
-                    FerexServer([index, other], pool=pool)
             with pytest.raises(ValueError):
                 FerexServer()
 

@@ -1,5 +1,5 @@
 """Serving-layer reconfiguration + the dispatch-time cache probe: online
-`FerexServer.reconfigure` under thread replicas and the process pool,
+`FerexServer.reconfigure` in-process and over the process pool,
 and the new ServerStats surfaces (dispatch hits/dedup, republish and
 reconfigure counters, coalescer queue-depth gauge)."""
 
@@ -36,9 +36,7 @@ class TestServerReconfigure:
         queries = binary_queries()
 
         async def main():
-            server = FerexServer.from_factory(
-                make_binary_index, n_replicas=2, max_wait_ms=0.5
-            )
+            server = FerexServer(make_binary_index(), max_wait_ms=0.5)
             async with server:
                 await asyncio.gather(
                     *(server.search(q, k=3) for q in queries)

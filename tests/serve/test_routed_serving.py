@@ -1,5 +1,5 @@
 """Routed backend behind the serving layer: online
-``FerexServer.reconfigure_routing`` under replicated traffic, its
+``FerexServer.reconfigure_routing`` under concurrent traffic, its
 cache invalidation, the process-pool republish of trained centroids,
 and the wire ``/v1/reconfigure`` routing knobs."""
 
@@ -29,8 +29,8 @@ def routed_queries(n=12):
 
 def make_routed_index():
     """Deterministic routed factory: every call trains the same
-    centroids (fixed routing seed, same insertion order), so replicas
-    and direct references are bit-identical."""
+    centroids (fixed routing seed, same insertion order), so served
+    answers and direct references are bit-identical."""
     index = FerexIndex(
         dims=DIMS,
         metric="hamming",
@@ -49,15 +49,13 @@ def make_routed_index():
 
 class TestServerRoutingReconfigure:
     def test_matches_direct_reference_and_counts(self):
-        """reconfigure_routing on a replicated server: post-write
+        """reconfigure_routing on a live server: post-write
         answers equal a direct index driven through the same call, and
         the reconfigure shows up in ServerStats."""
         queries = routed_queries()
 
         async def main():
-            server = FerexServer.from_factory(
-                make_routed_index, n_replicas=2, max_wait_ms=0.5
-            )
+            server = FerexServer(make_routed_index(), max_wait_ms=0.5)
             async with server:
                 await asyncio.gather(
                     *(server.search(q, k=3) for q in queries)

@@ -1,101 +1,95 @@
-"""ReplicaRouter: policies, single-writer discipline, parity checks."""
+"""ReplicaRouter: the single-writer / many-reader gate over one index."""
 
 import asyncio
 
 import numpy as np
 import pytest
 
-from repro.serve import ReplicaParityError, ReplicaRouter
+from repro.serve import ReplicaRouter
 
 
-class TestConstruction:
-    def test_rejects_empty_and_unknown_policy(self, make_index):
-        with pytest.raises(ValueError):
-            ReplicaRouter([])
-        with pytest.raises(ValueError):
-            ReplicaRouter([make_index()], policy="random")
-
-    def test_rejects_duplicate_index_objects(self, make_index):
-        """The same object twice would take every write twice and the
-        parity check could never see it."""
-        index = make_index()
-        with pytest.raises(ValueError, match="distinct"):
-            ReplicaRouter([index, index])
-
-    def test_rejects_diverged_replicas_up_front(self, make_index, rng):
-        honest = make_index()
-        liar = make_index()
-        liar.add(rng.integers(0, 4, size=(1, 8)))
-        with pytest.raises(ReplicaParityError):
-            ReplicaRouter([honest, liar])
-
-
-class TestRouting:
-    def test_round_robin_cycles_evenly(self, make_index):
+class TestReads:
+    def test_reads_run_concurrently_on_the_index(self, make_index):
         async def main():
-            router = ReplicaRouter(
-                [make_index() for _ in range(3)], policy="round_robin"
-            )
-            picked = []
-            for _ in range(6):
-                async with router.read() as replica:
-                    picked.append(replica.ordinal)
-            assert picked == [0, 1, 2, 0, 1, 2]
-            assert [r.served for r in router.replicas] == [2, 2, 2]
+            index = make_index()
+            router = ReplicaRouter(index)
+            async with router.read() as first:
+                async with router.read() as second:
+                    assert first is second is index
 
         asyncio.run(main())
 
-    def test_least_loaded_avoids_busy_replica(self, make_index):
+    def test_read_slot_is_released_when_the_reader_raises(
+        self, make_index
+    ):
         async def main():
-            router = ReplicaRouter(
-                [make_index() for _ in range(2)], policy="least_loaded"
+            router = ReplicaRouter(make_index())
+            with pytest.raises(RuntimeError):
+                async with router.read():
+                    raise RuntimeError("reader failed")
+            # A leaked slot would park this write forever.
+            await asyncio.wait_for(
+                router.write(lambda index: index.remove([0])), timeout=5
             )
-            async with router.read() as busy:
-                others = set()
-                for _ in range(4):
-                    async with router.read() as replica:
-                        others.add(replica.ordinal)
-                assert others == {1 - busy.ordinal}
 
         asyncio.run(main())
 
-    def test_least_loaded_spreads_when_idle(self, make_index):
+    def test_write_waits_for_every_acquired_slot(self, make_index):
         async def main():
-            router = ReplicaRouter(
-                [make_index() for _ in range(2)], policy="least_loaded"
+            router = ReplicaRouter(make_index())
+            await router.acquire_read()
+            await router.acquire_read()
+            write = asyncio.ensure_future(
+                router.write(lambda index: index.remove([0]))
             )
-            picked = []
-            for _ in range(4):
-                async with router.read() as replica:
-                    picked.append(replica.ordinal)
-            assert sorted(set(picked)) == [0, 1]
+            router.release_read()
+            await asyncio.sleep(0.01)
+            assert not write.done()  # one reader still holds a slot
+            router.release_read()
+            await asyncio.wait_for(write, timeout=5)
+            assert router.index.ntotal == 39
+
+        asyncio.run(main())
+
+    @pytest.mark.parametrize("n_readers", [1, 4, 16])
+    def test_reads_parked_behind_a_writer_all_resume_after_it(
+        self, make_index, n_readers
+    ):
+        import time as time_mod
+
+        async def main():
+            router = ReplicaRouter(make_index())
+            seen = []
+
+            def slow_add(index):
+                time_mod.sleep(0.02)  # in the executor
+                return index.add(np.zeros((1, 8), dtype=int))
+
+            async def reader():
+                async with router.read() as index:
+                    seen.append(index.ntotal)
+
+            write = asyncio.ensure_future(router.write(slow_add))
+            await asyncio.sleep(0.005)  # the writer holds the gate
+            await asyncio.wait_for(
+                asyncio.gather(*(reader() for _ in range(n_readers))),
+                timeout=5,
+            )
+            assert write.done()
+            assert seen == [41] * n_readers
 
         asyncio.run(main())
 
 
 class TestWrites:
-    def test_write_applies_to_every_replica_bit_identically(
-        self, make_index, rng, queries
-    ):
+    def test_write_returns_the_mutation_result(self, make_index, rng):
         async def main():
-            router = ReplicaRouter([make_index() for _ in range(3)])
+            index = make_index()
+            router = ReplicaRouter(index)
             extra = rng.integers(0, 4, size=(5, 8))
             ids = await router.write(lambda index: index.add(extra))
             assert ids.tolist() == list(range(40, 45))
-            fingerprints = {
-                replica.index.fingerprint()
-                for replica in router.replicas
-            }
-            assert len(fingerprints) == 1
-            outcomes = [
-                replica.index.search(queries, k=3)
-                for replica in router.replicas
-            ]
-            for outcome in outcomes[1:]:
-                assert np.array_equal(outcome.ids, outcomes[0].ids)
-                assert np.array_equal(
-                    outcome.distances, outcomes[0].distances
-                )
+            assert index.ntotal == 45
 
         asyncio.run(main())
 
@@ -103,7 +97,7 @@ class TestWrites:
         events = []
 
         async def main():
-            router = ReplicaRouter([make_index() for _ in range(2)])
+            router = ReplicaRouter(make_index())
 
             async def reader():
                 async with router.read():
@@ -121,7 +115,7 @@ class TestWrites:
                 await router.write(mutate)
 
             await asyncio.gather(reader(), writer())
-            assert events == ["read-start", "read-end", "write", "write"]
+            assert events == ["read-start", "read-end", "write"]
 
         asyncio.run(main())
 
@@ -129,7 +123,7 @@ class TestWrites:
         events = []
 
         async def main():
-            router = ReplicaRouter([make_index()])
+            router = ReplicaRouter(make_index())
 
             async def writer():
                 def mutate(index):
@@ -149,72 +143,104 @@ class TestWrites:
 
         asyncio.run(main())
 
-    def test_rejected_write_leaves_replicas_aligned(self, make_index):
-        async def main():
-            router = ReplicaRouter([make_index() for _ in range(2)])
-            with pytest.raises(KeyError):
-                await router.write(lambda index: index.remove([999]))
-            router.check_parity()
-            generations = {
-                replica.index.write_generation
-                for replica in router.replicas
-            }
-            assert generations == {1}  # the preload add only
-
-        asyncio.run(main())
-
-    def test_diverging_write_raises_parity_error_and_poisons(
+    def test_rejected_write_changes_nothing_and_keeps_serving(
         self, make_index
     ):
         async def main():
-            router = ReplicaRouter([make_index() for _ in range(2)])
-            seen = []
-
-            def mutate(index):
-                seen.append(index)
-                # Second replica gets a different payload: divergence.
-                payload = np.full((1, 8), len(seen) % 2, dtype=int)
-                return index.add(payload)
-
-            with pytest.raises(ReplicaParityError):
-                await router.write(mutate)
-            # A divergent fleet must never serve replica-dependent
-            # answers: both paths are refused from here on.
-            with pytest.raises(ReplicaParityError):
-                async with router.read():
-                    pass
-            with pytest.raises(ReplicaParityError):
-                await router.write(lambda index: index.remove([0]))
+            index = make_index()
+            router = ReplicaRouter(index)
+            with pytest.raises(KeyError):
+                await router.write(lambda index: index.remove([999]))
+            assert index.write_generation == 1  # the preload add only
+            async with router.read() as served:
+                assert served.ntotal == 40
 
         asyncio.run(main())
 
-    def test_cancelled_write_completes_the_whole_fleet(self, make_index):
-        """Regression: a caller timing out mid-write must not leave
-        some replicas mutated and others not — the shielded fleet
-        mutation runs to completion (parity check included) before the
-        cancellation propagates."""
+    def test_cancelled_write_finishes_before_reads_resume(
+        self, make_index
+    ):
+        """Regression: a caller timing out mid-write must not re-admit
+        reads while the mutation is still running on its thread."""
         import time as time_mod
 
         async def main():
-            router = ReplicaRouter([make_index() for _ in range(2)])
+            index = make_index()
+            router = ReplicaRouter(index)
 
             def slow_mutate(index):
-                time_mod.sleep(0.03)  # in the executor, per replica
+                time_mod.sleep(0.03)  # in the executor
                 return index.add(np.full((1, 8), 2, dtype=int))
 
             with pytest.raises(asyncio.TimeoutError):
-                # Times out while replica 0 is still being written.
                 await asyncio.wait_for(
                     router.write(slow_mutate), timeout=0.01
                 )
-            # Both replicas finished the write and still agree.
-            router.check_parity()
-            generations = {
-                replica.index.write_generation
-                for replica in router.replicas
-            }
-            assert generations == {2}  # preload add + slow_mutate
-            async with router.read() as replica:
-                assert replica.index.ntotal == 41
+            assert index.write_generation == 2  # preload + slow_mutate
+            async with router.read() as served:
+                assert served.ntotal == 41
+
+        asyncio.run(main())
+
+    def test_concurrent_writes_apply_one_at_a_time_in_order(
+        self, make_index
+    ):
+        import time as time_mod
+
+        async def main():
+            router = ReplicaRouter(make_index())
+            log = []
+
+            def mutation(tag):
+                def mutate(index):
+                    log.append(("start", tag))
+                    time_mod.sleep(0.005)  # in the executor
+                    log.append(("end", tag))
+                    return index.add(np.full((1, 8), tag, dtype=int))
+
+                return mutate
+
+            ids = await asyncio.gather(
+                *(router.write(mutation(tag)) for tag in range(3))
+            )
+            assert [i.tolist() for i in ids] == [[40], [41], [42]]
+            assert log == [
+                (edge, tag) for tag in range(3) for edge in ("start", "end")
+            ]
+
+        asyncio.run(main())
+
+    def test_failed_write_does_not_block_the_next_one(self, make_index):
+        async def main():
+            router = ReplicaRouter(make_index())
+            with pytest.raises(KeyError):
+                await router.write(lambda index: index.remove([999]))
+            ids = await asyncio.wait_for(
+                router.write(
+                    lambda index: index.add(np.zeros((1, 8), dtype=int))
+                ),
+                timeout=5,
+            )
+            assert ids.tolist() == [40]
+
+        asyncio.run(main())
+
+    def test_event_loop_keeps_running_during_a_write(self, make_index):
+        import time as time_mod
+
+        async def main():
+            router = ReplicaRouter(make_index())
+            ticks = 0
+
+            def slow_remove(index):
+                time_mod.sleep(0.05)  # in the executor
+                return index.remove([0])
+
+            write = asyncio.ensure_future(router.write(slow_remove))
+            while not write.done():
+                ticks += 1
+                await asyncio.sleep(0.001)
+            await write
+            assert ticks > 5
 
         asyncio.run(main())

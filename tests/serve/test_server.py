@@ -1,5 +1,5 @@
-"""FerexServer end-to-end: coalesced + cached + replicated search is
-bit-identical to direct ``FerexIndex.search``, stats tell the truth."""
+"""FerexServer end-to-end: coalesced + cached search is bit-identical
+to direct ``FerexIndex.search``, stats tell the truth."""
 
 import asyncio
 
@@ -11,25 +11,24 @@ from repro.serve import FerexServer, ServerStats
 
 
 def expected_rows(index, queries, k):
-    """Direct (uncoalesced, uncached, unreplicated) reference result."""
+    """Direct (uncoalesced, uncached) reference result."""
     return index.search(queries, k=k)
 
 
 class TestBitIdentity:
-    @pytest.mark.parametrize("n_replicas", [1, 3])
+    @pytest.mark.parametrize("k", [1, 3])
     @pytest.mark.parametrize("cache_size", [0, 256])
     def test_concurrent_traffic_matches_direct_search(
-        self, make_index, queries, n_replicas, cache_size
+        self, make_index, queries, cache_size, k
     ):
         """The acceptance property: every (ids, distances) row served
-        under batching + caching + replication equals the row direct
-        index search returns — including repeated queries."""
-        reference = expected_rows(make_index(), queries, 3)
+        under batching + caching equals the row direct index search
+        returns — including repeated queries."""
+        reference = expected_rows(make_index(), queries, k)
 
         async def main():
-            server = FerexServer.from_factory(
-                make_index,
-                n_replicas=n_replicas,
+            server = FerexServer(
+                make_index(),
                 max_batch_size=8,
                 max_wait_ms=1.0,
                 cache_size=cache_size,
@@ -41,7 +40,7 @@ class TestBitIdentity:
                 waves = []
                 for stream in (queries, queries[::2]):
                     results = await asyncio.gather(
-                        *(server.search(q, k=3) for q in stream)
+                        *(server.search(q, k=k) for q in stream)
                     )
                     waves.append(results)
             for results, expected in zip(
@@ -91,12 +90,11 @@ class TestBitIdentity:
         self, make_index, stored, queries, rng
     ):
         """Mutations mid-traffic: every post-write read reflects the
-        write on every replica, and the replica set stays in parity."""
+        write."""
 
         async def main():
-            server = FerexServer.from_factory(
-                make_index, n_replicas=2, max_batch_size=4,
-                max_wait_ms=0.5,
+            server = FerexServer(
+                make_index(), max_batch_size=4, max_wait_ms=0.5
             )
             async with server:
                 for wave in range(3):
@@ -105,12 +103,11 @@ class TestBitIdentity:
                     assert len(new_ids) == 2
                     await server.remove([int(new_ids[0])])
                     outcome = await server.search_many(queries, k=3)
-                    direct = server.router.primary.search(queries, k=3)
+                    direct = server.index.search(queries, k=3)
                     assert np.array_equal(outcome.ids, direct.ids)
                     assert np.array_equal(
                         outcome.distances, direct.distances
                     )
-                    server.router.check_parity()
 
         asyncio.run(main())
 
@@ -186,42 +183,11 @@ class TestLifecycleAndErrors:
                 )
                 assert isinstance(results[1], ValueError)
                 assert isinstance(results[2], ValueError)
-                direct = server.router.primary.search(
+                direct = server.index.search(
                     np.stack([queries[0], queries[2]]), k=2
                 )
                 assert np.array_equal(results[0].ids, direct.ids[0])
                 assert np.array_equal(results[3].ids, direct.ids[1])
-
-        asyncio.run(main())
-
-    def test_from_factory_validation(self, make_index):
-        with pytest.raises(ValueError):
-            FerexServer.from_factory(make_index, n_replicas=0)
-
-    def test_poisoned_fleet_never_serves_cache_hits(
-        self, make_index, queries, rng
-    ):
-        """Regression: once the fleet diverges, even previously cached
-        answers are refused — a cache hit must not bypass the router's
-        replica-parity guarantee."""
-        from repro.serve import ReplicaParityError
-
-        async def main():
-            server = FerexServer.from_factory(
-                make_index, n_replicas=2, max_wait_ms=0.5
-            )
-            async with server:
-                await server.search(queries[0], k=2)  # populates cache
-                # Diverge replica 1 out-of-band (the failure the poison
-                # machinery exists to catch), then trip detection with
-                # any write.
-                server.router.replicas[1].index.add(
-                    rng.integers(0, 4, size=(1, 8))
-                )
-                with pytest.raises(ReplicaParityError):
-                    await server.add(rng.integers(0, 4, size=(1, 8)))
-                with pytest.raises(ReplicaParityError):
-                    await server.search(queries[0], k=2)  # was cached
 
         asyncio.run(main())
 

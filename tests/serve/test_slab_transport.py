@@ -1,8 +1,8 @@
-"""Slab-transport dispatch: pooled searches over the shared-memory
+"""Slab dispatch: pooled searches over the shared-memory
 request/response slabs stay bit-identical to direct index search —
 across metrics x bits, through slab growth, republish, crash/respawn
-and elasticity — and the pickle fallback stays honest behind the
-``transport=`` knob."""
+and elasticity — and the pickle fallback for payloads a slab cannot
+carry stays honest."""
 
 import itertools
 
@@ -81,29 +81,25 @@ class TestSlabDispatchParity:
             assert pool.snapshot()["n_pickle_fallbacks"] == 0
             assert pool.snapshot()["n_slab_dispatches"] == 3
 
-    def test_slab_equals_pickle_transport(self):
-        """The two transports are interchangeable answers-wise."""
+    def test_object_payload_falls_back_to_pickle(self):
+        """An object-dtype batch cannot ride a slab: it is pickled over
+        the pipe instead, and answers exactly like the slab path."""
         index = build_index()
         queries = make_queries(2)
-        with ProcReplicaPool(index, n_workers=1) as slab_pool:
-            with ProcReplicaPool(
-                index, n_workers=1, transport="pickle"
-            ) as pickle_pool:
-                assert_outcomes_equal(
-                    slab_pool.search(queries, k=3),
-                    pickle_pool.search(queries, k=3),
-                )
-                assert slab_pool.snapshot()["n_slab_dispatches"] == 1
-                assert pickle_pool.snapshot()["n_slab_dispatches"] == 0
-                assert pickle_pool.snapshot()["n_pickle_fallbacks"] == 1
+        with ProcReplicaPool(index, n_workers=1) as pool:
+            assert_outcomes_equal(
+                pool.search(queries.astype(object), k=3),
+                pool.search(queries, k=3),
+            )
+            snap = pool.snapshot()
+            assert snap["n_pickle_fallbacks"] == 1
+            assert snap["n_slab_dispatches"] == 1
 
     def test_overflow_grows_and_stays_identical(self):
         """A batch larger than the slab re-slabs the worker in place
         (no respawn) and the answers stay bit-identical."""
         index = build_index()
-        with ProcReplicaPool(
-            index, n_workers=1, slab_batch_rows=2
-        ) as pool:
+        with ProcReplicaPool(index, n_workers=1) as pool:
             before = pool.snapshot()["slab_request_bytes"]
             big = make_queries(2, n=4096)
             assert_outcomes_equal(
@@ -118,6 +114,26 @@ class TestSlabDispatchParity:
                 pool.search(big, k=3), index.search(big, k=3)
             )
             assert pool.snapshot()["n_slab_grows"] == snap["n_slab_grows"]
+
+    @pytest.mark.parametrize(
+        "n,k,grows",
+        [(1, 3, False), (64, 16, False), (65, 3, True), (64, 17, True)],
+    )
+    def test_fresh_slabs_hold_one_default_batch(self, n, k, grows):
+        """A fresh worker's slabs carry a default-size batch (64 rows of
+        ``k <= 16``) as they are; one row or one result more grows them
+        once, and the answers equal direct search either way."""
+        index = build_index(rows=80)
+        queries = make_queries(2, n=n)
+        with ProcReplicaPool(index, n_workers=1) as pool:
+            assert_outcomes_equal(
+                pool.search(queries, k=k), index.search(queries, k=k)
+            )
+            snap = pool.snapshot()
+            assert snap["n_slab_grows"] == int(grows)
+            assert snap["n_slab_dispatches"] == 1
+            assert snap["n_pickle_fallbacks"] == 0
+            assert snap["respawns"] == 0
 
     def test_float_queries_ride_the_slab(self):
         """Integral float batches are valid queries; the slab carries
@@ -199,9 +215,7 @@ class TestSlabLifecycle:
         """A replacement worker starts at the pool's high-water slab
         capacity, so one grown batch size never re-grows per respawn."""
         index = build_index()
-        with ProcReplicaPool(
-            index, n_workers=1, slab_batch_rows=2
-        ) as pool:
+        with ProcReplicaPool(index, n_workers=1) as pool:
             big = make_queries(2, n=1024)
             pool.search(big, k=3)
             grows = pool.snapshot()["n_slab_grows"]
@@ -212,10 +226,3 @@ class TestSlabLifecycle:
                 pool.search(big, k=3), index.search(big, k=3)
             )
             assert pool.snapshot()["n_slab_grows"] == grows
-
-    def test_transport_knob_validation(self):
-        index = build_index()
-        with pytest.raises(ValueError):
-            ProcReplicaPool(index, transport="carrier-pigeon")
-        with pytest.raises(ValueError):
-            ProcReplicaPool(index, slab_batch_rows=0)

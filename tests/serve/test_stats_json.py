@@ -80,7 +80,7 @@ def test_live_server_snapshot_round_trips(make_index, queries):
 
     async def main():
         async with FerexServer(
-            make_index(), max_wait_ms=0.5, cache_policy="tinylfu"
+            make_index(), max_wait_ms=0.5
         ) as server:
             await server.search_many(queries, k=3)
             await server.add(np.zeros((1, queries.shape[1]), dtype=int))
@@ -96,12 +96,10 @@ def test_live_server_snapshot_round_trips(make_index, queries):
             # (and read as plain zero ints).
             assert snap["n_slab_dispatches"] == 0
             assert snap["n_pickle_fallbacks"] == 0
-            # The cache section carries both accounting eras and the
-            # live policy state, all JSON-plain.
+            # The cache section carries both accounting eras, all
+            # JSON-plain.
             cache = snap["cache"]
-            assert cache["policy"]["policy"] == "tinylfu"
             assert cache["invalidations"] >= 1  # add + reconfigure
             assert cache["window_hits"] <= cache["hits"]
-            assert "sketch" in cache["policy"]
 
     asyncio.run(main())
