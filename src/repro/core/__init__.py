@@ -2,12 +2,7 @@
 distance encoding and the search-engine API built on it.
 """
 
-from .config import (
-    BankConfig,
-    as_bank_config,
-    code_dtype,
-    quantize_codes,
-)
+from .config import BankConfig, code_dtype, quantize_codes
 from .constructive import (
     constructive_cell,
     euclidean_cell,
@@ -61,15 +56,11 @@ from .kernel import (
     select_accumulator,
     select_quantum,
 )
-from .xp import ArrayModule, available_modules, get_array_module
 
 __all__ = [
     "ac3",
     "accumulator_bound",
-    "ArrayModule",
-    "as_bank_config",
     "available_metrics",
-    "available_modules",
     "backtracking_search",
     "BankConfig",
     "best_encoding",
@@ -96,7 +87,6 @@ __all__ = [
     "FeFETEncoding",
     "FeReX",
     "find_min_cell",
-    "get_array_module",
     "get_metric",
     "HAMMING",
     "hamming_cell",

@@ -22,19 +22,21 @@ registry name or a :class:`DistanceMetric` instance.
 configs of different widths: a ``b``-bit code serves a narrower
 ``b' < b`` bank by keeping its top ``b'`` bits (a uniform re-quantise,
 exactly what re-programming the array at fewer Vth levels does).
-:func:`code_dtype` is the one rule for how wide a stored code is below
-the index: every code mirror (engine, bank, rescore store) takes its
-dtype from it.
+:func:`code_dtype` (defined beside the metrics in
+:mod:`repro.core.distance`, re-exported here) is the one rule for how
+wide a stored code is below the index: every code mirror (engine, bank,
+rescore and exact stores) takes its dtype from it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Union
 
 import numpy as np
 
 from .distance import DistanceMetric, available_metrics, get_metric
+from .distance import code_dtype as code_dtype
 
 
 @dataclass(frozen=True, eq=False)
@@ -126,25 +128,6 @@ class BankConfig:
         return cls(metric=record["metric"], bits=int(record["bits"]))
 
 
-def as_bank_config(
-    metric: Union[str, DistanceMetric, BankConfig],
-    bits: Optional[int] = None,
-) -> BankConfig:
-    """Normalise the legacy ``(metric, bits)`` argument pair.
-
-    Accepts a ready :class:`BankConfig` (``bits`` must then be omitted
-    or agree), or the loose pair every pre-config API took.
-    """
-    if isinstance(metric, BankConfig):
-        if bits is not None and int(bits) != metric.bits:
-            raise ValueError(
-                f"bits={bits} contradicts {metric!r}; pass one or the "
-                "other"
-            )
-        return metric
-    return BankConfig(metric=metric, bits=2 if bits is None else bits)
-
-
 def quantize_codes(
     codes: np.ndarray, from_bits: int, to_bits: int
 ) -> np.ndarray:
@@ -158,17 +141,3 @@ def quantize_codes(
     if shift <= 0:
         return codes
     return np.asarray(codes, dtype=int) >> shift
-
-
-def code_dtype(bits: int) -> np.dtype:
-    """The dtype every ``bits``-wide code mirror below the index is
-    held in: the narrowest signed integer in which a squared
-    per-element difference (the widest intermediate any closed-form
-    metric produces) still fits — the condition under which
-    :meth:`DistanceMetric.rowwise` computes on narrow blocks without
-    widening them.  A code itself (``< 2**bits``) then never wraps.
-    """
-    for dtype in (np.int8, np.int16, np.int32):
-        if (1 << (2 * bits)) <= np.iinfo(dtype).max:
-            return np.dtype(dtype)
-    return np.dtype(np.int64)

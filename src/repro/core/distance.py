@@ -16,6 +16,11 @@ Sci. Rep. 2022]) realise L2 search.
 The registry is open: new metrics (the paper's conclusion calls for
 "broader ranges of emerging applications") are added with
 :func:`register_metric`.
+
+:meth:`DistanceMetric.pairwise` is the one exact software scorer: the
+reference hardware winners are validated against, the exact and GPU
+index backends, the HDC software path and
+:meth:`repro.core.FeReX.software_distances` all score through it.
 """
 
 from __future__ import annotations
@@ -24,6 +29,32 @@ from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, Tuple
 
 import numpy as np
+
+#: Element budget of one :meth:`DistanceMetric.pairwise` block: the
+#: (queries, stored, dims) broadcast is tiled on both row axes so no
+#: temporary holds more elements than this.
+PAIRWISE_BLOCK_ELEMENTS = 1 << 22
+
+
+def code_dtype(bits: int) -> np.dtype:
+    """The dtype every ``bits``-wide code mirror below the index is
+    held in: the narrowest signed integer in which a squared
+    per-element difference (the widest intermediate any closed-form
+    metric produces) still fits — the condition under which
+    :meth:`DistanceMetric.pairwise` and :meth:`DistanceMetric.rowwise`
+    compute on narrow blocks without widening them.  A code itself
+    (``< 2**bits``) then never wraps.
+    """
+    for dtype in (np.int8, np.int16, np.int32):
+        if (1 << (2 * bits)) <= np.iinfo(dtype).max:
+            return np.dtype(dtype)
+    return np.dtype(np.int64)
+
+
+def _check_range(values: np.ndarray, bits: int, what: str) -> None:
+    hi = 1 << bits
+    if int(values.min(initial=0)) < 0 or int(values.max(initial=0)) >= hi:
+        raise ValueError(f"{what} values outside [0, {hi})")
 
 
 @dataclass(frozen=True)
@@ -73,34 +104,44 @@ class DistanceMetric:
     def pairwise(
         self, queries: np.ndarray, stored: np.ndarray, bits: int
     ) -> np.ndarray:
-        """(n_queries, n_stored) distance table, vectorised.
+        """(n_queries, n_stored) int64 distance table — the one exact
+        software scorer.
 
         The software reference the hardware results are validated against
-        (and the baseline for accuracy comparisons).
+        (and the baseline for accuracy comparisons).  Both sides are
+        range-checked first, so an out-of-range value raises instead of
+        wrapping, then cast to :func:`code_dtype` and scored in blocks
+        tiled on both row axes: no temporary exceeds
+        :data:`PAIRWISE_BLOCK_ELEMENTS`, whatever the table size.  Sums
+        accumulate in int64.
         """
-        queries = np.asarray(queries, dtype=np.int64)
-        stored = np.asarray(stored, dtype=np.int64)
+        queries = np.asarray(queries)
+        stored = np.asarray(stored)
         if queries.ndim != 2 or stored.ndim != 2:
             raise ValueError("expected 2-D (n, dims) arrays")
         if queries.shape[1] != stored.shape[1]:
             raise ValueError("dimension mismatch between queries and stored")
-        hi = 1 << bits
-        if queries.min(initial=0) < 0 or queries.max(initial=0) >= hi:
-            raise ValueError(f"query values outside [0, {hi})")
-        if stored.min(initial=0) < 0 or stored.max(initial=0) >= hi:
-            raise ValueError(f"stored values outside [0, {hi})")
-
-        q = queries[:, None, :]
-        s = stored[None, :, :]
-        fast = self._bulk_sum(q, s, bits)
-        if fast is not None:
-            return fast
-        # Generic fallback through the element function.
-        n_q, n_s = queries.shape[0], stored.shape[0]
-        out = np.zeros((n_q, n_s), dtype=np.int64)
-        for i in range(n_q):
-            for j in range(n_s):
-                out[i, j] = self.vector(queries[i], stored[j], bits)
+        queries = _codes(queries, bits, "query")
+        stored = _codes(stored, bits, "stored")
+        n, n_stored = len(queries), len(stored)
+        dims = max(1, queries.shape[1])
+        step_s = max(1, min(n_stored, PAIRWISE_BLOCK_ELEMENTS // dims))
+        step_q = max(1, PAIRWISE_BLOCK_ELEMENTS // (step_s * dims))
+        out = np.empty((n, n_stored), dtype=np.int64)
+        for lo in range(0, n, step_q):
+            q = queries[lo : lo + step_q, None, :]
+            for so in range(0, n_stored, step_s):
+                block = self._bulk_sum(q, stored[None, so : so + step_s], bits)
+                if block is None:
+                    # No closed form: the element function, pair by pair.
+                    return np.array(
+                        [
+                            [self.vector(a, b, bits) for b in stored.tolist()]
+                            for a in queries.tolist()
+                        ],
+                        dtype=np.int64,
+                    ).reshape(n, n_stored)
+                out[lo : lo + step_q, so : so + step_s] = block
         return out
 
     def rowwise(
@@ -129,15 +170,13 @@ class DistanceMetric:
         if (
             queries.dtype != candidates.dtype
             or not np.issubdtype(queries.dtype, np.signedinteger)
-            # A squared per-element difference (the widest intermediate
-            # any closed form produces) must fit the narrow dtype.
-            or (1 << (2 * bits)) > np.iinfo(queries.dtype).max
+            or queries.dtype.itemsize < code_dtype(bits).itemsize
         ):
-            # Narrow matching signed dtypes pass through untouched (the
-            # tiered rescore gathers int16 blocks; widening them costs
-            # more than the arithmetic), everything else goes to int64.
-            # Sums still accumulate in int64 — numpy promotes integer
-            # reductions to the platform int.
+            # Matching signed dtypes at least :func:`code_dtype` wide
+            # pass through untouched (the tiered rescore gathers narrow
+            # blocks; widening them costs more than the arithmetic),
+            # everything else goes to int64.  Sums still accumulate in
+            # int64.
             queries = queries.astype(np.int64, copy=False)
             candidates = candidates.astype(np.int64, copy=False)
         if queries.ndim != 2 or candidates.ndim != 3:
@@ -153,17 +192,8 @@ class DistanceMetric:
                 f"with queries {queries.shape}"
             )
         if validate:
-            hi = 1 << bits
-            if (
-                queries.min(initial=0) < 0
-                or queries.max(initial=0) >= hi
-            ):
-                raise ValueError(f"query values outside [0, {hi})")
-            if (
-                candidates.min(initial=0) < 0
-                or candidates.max(initial=0) >= hi
-            ):
-                raise ValueError(f"candidate values outside [0, {hi})")
+            _check_range(queries, bits, "query")
+            _check_range(candidates, bits, "candidate")
         q = queries[:, None, :]
         fast = self._bulk_sum(q, candidates, bits)
         if fast is not None:
@@ -185,14 +215,29 @@ class DistanceMetric:
                 np.broadcast_shapes(q.shape, s.shape)[:-1], dtype=np.int64
             )
             for b in range(bits):
-                total += ((diff >> b) & 1).sum(axis=-1)
+                # Codes are non-negative and < 2**bits: bit 0 needs no
+                # shift and the top bit no mask (1-bit: ``diff`` itself).
+                bit = diff >> b if b else diff
+                if b < bits - 1:
+                    bit = bit & 1
+                total += bit.sum(axis=-1, dtype=np.int64)
             return total
         if self.name == "manhattan":
-            return np.abs(q - s).sum(axis=-1)
+            return np.abs(q - s).sum(axis=-1, dtype=np.int64)
         if self.name == "euclidean":
             d = q - s
-            return (d * d).sum(axis=-1)
+            return (d * d).sum(axis=-1, dtype=np.int64)
         return None
+
+
+def _codes(values: np.ndarray, bits: int, what: str) -> np.ndarray:
+    """``values`` range-checked, then held in :func:`code_dtype` — the
+    check comes first, so an out-of-range value raises instead of
+    wrapping.  Non-integer input converts to int64 before the check."""
+    if values.dtype.kind not in "biu":
+        values = values.astype(np.int64)
+    _check_range(values, bits, what)
+    return values.astype(code_dtype(bits), copy=False)
 
 
 def _check_value(value: int, bits: int) -> None:

@@ -55,7 +55,7 @@ import numpy as np
 from ..arch.crossbar import FeReXArray, SearchResult
 from ..devices.tech import TechConfig, DEFAULT_TECH
 from ..devices.variation import ArrayVariation, VariationSampler
-from .config import BankConfig, as_bank_config, code_dtype
+from .config import BankConfig, code_dtype
 from .constructive import constructive_cell, has_constructive
 from .dm import DistanceMatrix
 from .distance import DistanceMetric
@@ -161,7 +161,7 @@ class FeReX:
             raise ValueError("dims must be >= 1")
         #: The engine's re-voltageable configuration (metric + bits).
         self.config = (
-            config if config is not None else as_bank_config(metric, bits)
+            config if config is not None else BankConfig(metric, bits)
         )
         self.metric = self.config.resolved
         self.bits = self.config.bits

@@ -12,11 +12,12 @@ decomposes into
    value indices and reduce them per row.
 
 This module implements both halves, device-agnostically: the same
-:class:`LUTKernel` runs the crossbar's current-domain search (wrapped in
-:class:`QuantizedKernel` by :class:`repro.arch.crossbar.FeReXArray`) and
-the GPU backend's metric-domain distance search
-(:class:`repro.index.backends.GPUBackend`), on numpy or through the
-optional cupy/torch adapter (:mod:`repro.core.xp`).
+:class:`LUTKernel` serves the crossbar's current-domain search (wrapped
+in :class:`QuantizedKernel` by :class:`repro.arch.crossbar.FeReXArray`)
+and the routed index's centroid scoring (:mod:`repro.index.routing`:
+many rows against a few reused centroids, over the metric's
+per-element distance table).  Exact software distances are
+:meth:`repro.core.DistanceMetric.pairwise`'s job, not the kernel's.
 
 Exactness discipline
 --------------------
@@ -245,28 +246,6 @@ class LUTKernel:
                 axis=2, dtype=self.accumulator
             )
         return out.astype(np.float64)
-
-    def scores_with(self, xp, value_index: np.ndarray) -> np.ndarray:
-        """:meth:`scores` executed through an array-module adapter
-        (:mod:`repro.core.xp`); returns numpy float64.
-
-        The operands are integer-valued within the overflow bound, so
-        any IEEE-754 float64 backend (numpy BLAS, torch, cupy) returns
-        the same exact scores.
-        """
-        value_index = self._validate_index(value_index)
-        n = value_index.shape[0]
-        out = np.empty((n, self.rows))
-        out[:] = self._base
-        for v in range(1, self.n_values):
-            mask = value_index == v
-            if mask.any():
-                product = xp.matmul(
-                    xp.asarray(mask.astype(np.float64)),
-                    xp.asarray(self._weights[v - 1]),
-                )
-                out += xp.to_numpy(product)
-        return out
 
 
 @dataclass

@@ -11,7 +11,7 @@ re-voltages banks online (:meth:`FerexIndex.reconfigure_routing` moves
 the routed backend's probe width and cluster count the same way).
 """
 
-from ..core.config import BankConfig, as_bank_config, quantize_codes
+from ..core.config import BankConfig, quantize_codes
 from .backends import (
     BACKENDS,
     ExactBackend,
@@ -34,7 +34,6 @@ __all__ = [
     "SearchBackend",
     "SearchOutcome",
     "TieredBackend",
-    "as_bank_config",
     "quantize_codes",
     "state_digest",
 ]

@@ -22,14 +22,11 @@ implementations ship:
   and quantises queries the same way, which is how a coarse
   low-precision tier shares the fleet with full-precision banks.
 * :class:`ExactBackend` — the exact software reference
-  (:meth:`DistanceMetric.pairwise`), the baseline hardware winners are
-  validated against.
-* :class:`GPUBackend` — a real compute backend: the quantized kernel's
-  gather + reduce over a per-element metric LUT, executed on cupy or
-  torch when installed (numpy otherwise) via :mod:`repro.core.xp`,
-  with the roofline latency/energy estimate
-  (:class:`repro.eval.gpu_model.GPUCostModel`) priced per search; pass
-  ``estimate_only=True`` for the estimator-only legacy mode.
+  (:meth:`DistanceMetric.pairwise`, the one exact software scorer), the
+  baseline hardware winners are validated against.
+* :class:`GPUBackend` — the paper's GPU baseline: exact winners (it
+  *is* the exact backend) plus a roofline latency/energy price per
+  search (:class:`repro.eval.gpu_model.GPUCostModel`).
 * :class:`TieredBackend` — coarse-to-fine search: a cheap low-bit
   :class:`FerexBackend` pass over all banks nominates the top
   ``refine_factor * k`` candidates, which :func:`refine` rescores at
@@ -92,16 +89,8 @@ from typing import List, Optional, Protocol, Tuple, runtime_checkable
 import numpy as np
 
 from ..circuits.lta import stable_top_k
-from ..core.config import (
-    BankConfig,
-    as_bank_config,
-    code_dtype,
-    quantize_codes,
-)
-from ..core.distance import DistanceMetric
+from ..core.config import BankConfig, code_dtype, quantize_codes
 from ..core.engine import FeReX
-from ..core.kernel import KernelOverflowError, LUTKernel
-from ..core.xp import get_array_module
 from ..devices.variation import ArrayVariation, VariationSampler
 
 
@@ -145,30 +134,26 @@ class SearchBackend(Protocol):
 class ExactBackend:
     """Exact software search over the live vector set.
 
-    One :meth:`DistanceMetric.pairwise` call per batch; candidates order
+    One :meth:`DistanceMetric.pairwise` call per batch over a
+    :func:`code_store` (so searches never re-cast it); candidates order
     by (distance, position) via :func:`stable_top_k`, the same tie-break
     the multi-bank analog merge uses.
     """
 
     name = "exact"
 
-    def __init__(
-        self,
-        metric: "str | DistanceMetric | BankConfig",
-        bits: Optional[int] = None,
-        dims: Optional[int] = None,
-    ):
-        self.config = as_bank_config(metric, bits)
-        self.metric = self.config.resolved
-        self.bits = self.config.bits
-        if dims is None:
-            raise ValueError("dims is required")
+    def __init__(self, config: BankConfig, dims: int):
+        self.config = config
+        self.metric = config.resolved
+        self.bits = config.bits
         self.dims = dims
-        self._vectors = np.empty((0, dims), dtype=int)
+        self._vectors = code_store(dims, config.bits)
         self._alive = np.empty(0, dtype=bool)
 
     def add(self, vectors: np.ndarray) -> None:
-        self._vectors = np.concatenate([self._vectors, vectors])
+        self._vectors = np.concatenate(
+            [self._vectors, np.asarray(vectors, dtype=self._vectors.dtype)]
+        )
         self._alive = np.concatenate(
             [self._alive, np.ones(len(vectors), dtype=bool)]
         )
@@ -177,7 +162,7 @@ class ExactBackend:
         self._alive[positions] = False
 
     def rebuild(self, vectors: np.ndarray) -> None:
-        self._vectors = np.array(vectors, dtype=int)
+        self._vectors = np.array(vectors, dtype=self._vectors.dtype)
         self._alive = np.ones(len(vectors), dtype=bool)
 
     def search(
@@ -192,21 +177,6 @@ class ExactBackend:
             live[order],
             np.take_along_axis(distances, order, axis=1),
         )
-
-
-def metric_element_lut(metric: DistanceMetric, bits: int) -> np.ndarray:
-    """(n_values, n_values) per-element metric distance table — the
-    LUT a :class:`LUTKernel` gathers from when stored codes are their
-    own symbol indices.  Shared by the GPU backend's compiled search
-    and the routed backend's centroid pass."""
-    n_values = 1 << bits
-    return np.array(
-        [
-            [metric.element(q, s, bits) for s in range(n_values)]
-            for q in range(n_values)
-        ],
-        dtype=np.int64,
-    )
 
 
 #: Global-position sentinel for unfilled candidate slots: orders after
@@ -265,30 +235,12 @@ def refine(
 
 
 class GPUBackend(ExactBackend):
-    """GPU-style distance search: the quantized kernel's gather+reduce
-    executed on an optional accelerator array module, plus a roofline
-    cost estimate per search.
+    """The paper's GPU baseline (Fig. 8): the exact backend's winners
+    and distances, plus a roofline price per search.
 
-    Two modes:
-
-    * **real compute** (default): the live stored codes compile into a
-      :class:`repro.core.kernel.LUTKernel` whose LUT is the metric's
-      per-element distance table, and every ``search`` runs the same
-      exact integer reduction the crossbar kernel uses — through
-      :func:`repro.core.get_array_module`, i.e. on cupy or torch when
-      one is installed and on numpy otherwise.  A missing optional
-      dependency is never an error: the adapter degrades to numpy
-      silently (``backend.xp.name`` says which module serves).  Winners
-      and distances are bit-identical to :class:`ExactBackend` — the
-      arithmetic is exact on every IEEE-754 backend and the final
-      ranking is the same :func:`stable_top_k` either way.
-    * **estimate only** (``estimate_only=True``): no kernel and no
-      array module; winners come from :class:`ExactBackend`'s pairwise
-      reference, preserving the original roofline-estimator behaviour.
-
-    Both modes price the equivalent batched GPU distance kernel on the
-    configured :class:`repro.eval.gpu_model.GPUSpec` after every search
-    and store it as :attr:`last_estimate`, so serving experiments read
+    After every search the equivalent batched GPU distance kernel is
+    priced on the configured :class:`repro.eval.gpu_model.GPUSpec` and
+    stored as :attr:`last_estimate`, so serving experiments read
     paper-style latency/energy baselines off the same query stream.
     """
 
@@ -296,15 +248,12 @@ class GPUBackend(ExactBackend):
 
     def __init__(
         self,
-        metric: "str | DistanceMetric | BankConfig",
-        bits: Optional[int] = None,
-        dims: Optional[int] = None,
+        config: BankConfig,
+        dims: int,
         spec=None,
         batch_size: int = 256,
-        estimate_only: bool = False,
-        prefer=None,
     ):
-        super().__init__(metric, bits, dims)
+        super().__init__(config, dims)
         # Imported lazily: repro.eval.__init__ pulls in the application
         # layer, which itself imports this module at class-definition
         # time — a function-level import breaks the cycle.
@@ -312,67 +261,14 @@ class GPUBackend(ExactBackend):
 
         self.cost_model = GPUCostModel(spec or GPUSpec())
         self.batch_size = batch_size
-        #: ``True`` restricts the backend to the roofline estimator.
-        self.estimate_only = estimate_only
-        #: The array module real-compute searches execute on (None in
-        #: estimate-only mode).  ``prefer`` narrows the resolution
-        #: order, e.g. ``prefer="torch"`` or ``prefer=("cupy",)``.
-        self.xp = None if estimate_only else get_array_module(prefer)
         #: Roofline estimate of the most recent search (None before the
         #: first one).
         self.last_estimate = None
-        # (live positions, LUTKernel) cache; any mutation invalidates.
-        self._kernel: Optional[tuple] = None
-
-    def add(self, vectors: np.ndarray) -> None:
-        super().add(vectors)
-        self._kernel = None
-
-    def deactivate(self, positions: np.ndarray) -> None:
-        super().deactivate(positions)
-        self._kernel = None
-
-    def rebuild(self, vectors: np.ndarray) -> None:
-        super().rebuild(vectors)
-        self._kernel = None
-
-    def _element_lut(self) -> np.ndarray:
-        """(n_values, n_values) per-element metric distance table — the
-        GPU kernel's LUT (stored codes are their own symbol indices)."""
-        return metric_element_lut(self.metric, self.bits)
-
-    def _live_kernel(self) -> tuple:
-        """(live positions, kernel) for the current live set, rebuilt
-        only after a mutation.  ``kernel`` is ``None`` when the
-        geometry exceeds the exact-integer bound — the search then
-        falls back to the pairwise reference."""
-        if self._kernel is None:
-            live = np.flatnonzero(self._alive)
-            try:
-                kernel = LUTKernel(
-                    self._vectors[live], self._element_lut()
-                )
-            except KernelOverflowError:
-                kernel = None
-            self._kernel = (live, kernel)
-        return self._kernel
 
     def search(
         self, queries: np.ndarray, k: int
     ) -> Tuple[np.ndarray, np.ndarray]:
-        if self.estimate_only:
-            positions, distances = super().search(queries, k)
-        else:
-            live, kernel = self._live_kernel()
-            if kernel is None:
-                positions, distances = super().search(queries, k)
-            else:
-                table = kernel.scores_with(
-                    self.xp, np.asarray(queries, dtype=np.int64)
-                )
-                order = stable_top_k(table, k)
-                positions = live[order]
-                distances = np.take_along_axis(table, order, axis=1)
+        positions, distances = super().search(queries, k)
         # XOR + popcount for Hamming, subtract/abs-or-square/accumulate
         # for the L1/L2 family.
         flops = 2.0 if self.metric.name == "hamming" else 3.0
@@ -442,29 +338,26 @@ def _slice_variation(
 class FerexBackend:
     """Sharded multi-bank FeReX search backend.
 
-    Parameters mirror :class:`repro.core.FeReX`; ``bank_rows`` is the
-    shard height (the physical array capacity of each bank).  ``seed``
-    seeds device variation per bank (``seed + bank_index``); ``None``
-    keeps ideal devices.  ``metric`` also accepts a ready
-    :class:`BankConfig` (with ``bits`` omitted).
+    Parameters mirror :class:`repro.core.FeReX`: ``config`` is the
+    (metric, bits) new banks open at; ``bank_rows`` is the shard height
+    (the physical array capacity of each bank).  ``seed`` seeds device
+    variation per bank (``seed + bank_index``); ``None`` keeps ideal
+    devices.
     """
 
     name = "ferex"
 
     def __init__(
         self,
-        metric: "str | DistanceMetric | BankConfig",
-        bits: Optional[int] = None,
-        dims: Optional[int] = None,
+        config: BankConfig,
+        dims: int,
         bank_rows: int = 1024,
         encoder: str = "auto",
         seed: Optional[int] = None,
     ):
-        if dims is None:
-            raise ValueError("dims is required")
         if bank_rows < 1:
             raise ValueError("bank_rows must be >= 1")
-        self.config = as_bank_config(metric, bits)
+        self.config = config
         self.dims = dims
         self.bank_rows = bank_rows
         self.encoder = encoder
@@ -806,22 +699,19 @@ class TieredBackend:
 
     def __init__(
         self,
-        metric: "str | DistanceMetric | BankConfig",
-        bits: Optional[int] = None,
-        dims: Optional[int] = None,
+        config: BankConfig,
+        dims: int,
         bank_rows: int = 1024,
         encoder: str = "auto",
         seed: Optional[int] = None,
         coarse_bits: int = 1,
         refine_factor: int = 8,
     ):
-        if dims is None:
-            raise ValueError("dims is required")
         if coarse_bits < 1:
             raise ValueError("coarse_bits must be >= 1")
         if refine_factor < 1:
             raise ValueError("refine_factor must be >= 1")
-        self.config = as_bank_config(metric, bits)
+        self.config = config
         self.dims = dims
         self.bank_rows = bank_rows
         self.encoder = encoder

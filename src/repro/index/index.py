@@ -100,6 +100,39 @@ def state_digest(
     return digest.hexdigest()
 
 
+def as_integral(values, what: str = "queries") -> np.ndarray:
+    """``values`` as contiguous ``int64``, *rejecting* non-integral
+    input instead of truncating it — the index's one integral-coercion
+    rule for vectors, queries and ids (and the serving cache's key).
+
+    Integer and bool arrays pass, integral floats (``1.0``) convert;
+    fractional, non-finite or non-numeric input raises ``ValueError``.
+    A silent ``astype(int64)`` would store ``0.6`` as ``0``, answer a
+    ``0.9`` query as if it were ``0``, remove id 2 for ``2.9`` and alias
+    the queries ``1.2`` and ``1.7`` onto one cache key.
+    """
+    arr = np.asarray(values)
+    if arr.dtype == object:
+        # Python objects (e.g. a pickled batch of ints): judge the
+        # values, not the container.
+        arr = np.array(arr.tolist())
+    if arr.dtype.kind in "biu":
+        return np.ascontiguousarray(arr, dtype=np.int64)
+    if arr.dtype.kind != "f":
+        raise ValueError(
+            f"{what} must be integer-valued, got dtype {arr.dtype}"
+        )
+    if not np.all(np.isfinite(arr)):
+        raise ValueError(f"{what} must be finite, got non-finite values")
+    canonical = arr.astype(np.int64)
+    if not np.array_equal(canonical, arr):
+        raise ValueError(
+            f"{what} must be integer-valued; refusing to truncate "
+            "fractional values"
+        )
+    return np.ascontiguousarray(canonical)
+
+
 class SearchOutcome(NamedTuple):
     """Uniform batch search result: unpacks as ``ids, distances``."""
 
@@ -359,7 +392,7 @@ class FerexIndex:
     # Writes
     # ------------------------------------------------------------------
     def _validate_vectors(self, vectors: np.ndarray) -> np.ndarray:
-        vectors = np.asarray(vectors, dtype=int)
+        vectors = as_integral(vectors, "vectors")
         if vectors.ndim != 2 or vectors.shape[1] != self.dims:
             raise ValueError(
                 f"expected (n, {self.dims}) vectors, got {vectors.shape}"
@@ -398,7 +431,7 @@ class FerexIndex:
         if ids is None:
             ids = np.arange(self._next_id, self._next_id + n, dtype=np.int64)
         else:
-            ids = np.asarray(ids, dtype=np.int64)
+            ids = as_integral(ids, "ids")
             if ids.shape != (n,):
                 raise ValueError(f"expected {n} ids, got shape {ids.shape}")
             if ids.min() < 0:
@@ -430,7 +463,7 @@ class FerexIndex:
         number removed; unknown or repeated ids raise ``KeyError``
         before anything mutates."""
         self._check_writable()
-        ids = np.atleast_1d(np.asarray(ids, dtype=np.int64))
+        ids = np.atleast_1d(as_integral(ids, "ids"))
         if len(np.unique(ids)) != len(ids):
             raise KeyError("duplicate ids in remove request")
         positions = []

@@ -7,9 +7,9 @@ organises arrays into banks and activates only the few a query can win
 in.  :class:`RoutedBackend` reproduces that organisation in software:
 
 1. **cluster** — k-means over the stored integer codes, with the
-   assignment step riding the same exact integer machinery as every
-   search (:class:`repro.core.kernel.LUTKernel` over the metric's
-   per-element distance table);
+   assignment step riding the crossbar's exact integer kernel
+   (:class:`repro.core.kernel.LUTKernel` over the metric's per-element
+   distance table);
 2. **pin** — each cluster owns its own sharded :class:`FerexBackend`,
    so cluster membership *is* bank placement, decided at ``add`` /
    ``compact`` time;
@@ -82,7 +82,8 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from ..core.config import BankConfig, as_bank_config, quantize_codes
+from ..core.config import BankConfig, quantize_codes
+from ..core.distance import DistanceMetric
 from ..core.kernel import LUTKernel
 from .backends import (
     BACKENDS,
@@ -90,7 +91,6 @@ from .backends import (
     FerexBackend,
     code_store,
     merge_top_k,
-    metric_element_lut,
     refine,
 )
 
@@ -153,10 +153,27 @@ def assign_codes(
     return np.argmin(table, axis=1)
 
 
+def metric_element_lut(metric: DistanceMetric, bits: int) -> np.ndarray:
+    """(n_values, n_values) per-element metric distance table — the
+    LUT the centroid kernel gathers from (stored codes are their own
+    symbol indices).  ``4**bits`` entries, which is what bounds how wide
+    a routed index can be."""
+    n_values = 1 << bits
+    return np.array(
+        [
+            [metric.element(q, s, bits) for s in range(n_values)]
+            for q in range(n_values)
+        ],
+        dtype=np.int64,
+    )
+
+
 def _routing_kernel(centroids: np.ndarray, config: BankConfig) -> LUTKernel:
     """The centroid-scoring kernel: stored codes are the centroids, the
-    LUT is the metric's per-element distance table — the same shape the
-    GPU backend executes, tiny here (``n_clusters`` rows)."""
+    LUT is the metric's per-element distance table.  Compiled, not
+    :meth:`DistanceMetric.pairwise`: many rows are scored against a few
+    reused centroids, which a compiled table does several times faster
+    over Lloyd training plus assignment."""
     return LUTKernel(
         np.asarray(centroids, dtype=np.int64),
         metric_element_lut(config.resolved, config.bits),
@@ -225,9 +242,8 @@ class RoutedBackend:
 
     def __init__(
         self,
-        metric: "str | BankConfig",
-        bits: Optional[int] = None,
-        dims: Optional[int] = None,
+        config: BankConfig,
+        dims: int,
         bank_rows: int = 1024,
         encoder: str = "auto",
         seed: Optional[int] = None,
@@ -242,8 +258,6 @@ class RoutedBackend:
         refine_factor: int = 8,
         centroids: Optional[list] = None,
     ):
-        if dims is None:
-            raise ValueError("dims is required")
         if n_clusters < 1:
             raise ValueError("n_clusters must be >= 1")
         if top_p < 1:
@@ -262,7 +276,7 @@ class RoutedBackend:
             raise ValueError("coarse_bits must be >= 1")
         if refine_factor < 1:
             raise ValueError("refine_factor must be >= 1")
-        self.config = as_bank_config(metric, bits)
+        self.config = config
         self.dims = dims
         self.bank_rows = bank_rows
         self.encoder = encoder

@@ -33,38 +33,14 @@ from typing import Optional, Tuple
 
 import numpy as np
 
+# The index's integral-coercion rule, under the name the serving layer
+# exports: a query canonicalises to the same int64 bytes the index
+# would search, and a fractional one is refused instead of aliasing
+# another query's key.
+from ..index.index import as_integral as canonical_int_query
+
 #: Cache key: (canonical query bytes, k, index write-generation).
 CacheKey = Tuple[bytes, int, int]
-
-
-def canonical_int_query(query: np.ndarray) -> np.ndarray:
-    """Canonicalise a query to contiguous ``int64`` — *rejecting*
-    non-integral values instead of truncating them.
-
-    A silent ``astype(int64)`` would alias two distinct float queries
-    (``1.2`` and ``1.7`` both truncate to ``1``) onto one cache key,
-    serving the second caller the first one's rows.  Fractional or
-    non-finite input raises ``ValueError``; integral-valued float
-    arrays (``1.0``) canonicalise to the same key as their int
-    counterparts.
-    """
-    arr = np.ascontiguousarray(query)
-    if np.issubdtype(arr.dtype, np.integer) or arr.dtype == bool:
-        return np.ascontiguousarray(arr, dtype=np.int64)
-    if not np.issubdtype(arr.dtype, np.floating):
-        raise ValueError(
-            f"queries must be integer-valued, got dtype {arr.dtype}"
-        )
-    if not np.all(np.isfinite(arr)):
-        raise ValueError("queries must be finite, got non-finite values")
-    canonical = arr.astype(np.int64)
-    if not np.array_equal(canonical, arr):
-        raise ValueError(
-            "queries must be integer-valued; refusing to truncate "
-            "fractional values (distinct float queries would alias to "
-            "one cache key)"
-        )
-    return np.ascontiguousarray(canonical)
 
 
 class QueryCache:

@@ -12,6 +12,7 @@ itself is the one the all-rows table selects.
 import numpy as np
 import pytest
 
+from repro.core.config import BankConfig
 from repro.core.engine import FeReX
 from repro.core.kernel import LUTKernel, select_quantum
 from repro.devices.cell import compile_current_lut
@@ -80,7 +81,7 @@ def test_eight_of_64_rows_written(metric, bits):
 @pytest.mark.parametrize("metric,bits", CONFIGS)
 def test_after_a_doubling_reallocation(metric, bits):
     rng = np.random.default_rng(16)
-    backend = FerexBackend(metric, bits, dims=DIMS, bank_rows=64)
+    backend = FerexBackend(BankConfig(metric, bits), dims=DIMS, bank_rows=64)
     backend.add(_draw(rng, bits, 8))
     backend.add(_draw(rng, bits, 1))
     engine = backend.engines[0]

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.core import distance
 from repro.core.distance import (
     DistanceMetric,
     available_metrics,
@@ -103,17 +104,40 @@ class TestMetricAxioms:
 
 
 class TestPairwise:
+    @pytest.mark.parametrize("narrow", [False, True])
+    @pytest.mark.parametrize(
+        "n,n_stored,dims",
+        [
+            (5, 6, 7),  # all stored rows in one block, 1 query each
+            (5, 5, 3),  # query axis straddles the budget (4 + 1 rows)
+            (3, 30, 3),  # stored axis straddles it (21 + 9 rows)
+            (9, 50, 3),  # many blocks on both axes
+        ],
+    )
+    @pytest.mark.parametrize("bits", [1, 2, 3, 8, 16])
     @pytest.mark.parametrize(
         "metric", [HAMMING, MANHATTAN, EUCLIDEAN]
     )
-    def test_matches_scalar_path(self, metric, rng):
-        queries = rng.integers(0, 8, size=(5, 7))
-        stored = rng.integers(0, 8, size=(6, 7))
-        table = metric.pairwise(queries, stored, 3)
-        for i in range(5):
-            for j in range(6):
+    def test_matches_scalar_path(
+        self, metric, bits, n, n_stored, dims, narrow, rng, monkeypatch
+    ):
+        """Blocked scoring equals the element-by-element sum.  The
+        budget is lowered to 64 elements so the listed shapes straddle
+        it; ``narrow`` feeds the smallest unsigned dtype holding the
+        alphabet, which must not wrap on subtraction."""
+        monkeypatch.setattr(distance, "PAIRWISE_BLOCK_ELEMENTS", 64)
+        queries = rng.integers(0, 1 << bits, size=(n, dims))
+        stored = rng.integers(0, 1 << bits, size=(n_stored, dims))
+        stored[0] = (1 << bits) - 1  # the widest code is always present
+        dtype = np.min_scalar_type((1 << bits) - 1) if narrow else np.int64
+        table = metric.pairwise(
+            queries.astype(dtype), stored.astype(dtype), bits
+        )
+        assert table.dtype == np.int64
+        for i in range(n):
+            for j in range(n_stored):
                 assert table[i, j] == metric.vector(
-                    queries[i], stored[j], 3
+                    queries[i], stored[j], bits
                 )
 
     def test_shape(self, rng):

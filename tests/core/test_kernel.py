@@ -1,10 +1,8 @@
-"""The quantized integer kernel: overflow bounds, exactness, adapters.
+"""The quantized integer kernel: overflow bounds and exactness.
 
 The kernel's whole contract is *exact* arithmetic: dtype selection must
-never let a reduction wrap (it must refuse instead), the dgemm and the
-literal gather + blocked reduction must agree bit-for-bit, and the
-array-module facade must degrade to numpy without ever raising on a
-missing optional dependency.
+never let a reduction wrap (it must refuse instead), and the dgemm and
+the literal gather + blocked reduction must agree bit-for-bit.
 """
 
 import numpy as np
@@ -17,11 +15,6 @@ from repro.core.kernel import (
     accumulator_bound,
     select_accumulator,
     select_quantum,
-)
-from repro.core.xp import (
-    ArrayModule,
-    available_modules,
-    get_array_module,
 )
 
 
@@ -138,14 +131,6 @@ class TestLUTKernel:
         )
         assert np.array_equal(kernel.scores(value_index), expected)
 
-    def test_scores_with_numpy_adapter_is_bit_identical(self, rng):
-        kernel = _random_kernel(rng)
-        value_index = rng.integers(0, kernel.n_values, size=(21, 9))
-        xp = get_array_module("numpy")
-        assert np.array_equal(
-            kernel.scores_with(xp, value_index), kernel.scores(value_index)
-        )
-
     def test_rejects_out_of_range_codes(self):
         with pytest.raises(ValueError, match="symbol range"):
             LUTKernel(np.array([[0, 3]]), np.zeros((2, 3), dtype=int))
@@ -169,30 +154,3 @@ class TestLUTKernel:
         lut = np.full((2, 1), 1 << 44, dtype=np.int64)
         with pytest.raises(KernelOverflowError):
             LUTKernel(codes, lut)
-
-
-class TestArrayModuleFacade:
-    def test_numpy_is_always_available(self):
-        assert "numpy" in available_modules()
-
-    def test_default_resolution_returns_a_module(self):
-        xp = get_array_module()
-        assert isinstance(xp, ArrayModule)
-        assert xp.name in ("numpy", "cupy", "torch")
-
-    def test_missing_optional_dependency_degrades_to_numpy(self):
-        # cupy/torch may or may not be installed; asking for them must
-        # never raise — numpy is the guaranteed floor.
-        xp = get_array_module(("cupy", "torch"))
-        assert xp.name in ("numpy", "cupy", "torch")
-
-    def test_unknown_module_name_is_an_error(self):
-        with pytest.raises(ValueError, match="unknown array module"):
-            get_array_module("numpyy")
-
-    def test_roundtrip_matmul(self, rng):
-        xp = get_array_module("numpy")
-        a = rng.integers(0, 5, size=(3, 4)).astype(float)
-        b = rng.integers(0, 5, size=(4, 2)).astype(float)
-        out = xp.to_numpy(xp.matmul(xp.asarray(a), xp.asarray(b)))
-        assert np.array_equal(out, a @ b)

@@ -4,7 +4,7 @@ validation, and how it threads through engine / backend / index."""
 import numpy as np
 import pytest
 
-from repro.core import BankConfig, FeReX, as_bank_config, quantize_codes
+from repro.core import BankConfig, FeReX, quantize_codes
 from repro.core.distance import get_metric
 from repro.index import ExactBackend, FerexIndex
 
@@ -42,13 +42,6 @@ class TestBankConfig:
     def test_dict_round_trip(self):
         config = BankConfig("euclidean", 3)
         assert BankConfig.from_dict(config.as_dict()) == config
-
-    def test_as_bank_config_normalises(self):
-        config = BankConfig("manhattan", 3)
-        assert as_bank_config(config) is config
-        assert as_bank_config("manhattan", 3) == config
-        with pytest.raises(ValueError, match="contradicts"):
-            as_bank_config(config, bits=2)
 
     def test_non_metric_rejected(self):
         with pytest.raises(ValueError, match="DistanceMetric"):
@@ -101,9 +94,10 @@ class TestConfigThreading:
         assert index.metric == "manhattan"
         assert index.bits == 3
 
-    def test_backend_positional_compat(self):
-        # The legacy (metric, bits, dims) positional form still works.
-        backend = ExactBackend("hamming", 2, 6)
-        assert backend.config == BankConfig("hamming", 2)
+    def test_backend_takes_config_and_dims(self):
         backend = ExactBackend(BankConfig("hamming", 2), dims=6)
+        assert backend.config == BankConfig("hamming", 2)
         assert backend.dims == 6
+        # The loose (metric, bits, dims) form is gone.
+        with pytest.raises(TypeError):
+            ExactBackend("hamming", 2, 6)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core.engine import NotProgrammedError
-from repro.index import FerexIndex
+from repro.index import BankConfig, FerexIndex
 
 
 @pytest.fixture
@@ -62,6 +62,14 @@ class TestAdd:
             index.add(vectors[:3], ids=[1, 2])  # id count mismatch
         with pytest.raises(ValueError, match="non-negative"):
             index.add(vectors[:1], ids=[-1])  # reads as -1 padding
+        with pytest.raises(ValueError, match="fractional"):
+            index.add(vectors[:2], ids=[1.7, 2.2])  # truncated to 1, 2
+        with pytest.raises(ValueError, match="integer-valued"):
+            index.add(vectors[:1], ids=["3"])  # a string is no id
+        fractional = np.zeros((1, 8))
+        fractional[0, -1] = 0.6
+        with pytest.raises(ValueError, match="fractional"):
+            index.add(fractional)  # stored as all zeros
         assert index.ntotal == 0 and index.write_generation == 0
         assert index.add(np.empty((0, 8), dtype=int)).shape == (0,)
 
@@ -99,7 +107,9 @@ class TestAdd:
             def add(self, vectors):
                 raise RuntimeError("no feasible cell")
 
-        index = FerexIndex(dims=8, backend=Exploding("hamming", 2, 8))
+        index = FerexIndex(
+            dims=8, backend=Exploding(BankConfig("hamming", 2), 8)
+        )
         with pytest.raises(RuntimeError, match="no feasible cell"):
             index.add(vectors)
         assert index.ntotal == 0 and len(index._id_to_pos) == 0
@@ -207,6 +217,10 @@ class TestSearch:
         index.add(vectors)
         with pytest.raises(ValueError):
             index.search(queries, k=0)
+        fractional = np.zeros((1, 8))
+        fractional[0, -1] = 0.9
+        with pytest.raises(ValueError, match="fractional"):
+            index.search(fractional)  # answered as the all-zeros query
 
 
 class TestRemoveCompact:
@@ -235,9 +249,12 @@ class TestRemoveCompact:
         for bad in ([0, 0], [3, 999]):
             with pytest.raises(KeyError):
                 index.remove(bad)
+        with pytest.raises(ValueError, match="fractional"):
+            index.remove([2.9])  # truncated to id 2
         assert index.ntotal == 40
-        index.remove([0, 3])  # every id in the rejected requests lives on
-        assert index.ntotal == 38
+        # every id in the rejected requests lives on
+        index.remove([0, 2, 3])
+        assert index.ntotal == 37
 
     def test_compact_preserves_ids_and_results(self, vectors, queries):
         index = make_index()

@@ -110,16 +110,16 @@ class TestRoundTrip:
         """Caller-supplied backend instances carry configuration the
         index-level metadata cannot describe — persisting them would
         silently reload a differently-configured index."""
-        from repro.index import ExactBackend, FerexBackend
+        from repro.index import BankConfig, ExactBackend, FerexBackend
 
         class Custom(ExactBackend):
             name = "custom"
 
         for backend in (
-            Custom("hamming", 2, 8),
+            Custom(BankConfig("hamming", 2), 8),
             # even a registered kind: this instance's bank geometry
             # diverges from the index-level bank_rows
-            FerexBackend("hamming", 2, 8, bank_rows=4),
+            FerexBackend(BankConfig("hamming", 2), 8, bank_rows=4),
         ):
             index = FerexIndex(dims=8, backend=backend)
             index.add(stored)

@@ -131,7 +131,7 @@ class TestReconfigureSemantics:
 
     def test_caller_supplied_backend_refused(self):
         index = FerexIndex(
-            dims=DIMS, backend=ExactBackend("hamming", 2, DIMS)
+            dims=DIMS, backend=ExactBackend(BankConfig("hamming", 2), DIMS)
         )
         index.add(binary_vectors())
         with pytest.raises(ValueError, match="caller-supplied"):
@@ -210,7 +210,7 @@ class TestPerBankReconfigure:
         from repro.index import FerexBackend
 
         rng = np.random.default_rng(13)
-        backend = FerexBackend("manhattan", 3, DIMS, bank_rows=16)
+        backend = FerexBackend(BankConfig("manhattan", 3), DIMS, bank_rows=16)
         backend.add(rng.integers(0, 2, size=(4, DIMS)))
         backend.reconfigure_banks(BankConfig("manhattan", 1))
         assert backend.config == BankConfig("manhattan", 1)
@@ -225,7 +225,7 @@ class TestPerBankReconfigure:
     def test_backend_level_narrowing_checks_codes(self):
         from repro.index import FerexBackend
 
-        backend = FerexBackend("manhattan", 3, DIMS, bank_rows=16)
+        backend = FerexBackend(BankConfig("manhattan", 3), DIMS, bank_rows=16)
         backend.add(np.full((4, DIMS), 7, dtype=int))
         with pytest.raises(ValueError, match="exceed"):
             backend.reconfigure_banks(BankConfig("manhattan", 1))

@@ -38,7 +38,7 @@ class TestRegistry:
 
     def test_constructor_validation(self):
         config = BankConfig("hamming", 2)
-        with pytest.raises(ValueError, match="dims"):
+        with pytest.raises(TypeError, match="dims"):
             RoutedBackend(config)
         for bad in (
             {"n_clusters": 0},

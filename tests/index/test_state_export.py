@@ -5,7 +5,7 @@ segment layer."""
 import numpy as np
 import pytest
 
-from repro.index import FerexIndex
+from repro.index import BankConfig, FerexIndex
 
 
 def build(rows=30, seed=9, backend="ferex"):
@@ -84,7 +84,7 @@ class TestExportState:
 
         index = FerexIndex(
             dims=6, metric="hamming", bits=2,
-            backend=ExactBackend("hamming", 2, 6),
+            backend=ExactBackend(BankConfig("hamming", 2), 6),
         )
         index.add(queries(4))
         with pytest.raises(ValueError, match="caller-supplied"):

@@ -195,14 +195,16 @@ class TestTieredBackend:
         assert index.content_fingerprint() == loaded.content_fingerprint()
 
     def test_coarse_bits_clamped_to_config(self):
-        backend = TieredBackend("manhattan", 2, DIMS, coarse_bits=5)
+        backend = TieredBackend(
+            BankConfig("manhattan", 2), DIMS, coarse_bits=5
+        )
         assert backend.coarse_bits == 2
 
     def test_knob_validation(self):
         with pytest.raises(ValueError, match="coarse_bits"):
-            TieredBackend("hamming", 2, DIMS, coarse_bits=0)
+            TieredBackend(BankConfig("hamming", 2), DIMS, coarse_bits=0)
         with pytest.raises(ValueError, match="refine_factor"):
-            TieredBackend("hamming", 2, DIMS, refine_factor=0)
+            TieredBackend(BankConfig("hamming", 2), DIMS, refine_factor=0)
 
     def test_refine_factor_widens_the_shortlist(self, stored):
         """The backend's ``refine_factor`` option is honored: a wide
@@ -294,7 +296,9 @@ class TestWideCodes:
         no feasible encoding to build; those widths are covered at the
         store level above.)"""
         stored, _ = self._data(bits)
-        backend = FerexBackend("hamming", bits, dims=self.DIMS, bank_rows=64)
+        backend = FerexBackend(
+            BankConfig("hamming", bits), dims=self.DIMS, bank_rows=64
+        )
         backend.add(stored[:3])
         backend.add(stored[3:])
         (bank,) = backend._banks

@@ -98,6 +98,13 @@ def test_routing_errors(make_index):
                     )
                     assert negative_id.status == 400
                     assert "non-negative" in negative_id.json()["message"]
+                    fractional = await client.request(
+                        "POST",
+                        "/v1/add",
+                        json_body={"vectors": [[0] * (DIMS - 1) + [0.6]]},
+                    )
+                    assert fractional.status == 400
+                    assert "fractional" in fractional.json()["message"]
                     # The connection survived every fully-read error
                     # body: still serving on the same socket.
                     ok = await client.request(
