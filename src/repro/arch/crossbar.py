@@ -69,8 +69,10 @@ switches the kernel off entirely (the benchmark baseline).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional, Sequence
+import functools
+import threading
+from dataclasses import dataclass, field
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -108,21 +110,33 @@ class SearchResult:
 
 
 @dataclass
-class BatchSearchResult:
-    """Vectorised outcome of a query batch."""
+class _BatchOutcome:
+    """What every batch search returns."""
 
-    #: (n_queries,) LTA winner per query.
+    #: LTA winners: (n_queries,) for a nearest search, (n_queries, k)
+    #: nearest first for a top-k search.
     winners: np.ndarray
     #: (n_queries, rows) distance readings in unit currents.
     row_units: np.ndarray
     #: Latency of each search (identical across the batch).
     timing_per_query: SearchTiming
-    #: Energy of each search (nominal-activity estimate).
-    energy_per_query: EnergyBreakdown
+    #: Evaluates :attr:`energy_per_query` on first call, then returns
+    #: the same breakdown.
+    _energy: Callable[[], EnergyBreakdown] = field(repr=False)
+
+    @property
+    def energy_per_query(self) -> EnergyBreakdown:
+        """Energy of each search (nominal-activity estimate),
+        evaluated when first read."""
+        return self._energy()
 
     @property
     def n_queries(self) -> int:
         return len(self.winners)
+
+
+class BatchSearchResult(_BatchOutcome):
+    """Vectorised outcome of a query batch."""
 
     @property
     def total_time(self) -> float:
@@ -135,27 +149,13 @@ class BatchSearchResult:
         return self.n_queries * self.energy_per_query.total
 
 
-@dataclass
-class BatchSearchKResult:
+class BatchSearchKResult(_BatchOutcome):
     """Vectorised outcome of an iterative top-k search over a batch.
 
     Per query, ``winners`` holds the ``k`` LTA winners in decision order
     (nearest first), matching the list :meth:`FeReXArray.search_k`
     returns for the same query.
     """
-
-    #: (n_queries, k) LTA winners per query, nearest first.
-    winners: np.ndarray
-    #: (n_queries, rows) distance readings in unit currents.
-    row_units: np.ndarray
-    #: Latency of each underlying search (identical across the batch).
-    timing_per_query: SearchTiming
-    #: Energy of each underlying search (nominal-activity estimate).
-    energy_per_query: EnergyBreakdown
-
-    @property
-    def n_queries(self) -> int:
-        return len(self.winners)
 
     @property
     def k(self) -> int:
@@ -167,7 +167,7 @@ class BatchSearchKResult:
             winners=self.winners[:, 0],
             row_units=self.row_units,
             timing_per_query=self.timing_per_query,
-            energy_per_query=self.energy_per_query,
+            _energy=self._energy,
         )
 
 
@@ -292,6 +292,8 @@ class FeReXArray:
         #: The values scorer's per-alphabet state ("table" / "kernel"),
         #: name -> (key, value); see :meth:`_memo`.
         self._scorer_cache: dict = {}
+        #: Serialises :meth:`_memo` builds across reader threads.
+        self._build_lock = threading.Lock()
         #: Master switch for the quantized integer kernel; ``False``
         #: forces the float-physics path everywhere (the benchmark
         #: baseline and an escape hatch).
@@ -629,10 +631,13 @@ class FeReXArray:
             sl_values.tobytes(),
             dl_values.tobytes(),
         )
-        cached = self._scorer_cache.get(name)
-        if cached is None or cached[0] != key:
-            cached = (key, build(sl_values, dl_values))
-            self._scorer_cache[name] = cached
+        # Single flight: concurrent readers of one generation wait for
+        # the first builder instead of building it again.
+        with self._build_lock:
+            cached = self._scorer_cache.get(name)
+            if cached is None or cached[0] != key:
+                cached = (key, build(sl_values, dl_values))
+                self._scorer_cache[name] = cached
         return cached[1]
 
     def _bias_current_table(
@@ -730,6 +735,7 @@ class FeReXArray:
             LUTKernel,
             QuantizedKernel,
             select_quantum,
+            symbol_codes,
         )
 
         # Only rows up to the last one holding a programmed level are
@@ -743,12 +749,8 @@ class FeReXArray:
             np.full((1, k), -1, dtype=self.levels.dtype),
             self.levels[:prefix].reshape(prefix * self.cells, k),
         ])
-        _, first, inverse = np.unique(
-            state, axis=0, return_index=True, return_inverse=True
-        )
-        inverse = inverse.reshape(-1)
-        codes = inverse[1:].reshape(prefix, self.cells)
-        vth_symbols = self._vth_lut[state[first]]
+        codes, symbols = symbol_codes(state, self.tech.fefet.n_vth_levels)
+        vth_symbols = self._vth_lut[symbols]
         raw = compile_current_lut(
             sl_cells[:, 0, :], dl_cells[:, 0, :], vth_symbols, self.tech
         )
@@ -759,7 +761,8 @@ class FeReXArray:
                 self.tech.cell.unit_current,
             )
             kernel = LUTKernel(
-                codes, np.rint(raw / quantum).astype(np.int64)
+                codes[1:].reshape(prefix, self.cells),
+                np.rint(raw / quantum).astype(np.int64),
             )
         except KernelOverflowError:
             return None
@@ -768,7 +771,7 @@ class FeReXArray:
             quantum=quantum,
             raw_currents=raw,
             rows=self.rows,
-            erased=int(inverse[0]),
+            erased=int(codes[0]),
         )
 
     def quantized_kernel(self):
@@ -979,22 +982,36 @@ class FeReXArray:
         k: int,
     ) -> BatchSearchKResult:
         """Select the winners and attach the per-query timing/energy
-        at nominal activity (nominal margin, first query's currents)."""
-        timing = self._nominal_timing
-        energy = self.energy_model.search_energy(
-            row_currents[0] if len(row_currents) else np.zeros(self.rows),
-            dl_first
+        at nominal activity (nominal margin, first query's currents).
+
+        Only the first query's activity is kept; the energy model runs
+        when (and if) the result's ``energy_per_query`` is read.
+        """
+        energy = functools.partial(
+            self._nominal_energy,
+            row_currents[0].copy()
+            if len(row_currents)
+            else np.zeros(self.rows),
+            dl_first.copy()
             if dl_first is not None
             else np.zeros(self.physical_cols, int),
-            timing,
         )
-        energy.add("lta", 0.0)  # defensive parity with serial search()
         return BatchSearchKResult(
             winners=self._select(row_currents, active, k),
             row_units=row_currents / self.tech.cell.unit_current,
-            timing_per_query=timing,
-            energy_per_query=energy,
+            timing_per_query=self._nominal_timing,
+            _energy=functools.cache(energy),
         )
+
+    def _nominal_energy(
+        self, row_currents: np.ndarray, dl_multiples: np.ndarray
+    ) -> EnergyBreakdown:
+        """One batch query's energy at the nominal margin."""
+        energy = self.energy_model.search_energy(
+            row_currents, dl_multiples, self._nominal_timing
+        )
+        energy.add("lta", 0.0)  # defensive parity with serial search()
+        return energy
 
     def search_k_batch(
         self,

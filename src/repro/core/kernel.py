@@ -135,6 +135,69 @@ def select_quantum(
     return quantum
 
 
+#: Largest mixed-radix key space :func:`symbol_codes` ranks through a
+#: dense presence table; wider spaces take a 1-D sort of the keys.
+DENSE_SYMBOL_SPACE = 1 << 20
+
+
+def _rank_symbols(key, space, head, width, radix):
+    """Rank int64 ``key`` values in ``[0, space)`` densely.
+
+    Each key is a ``head`` row index (its leading digit) followed by
+    ``width`` base-``radix`` level digits.  Returns ``(rank, symbols)``:
+    the dense rank of every key and the distinct keys decoded back into
+    level rows, in key order.
+    """
+    if space <= DENSE_SYMBOL_SPACE:
+        present = np.zeros(space, dtype=bool)
+        present[key] = True
+        rank = (np.cumsum(present) - 1)[key]
+        distinct = np.flatnonzero(present)
+    else:
+        distinct, rank = np.unique(key, return_inverse=True)
+        rank = rank.reshape(-1)
+    tail = np.empty((len(distinct), width), dtype=head.dtype)
+    for j in range(width - 1, -1, -1):
+        distinct, tail[:, j] = np.divmod(distinct, radix)
+    tail -= 1
+    return rank, np.concatenate([head[distinct], tail], axis=1)
+
+
+def symbol_codes(state: np.ndarray, n_levels: int):
+    """Dense symbol codes of the (n, k) stored ``state``: each row is
+    one cell's ``k`` FeFETs, every entry a level in
+    ``-1 .. n_levels - 1`` (-1 = erased).
+
+    Returns ``(codes, symbols)``: ``codes`` (n,) int64 names each row's
+    symbol and ``symbols`` (n_symbols, k) in ``state``'s dtype lists the
+    distinct rows in lexicographic order, so ``symbols[codes]`` is
+    ``state`` — exactly what a row-wise ``np.unique`` returns, without
+    sorting rows.  A row is a ``k``-digit number in base
+    ``n_levels + 1`` (digit ``level + 1``, none negative), whose
+    numeric order is the rows' lexicographic order.  Key spaces up to
+    :data:`DENSE_SYMBOL_SPACE` are ranked through a presence table,
+    wider ones by a 1-D sort of the keys.  Where the key space would
+    overflow int64, the leading columns are first folded into their
+    dense rank, so every key stays exact.
+    """
+    state = np.asarray(state)
+    if state.ndim != 2:
+        raise ValueError(f"state must be 2-D, got {state.shape}")
+    if state.size and (state.min() < -1 or state.max() >= n_levels):
+        raise ValueError(f"state outside the [-1, {n_levels}) levels")
+    radix = n_levels + 1
+    key = np.zeros(len(state), dtype=np.int64)
+    head = np.empty((1, 0), dtype=state.dtype)
+    space, width = 1, 0
+    for column in state.T:
+        if space * radix > 1 << 63:
+            key, head = _rank_symbols(key, space, head, width, radix)
+            space, width = len(head), 0
+        key = key * radix + column + 1
+        space, width = space * radix, width + 1
+    return _rank_symbols(key, space, head, width, radix)
+
+
 class LUTKernel:
     """Integer gather + reduce over (codes, lut).
 
