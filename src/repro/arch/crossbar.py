@@ -37,11 +37,15 @@ point:
   registered alphabet and take the same kernel, or fall through to the
   blocked float physics (:meth:`FeReXArray.cell_currents_block`).
 * **select** — one exact stable partial top-k of the offset-adjusted
-  competition currents (``_select`` via
-  :func:`repro.circuits.lta.stable_top_k`): masking an LTA winner to
-  ``+inf`` and re-deciding picks the next entry of the stable order, so
-  its first ``k`` entries *are* the ``k`` winner-masking rounds, for
-  any comparator offsets — and no row is sorted beyond them.
+  competition currents: masking an LTA winner to ``+inf`` and
+  re-deciding picks the next entry of the stable order, so its first
+  ``k`` entries *are* the ``k`` winner-masking rounds, for any
+  comparator offsets — and no row is sorted beyond them.  Float
+  currents go through ``_select``
+  (:func:`repro.circuits.lta.stable_top_k`); the kernel's exact integer
+  scores, on arrays whose offsets are all zero, through
+  :func:`repro.circuits.lta.integer_top_k`'s unique integer keys.
+  Readings are converted to unit currents only where read.
 
 :meth:`FeReXArray.search_batch` / :meth:`FeReXArray.search_batch_values`
 are the ``k = 1`` views and :meth:`FeReXArray.readout_batch_values` is
@@ -76,7 +80,12 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from ..circuits.lta import LoserTakeAll, LTADecision, stable_top_k
+from ..circuits.lta import (
+    LoserTakeAll,
+    LTADecision,
+    integer_top_k,
+    stable_top_k,
+)
 from ..devices.cell import compile_current_lut, fast_cell_currents
 from ..devices.tech import TechConfig, DEFAULT_TECH
 from ..devices.variation import ArrayVariation, nominal_variation
@@ -109,6 +118,29 @@ class SearchResult:
         return np.argsort(self.row_currents, kind="stable")
 
 
+@dataclass(frozen=True)
+class _Readings:
+    """A batch's (n_queries, rows) distance readings, converted to unit
+    currents only where read: ``raw * quantum / unit_current``.
+
+    ``raw`` holds the compiled kernel's exact int64 scores (``quantum``
+    is the kernel's) or float row currents in amps (``quantum`` is 1.0,
+    an exact multiply), so every conversion is bit-identical to dividing
+    the row currents by the unit current.
+    """
+
+    raw: np.ndarray
+    quantum: float
+    unit_current: float
+
+    def units(self, raw: np.ndarray) -> np.ndarray:
+        return raw * self.quantum / self.unit_current
+
+    @functools.cached_property
+    def row_units(self) -> np.ndarray:
+        return self.units(self.raw)
+
+
 @dataclass
 class _BatchOutcome:
     """What every batch search returns."""
@@ -116,13 +148,19 @@ class _BatchOutcome:
     #: LTA winners: (n_queries,) for a nearest search, (n_queries, k)
     #: nearest first for a top-k search.
     winners: np.ndarray
-    #: (n_queries, rows) distance readings in unit currents.
-    row_units: np.ndarray
     #: Latency of each search (identical across the batch).
     timing_per_query: SearchTiming
+    #: The raw readings behind :attr:`row_units`.
+    _readings: _Readings = field(repr=False)
     #: Evaluates :attr:`energy_per_query` on first call, then returns
     #: the same breakdown.
     _energy: Callable[[], EnergyBreakdown] = field(repr=False)
+
+    @property
+    def row_units(self) -> np.ndarray:
+        """(n_queries, rows) distance readings in unit currents,
+        evaluated when first read."""
+        return self._readings.row_units
 
     @property
     def energy_per_query(self) -> EnergyBreakdown:
@@ -161,12 +199,21 @@ class BatchSearchKResult(_BatchOutcome):
     def k(self) -> int:
         return self.winners.shape[1]
 
+    @property
+    def winner_units(self) -> np.ndarray:
+        """(n_queries, k) readings of :attr:`winners` alone:
+        ``take_along_axis(row_units, winners)`` bit for bit, without
+        converting the rows that lost."""
+        readings = self._readings
+        raw = np.take_along_axis(readings.raw, self.winners, axis=1)
+        return readings.units(raw)
+
     def nearest(self) -> BatchSearchResult:
         """The ``k = 1`` view: each query's first winner."""
         return BatchSearchResult(
             winners=self.winners[:, 0],
-            row_units=self.row_units,
             timing_per_query=self.timing_per_query,
+            _readings=self._readings,
             _energy=self._energy,
         )
 
@@ -573,7 +620,8 @@ class FeReXArray:
             raise ValueError(
                 f"expected {self.physical_cols} DL levels, got {dl.shape}"
             )
-        row_currents = self._score_bias(sl[None, :], dl[None, :])[0]
+        raw, quantum = self._score_bias(sl[None, :], dl[None, :])
+        row_currents = raw[0] * quantum
 
         active = self._validate_active_rows(active_rows)
         compete = self._masked_compete(row_currents[None, :], active)[0]
@@ -812,12 +860,10 @@ class FeReXArray:
             return None
         return match.argmax(axis=2)
 
-    def _generic_kernel_currents(
-        self, sl_matrix: np.ndarray, dl_matrix: np.ndarray
-    ) -> Optional[np.ndarray]:
-        """(n, rows) kernel row currents for a generic bias matrix drawn
-        from the registered alphabet; ``None`` routes the caller to the
-        float physics path."""
+    def _kernel_match(self, sl_matrix: np.ndarray, dl_matrix: np.ndarray):
+        """``(kernel, value_index)`` for a generic bias matrix drawn from
+        the registered alphabet; ``None`` routes the caller to the float
+        physics path."""
         if self._alphabet is None or not self.kernel_enabled:
             return None
         sl_values, dl_values = self._alphabet
@@ -829,7 +875,7 @@ class FeReXArray:
         )
         if value_index is None:
             return None
-        return kernel.row_currents(value_index)
+        return kernel, value_index
 
     def _validate_value_bias(
         self,
@@ -906,24 +952,29 @@ class FeReXArray:
     # ------------------------------------------------------------------
     def _score_bias(
         self, sl_matrix: np.ndarray, dl_matrix: np.ndarray
-    ) -> np.ndarray:
-        """(n_queries, rows) row currents for arbitrary bias matrices:
-        the compiled kernel when every query matches the registered
-        alphabet, else the float physics in blocked 3-D numpy."""
-        row_currents = self._generic_kernel_currents(sl_matrix, dl_matrix)
-        if row_currents is None:
-            row_currents = self._row_currents(sl_matrix, dl_matrix)
-        return row_currents
+    ) -> tuple[np.ndarray, float]:
+        """``(raw, quantum)`` (n_queries, rows) row currents
+        ``raw * quantum`` for arbitrary bias matrices: the compiled
+        kernel's int64 scores when every query matches the registered
+        alphabet, else float amps (quantum 1.0) from the float physics
+        in blocked 3-D numpy."""
+        match = self._kernel_match(sl_matrix, dl_matrix)
+        if match is not None:
+            kernel, value_index = match
+            return kernel.row_scores(value_index), kernel.quantum
+        return self._row_currents(sl_matrix, dl_matrix), 1.0
 
     def _score_values(
         self,
         sl_values: np.ndarray,
         dl_values: np.ndarray,
         value_index: np.ndarray,
-    ) -> np.ndarray:
-        """(n_queries, rows) row currents for alphabet-indexed queries:
-        the compiled kernel when the array is eligible, else per-block
-        value-select from the cached float table.
+    ) -> tuple[np.ndarray, float]:
+        """``(raw, quantum)`` (n_queries, rows) row currents
+        ``raw * quantum`` for alphabet-indexed queries: the compiled
+        kernel's int64 scores when the array is eligible, else float amps
+        (quantum 1.0) by per-block value-select from the cached float
+        table.
 
         The table's per-cell floats are exactly the ones
         :meth:`_row_currents` produces and the reduction after
@@ -933,7 +984,7 @@ class FeReXArray:
         """
         kernel = self._kernel_for(sl_values, dl_values)
         if kernel is not None:
-            return kernel.row_currents(value_index)
+            return kernel.row_scores(value_index), kernel.quantum
         table = self._bias_current_table(sl_values, dl_values)
         row_currents = np.empty((len(value_index), self.rows))
         for block in self._blocks(len(value_index)):
@@ -949,7 +1000,7 @@ class FeReXArray:
             row_currents[block] = (
                 currents.sum(axis=2) * self.variation.row_gain[None, :]
             )
-        return row_currents
+        return row_currents, 1.0
 
     def _select(
         self,
@@ -976,30 +1027,38 @@ class FeReXArray:
 
     def _finish(
         self,
-        row_currents: np.ndarray,
+        raw: np.ndarray,
+        quantum: float,
         dl_first: Optional[np.ndarray],
         active: Optional[np.ndarray],
         k: int,
     ) -> BatchSearchKResult:
-        """Select the winners and attach the per-query timing/energy
-        at nominal activity (nominal margin, first query's currents).
+        """Select the winners of the row currents ``raw * quantum`` and
+        attach the per-query timing/energy at nominal activity (nominal
+        margin, first query's currents).
 
-        Only the first query's activity is kept; the energy model runs
-        when (and if) the result's ``energy_per_query`` is read.
+        The kernel's exact int64 scores select on unique integer keys
+        (:func:`integer_top_k`): the kernel compiles only where every
+        comparator offset is zero, so their stable order is the LTA's.
+        Float currents take the offset-adjusted :meth:`_select`.
+        Readings and energy are evaluated when (and if) they are read;
+        only the first query's activity is kept for the energy model.
         """
+        if raw.dtype.kind == "i":
+            winners = integer_top_k(raw, k, active)
+        else:
+            winners = self._select(raw, active, k)
         energy = functools.partial(
             self._nominal_energy,
-            row_currents[0].copy()
-            if len(row_currents)
-            else np.zeros(self.rows),
+            raw[0] * quantum if len(raw) else np.zeros(self.rows),
             dl_first.copy()
             if dl_first is not None
             else np.zeros(self.physical_cols, int),
         )
         return BatchSearchKResult(
-            winners=self._select(row_currents, active, k),
-            row_units=row_currents / self.tech.cell.unit_current,
+            winners=winners,
             timing_per_query=self._nominal_timing,
+            _readings=_Readings(raw, quantum, self.tech.cell.unit_current),
             _energy=functools.cache(energy),
         )
 
@@ -1055,7 +1114,7 @@ class FeReXArray:
         )
         active = self._validate_competition(active_rows, k)
         return self._finish(
-            self._score_bias(sl_matrix, dl_matrix),
+            *self._score_bias(sl_matrix, dl_matrix),
             dl_matrix[0] if len(dl_matrix) else None,
             active,
             k,
@@ -1099,7 +1158,7 @@ class FeReXArray:
         )
         active = self._validate_competition(active_rows, k)
         return self._finish(
-            self._score_values(sl_values, dl_values, value_index),
+            *self._score_values(sl_values, dl_values, value_index),
             self._first_query_dl(dl_values, value_index),
             active,
             k,
@@ -1150,10 +1209,8 @@ class FeReXArray:
         sl_values, dl_values, value_index = self._validate_value_bias(
             sl_values, dl_values, value_index
         )
-        return (
-            self._score_values(sl_values, dl_values, value_index)
-            / self.tech.cell.unit_current
-        )
+        raw, quantum = self._score_values(sl_values, dl_values, value_index)
+        return raw * quantum / self.tech.cell.unit_current
 
     def search_k(
         self,

@@ -28,7 +28,8 @@ Behavioural model
   insignificantly as the number of rows increases" — amortised per bit).
 * **Top-k**: masking a winner to ``+inf`` and re-deciding
   (:meth:`LoserTakeAll.decide_k`) emits rows in stable (value, row)
-  order, so a batch reads its ``k`` winners off :func:`stable_top_k`.
+  order, so a batch reads its ``k`` winners off :func:`stable_top_k`
+  (or, for exact integer scores, :func:`integer_top_k`).
 """
 
 from __future__ import annotations
@@ -69,6 +70,40 @@ def stable_top_k(values: np.ndarray, k: int) -> np.ndarray:
         np.take_along_axis(values, idx, axis=1), axis=1, kind="stable"
     )
     return np.take_along_axis(idx, order, axis=1)
+
+
+def integer_top_k(
+    scores: np.ndarray, k: int, active: Optional[np.ndarray] = None
+) -> np.ndarray:
+    """Per-row column indices of the ``k`` smallest active entries of an
+    (n, m) int64 score block in (score, column) order — exactly
+    ``np.argsort(np.where(active, scores, inf), axis=1,
+    kind="stable")[:, :k]`` for ``1 <= k <=`` active columns.
+
+    Each entry becomes the int64 key ``score << b | column`` with ``b``
+    bits per column index.  The keys are unique and their plain order is
+    the stable (score, column) order, so one ``np.partition`` plus a
+    ``k``-wide sort selects with no tie rule, and the column decodes
+    from the winning key's low bits.  Columns ``active`` masks out key
+    to the int64 maximum.  Scores too
+    wide for the key (``max |score| >= 2**(62 - b)``, reachable only
+    past 1024 columns at kernel scale) fall back to
+    :func:`stable_top_k` on the ``inf``-masked values.
+    """
+    m = scores.shape[1]
+    bits = (m - 1).bit_length()
+    peak = max(int(scores.max()), -int(scores.min())) if scores.size else 0
+    if peak >= 1 << (62 - bits):
+        values = scores.astype(float)
+        if active is not None:
+            values[:, ~active] = np.inf
+        return stable_top_k(values, k)
+    key = scores << bits
+    key += np.arange(m)
+    if active is not None and not active.all():
+        np.copyto(key, np.iinfo(np.int64).max, where=~active)
+    top = np.sort(np.partition(key, k - 1, axis=1)[:, :k], axis=1)
+    return top & ((1 << bits) - 1)
 
 
 @dataclass(frozen=True)

@@ -456,7 +456,8 @@ class FeReX:
         decides ``k`` rounds with each round's winner masked out.
         Returns a :class:`repro.arch.crossbar.BatchSearchKResult` with
         (n, k) winners (nearest first) and the full (n, rows) hardware
-        distance readings, bit-identical to looping :meth:`search_k`
+        distance readings (converted when read; ``winner_units`` holds
+        the winners' alone), bit-identical to looping :meth:`search_k`
         but orders of magnitude faster to simulate: the batch rides the
         array's one score -> select pipeline
         (:meth:`FeReXArray.search_k_batch_values`).  ``active_rows``

@@ -606,9 +606,7 @@ class FerexBackend:
                 active_rows=active,
             )
             bank_idx.append(bank.start + result.winners)
-            bank_dist.append(
-                np.take_along_axis(result.row_units, result.winners, axis=1)
-            )
+            bank_dist.append(result.winner_units)
         return merge_top_k(
             np.concatenate(bank_idx, axis=1),
             np.concatenate(bank_dist, axis=1),

@@ -60,7 +60,8 @@ def test_lazy_energy_equals_the_eager_value(energy_calls, metric, bits, seed):
     array = engine.array
     queries = rng.integers(0, 1 << bits, size=(4, 7))
     sl, dl, value_index = engine._batch_bias(queries)
-    currents = array._score_values(sl, dl, value_index)
+    raw, quantum = array._score_values(sl, dl, value_index)
+    currents = raw * quantum
     dl_first = array._first_query_dl(dl, value_index)
     # The generic path sees the same bias, expanded per query.
     per_col = np.repeat(value_index, array.cell_fanout, axis=1)
