@@ -24,13 +24,19 @@ Exactness discipline
 Everything downstream (serial == batch bit-identity, backend parity,
 reconfigure round trips) hangs on one invariant: **kernel arithmetic is
 exact**, hence independent of evaluation order, blocking, and BLAS
-kernel choice.  Two choices guarantee it:
+kernel choice.  Three choices guarantee it:
 
 * the quantum is a power of two, chosen by :func:`select_quantum` so the
   largest possible partial sum stays below ``2**53`` — every LUT entry,
   every partial sum, and every product in the reduction is an integer
-  that float64 represents exactly, so a dgemm over float64 and an int64
+  that float64 represents exactly, so a float matmul and an int64
   gather-accumulate produce the *same* scores;
+* each query value's weight plane ``lut[v] - lut[0]`` is its gcd
+  ``g_v`` times small integers ``small_v``, stored in float32 when
+  ``cells x max |small_v| < 2**24`` (float32's exact-integer range, so
+  every sgemm partial sum is exact); otherwise the plane is the float64
+  delta itself (``g_v = 1``).  The ``g_v x`` product and the running
+  total are float64, inside the ``2**53`` bound;
 * the accumulator dtype comes from :func:`select_accumulator`'s overflow
   bound on ``cells x max |entry|``; a geometry that cannot satisfy the
   bound raises :class:`KernelOverflowError` instead of wrapping.
@@ -50,9 +56,13 @@ from typing import Optional
 import numpy as np
 
 #: Largest exponent ``b`` such that every integer of magnitude < ``2**b``
-#: is exactly representable in float64 — the bound that makes the dgemm
+#: is exactly representable in float64 — the bound that makes the matmul
 #: and integer-gather formulations bit-identical.
 EXACT_FLOAT_BITS = 53
+
+#: The same bound for float32: a plane whose ``cells x max |small|``
+#: stays below ``2**EXACT_FLOAT32_BITS`` reduces exactly in float32.
+EXACT_FLOAT32_BITS = 24
 
 #: The quantum must stay at least this many binary orders below the
 #: reference current (one nominal unit current for the crossbar kernel):
@@ -73,7 +83,7 @@ def accumulator_bound(cells: int, max_entry: int) -> int:
     """Worst-case partial-sum magnitude when reducing ``cells`` LUT
     entries of magnitude ``<= max_entry``.
 
-    The factor 2 covers the dgemm formulation's mixed-sign deltas
+    The factor 2 covers the matmul formulation's mixed-sign deltas
     (``lut[v] - lut[0]``) on top of the all-positive base row, so the
     same bound certifies both reduction strategies.
     """
@@ -215,12 +225,16 @@ class LUTKernel:
     interchangeable strategies are provided (their equality is a
     regression test):
 
-    * :meth:`scores` — the dgemm formulation
-      ``base[r] + sum_v Q_v @ W_v`` with ``Q_v`` the one-hot query mask
-      for value ``v`` and ``W_v = lut[v, codes].T - lut[0, codes].T``.
-      All operands are integer-valued float64 within the overflow
-      bound, so BLAS evaluates it exactly regardless of kernel/order —
-      this is the numpy hot path.
+    * :meth:`scores` — the matmul formulation
+      ``base[r] + sum_v g_v * (Q_v @ P_v)`` with ``Q_v`` the one-hot
+      query mask for value ``v`` and the plane
+      ``P_v = small_v[codes].T``, where ``lut[v] - lut[0]`` is
+      ``g_v * small_v`` with ``g_v`` the row's gcd.  A plane is float32
+      when ``cells x max |small_v| < 2**24`` (at 1 bit every plane is
+      ``±1``: 4 B per cell), else the float64 delta with ``g_v = 1``;
+      either way every partial sum is an exact integer, so BLAS
+      evaluates it exactly regardless of kernel/order — this is the
+      numpy hot path.
     * :meth:`scores_gather` — the literal gather + blocked integer
       reduction in the accumulator dtype :func:`select_accumulator`
       picked.  The reference semantics, and the shape the kernel takes
@@ -249,14 +263,20 @@ class LUTKernel:
         max_entry = int(np.abs(self.lut).max()) if self.lut.size else 0
         #: Accumulator dtype certified by the overflow bound.
         self.accumulator = select_accumulator(self.cells, max_entry)
-        # dgemm precompute: per-row expansion of the LUT.  Transient
-        # per write generation; (n_values, rows, cells) stays small at
-        # bank scale (the index shards rows).
-        expanded = self.lut[:, self.codes]  # (n_values, rows, cells)
-        self._base = expanded[0].sum(axis=1).astype(np.float64)
-        self._weights = np.ascontiguousarray(
-            (expanded[1:] - expanded[0]).transpose(0, 2, 1)
-        ).astype(np.float64)  # (n_values - 1, cells, rows)
+        self._base = self.lut[0][self.codes].sum(axis=1).astype(np.float64)
+        # One (g, plane) per value v >= 1, gathered straight from the
+        # small LUT into a C-ordered (cells, rows) plane (sgemm on the
+        # F-ordered gather is slower).
+        self._planes = []
+        for delta in self.lut[1:] - self.lut[0]:
+            g = int(np.gcd.reduce(delta)) or 1
+            peak = int(np.abs(delta).max(initial=0)) // g
+            if self.cells * peak < 1 << EXACT_FLOAT32_BITS:
+                small = (delta // g).astype(np.float32)
+            else:  # float64 holds the delta itself: no rescale
+                g, small = 1, delta.astype(np.float64)
+            plane = np.ascontiguousarray(small[self.codes.T])
+            self._planes.append((g, plane))
 
     def _validate_index(self, value_index: np.ndarray) -> np.ndarray:
         value_index = np.asarray(value_index)
@@ -274,15 +294,23 @@ class LUTKernel:
         return value_index
 
     def scores(self, value_index: np.ndarray) -> np.ndarray:
-        """(n, rows) reduction scores, exactly integer-valued float64."""
+        """(n, rows) reduction scores, exactly integer-valued float64.
+
+        A float32 plane's product is exact below ``2**24``; scaling it
+        by ``g`` and adding it to the float64 total stay exact below
+        ``2**53`` (``np.multiply`` with ``dtype=float64``: a float32
+        array times a Python int would stay float32)."""
         value_index = self._validate_index(value_index)
         n = value_index.shape[0]
         out = np.empty((n, self.rows))
         out[:] = self._base
-        for v in range(1, self.n_values):
+        for v, (g, plane) in enumerate(self._planes, start=1):
             mask = value_index == v
             if mask.any():
-                out += mask.astype(np.float64) @ self._weights[v - 1]
+                part = mask.astype(plane.dtype) @ plane
+                if g != 1:
+                    part = np.multiply(part, g, dtype=np.float64)
+                out += part
         return out
 
     def scores_gather(

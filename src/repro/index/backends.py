@@ -56,12 +56,13 @@ Who holds the stored codes, per element, on ideal devices:
 * the crossbar's ``levels`` — 1 B per FeFET, K per element; everything
   else the device model needs is derived from it on read (see
   :class:`repro.arch.crossbar.FeReXArray`).
-* the compiled kernel's ``codes`` (int64) and float64 weights — 8 B
-  each, the largest share, but only over a bank's programmed row
-  prefix: the erased capacity a doubling allocation leaves past the
-  last written row is scored as one integer per query, not stored.
-  They are the search hot path's operands; narrowing them is a kernel
-  change, not a state one.
+* the compiled kernel's ``codes`` (int64, 8 B) and its weight planes
+  (one per query value past the first, float32 or float64; one 4 B
+  plane at 1 bit) — the largest share, but only over a bank's
+  programmed row prefix: the erased capacity a doubling allocation
+  leaves past the last written row is scored as one integer per query,
+  not stored.  They are the search hot path's operands; narrowing them
+  is a kernel change, not a state one.
 
 A seeded bank additionally holds its variation sample (two float64 per
 FeFET), once: every allocation slices it and the array adopts the
