@@ -18,10 +18,9 @@ from .backends import (
     FerexBackend,
     GPUBackend,
     SearchBackend,
-    TieredBackend,
 )
 from .index import FerexIndex, SearchOutcome, state_digest
-from .routing import RoutedBackend
+from .routing import RoutedBackend, TieredBackend
 
 __all__ = [
     "BACKENDS",

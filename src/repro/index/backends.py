@@ -5,8 +5,9 @@ ids and the canonical vector store; the backend answers ``search`` with
 global insertion positions, and is told about every mutation through the
 same three verbs the index exposes (``add`` / ``deactivate`` /
 ``rebuild``).  Every backend carries a :class:`repro.core.BankConfig` —
-the (metric, bits) pair it is currently voltaged for — and four
-implementations ship:
+the (metric, bits) pair it is currently voltaged for.  Three
+implementations ship here; the cluster-routed backend and tiered search
+(a one-cluster routed index) live in :mod:`repro.index.routing`:
 
 * :class:`FerexBackend` — sharded banks of :class:`repro.core.FeReX`
   engines.  Vectors fill a bank row by row through the crossbar's
@@ -27,20 +28,15 @@ implementations ship:
 * :class:`GPUBackend` — the paper's GPU baseline: exact winners (it
   *is* the exact backend) plus a roofline latency/energy price per
   search (:class:`repro.eval.gpu_model.GPUCostModel`).
-* :class:`TieredBackend` — coarse-to-fine search: a cheap low-bit
-  :class:`FerexBackend` pass over all banks nominates the top
-  ``refine_factor * k`` candidates, which :func:`refine` rescores at
-  full precision.  The classic ANN accelerator pattern the paper's
-  reconfigurability enables: the same stored set served at two
-  precisions, paying the wide-alphabet cell cost only for a shortlist.
 
 Every search is the same nominate -> merge shape: banks (or clusters,
 in :mod:`repro.index.routing`) nominate candidate positions with a
 score, and one (score, global position) lexsort (:func:`merge_top_k`)
-keeps the best ``k``.  Tiered search — here and as the routed
-backend's ``inner="tiered"`` — puts :func:`refine` between the two:
-the one place nominated positions are rescored exactly against a
-full-precision code store (:func:`code_store`).
+keeps the best ``k``.  Tiered search — the routed backend's
+``inner="tiered"``, of which ``backend="tiered"`` is the one-cluster
+case — puts :func:`refine` between the two: the one place nominated
+positions are rescored exactly against a full-precision code store
+(:func:`code_store`).
 
 Memory note
 -----------
@@ -672,106 +668,9 @@ class FerexBackend:
         return all_positions[picks]
 
 
-class TieredBackend:
-    """Coarse-to-fine search: a low-bit FeReX pass nominates, an exact
-    full-precision rescore decides.
-
-    The coarse tier is a :class:`FerexBackend` voltaged at
-    ``coarse_bits`` (default 1) holding the top bits of every stored
-    code; a search asks it for the ``max(k * refine_factor, k)``
-    nearest candidates per query — a much cheaper array evaluation,
-    since the low-bit cell needs fewer FeFETs per element — then
-    rescores only those candidates with exact full-precision distances
-    (:func:`refine`) and returns the top ``k``.
-
-    Returned distances are therefore *exact integer* distances (as
-    floats) rather than analog unit currents, and results are
-    approximate exactly insofar as the coarse tier's shortlist misses a
-    true neighbor — ``benchmarks/bench_reconfig.py`` tracks that recall
-    against the measured speedup.
-
-    ``coarse_bits >= bits`` degenerates gracefully: the coarse pass
-    runs at full precision and the rescore only re-ranks ties.
-    """
-
-    name = "tiered"
-
-    def __init__(
-        self,
-        config: BankConfig,
-        dims: int,
-        bank_rows: int = 1024,
-        encoder: str = "auto",
-        seed: Optional[int] = None,
-        coarse_bits: int = 1,
-        refine_factor: int = 8,
-    ):
-        if coarse_bits < 1:
-            raise ValueError("coarse_bits must be >= 1")
-        if refine_factor < 1:
-            raise ValueError("refine_factor must be >= 1")
-        self.config = config
-        self.dims = dims
-        self.bank_rows = bank_rows
-        self.encoder = encoder
-        self.seed = seed
-        self.coarse_bits = min(coarse_bits, self.config.bits)
-        self.refine_factor = refine_factor
-        #: The coarse tier: ideal devices (it only nominates; the
-        #: rescore is digital), seeded variation would add cost without
-        #: changing the exact rescored answer set materially.
-        self.coarse = FerexBackend(
-            BankConfig(self.config.metric, self.coarse_bits),
-            dims=dims,
-            bank_rows=bank_rows,
-            encoder=encoder,
-            seed=None,
-        )
-        #: Full-precision rescore store (see :func:`code_store`).
-        self._vectors = code_store(dims, self.config.bits)
-        self._alive = np.empty(0, dtype=bool)
-
-    @property
-    def n_banks(self) -> int:
-        return self.coarse.n_banks
-
-    def _quantize(self, codes: np.ndarray) -> np.ndarray:
-        return quantize_codes(codes, self.config.bits, self.coarse_bits)
-
-    def add(self, vectors: np.ndarray) -> None:
-        self.coarse.add(self._quantize(vectors))
-        self._vectors = np.concatenate(
-            [self._vectors, np.asarray(vectors, dtype=self._vectors.dtype)]
-        )
-        self._alive = np.concatenate(
-            [self._alive, np.ones(len(vectors), dtype=bool)]
-        )
-
-    def deactivate(self, positions: np.ndarray) -> None:
-        self.coarse.deactivate(positions)
-        self._alive[positions] = False
-
-    def rebuild(self, vectors: np.ndarray) -> None:
-        vectors = np.asarray(vectors, dtype=int)
-        self.coarse.rebuild(self._quantize(vectors))
-        self._vectors = np.array(vectors, dtype=self._vectors.dtype)
-        self._alive = np.ones(len(vectors), dtype=bool)
-
-    def search(
-        self, queries: np.ndarray, k: int
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        n_live = int(self._alive.sum())
-        shortlist = min(n_live, max(k * self.refine_factor, k))
-        candidates = self.coarse.shortlist(
-            self._quantize(np.asarray(queries, dtype=int)), shortlist
-        )
-        return refine(self.config, self._vectors, queries, candidates, k)
-
-
 #: Backend registry used by the index facade and by persistence.
 BACKENDS = {
     ExactBackend.name: ExactBackend,
     GPUBackend.name: GPUBackend,
     FerexBackend.name: FerexBackend,
-    TieredBackend.name: TieredBackend,
 }

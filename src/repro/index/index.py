@@ -161,9 +161,10 @@ class FerexIndex:
         ``"ferex"`` (sharded array simulation — the default), ``"exact"``
         (software reference), ``"gpu"`` (exact winners + roofline
         estimates), ``"tiered"`` (low-bit coarse pass + full-precision
-        rescore), ``"routed"`` (cluster-routed bank selection — queries
-        probe only the ``top_p`` nearest clusters' banks), or a ready
-        :class:`SearchBackend` instance.
+        rescore — a one-cluster ``"routed"`` index with
+        ``inner="tiered"``), ``"routed"`` (cluster-routed bank
+        selection — queries probe only the ``top_p`` nearest clusters'
+        banks), or a ready :class:`SearchBackend` instance.
     bank_rows:
         Shard height: vectors per physical array bank (ferex backend).
     encoder / seed:
@@ -282,8 +283,9 @@ class FerexIndex:
     @property
     def last_routing(self) -> Optional[dict]:
         """Honest routing accounting for the most recent search on a
-        routed backend (probed clusters, scanned-row fraction, forced
-        probe expansions); ``None`` for other backends or before any
+        routed or tiered backend (probed clusters, scanned-row
+        fraction, forced probe expansions; tiered search reports its
+        one cluster); ``None`` for other backends or before any
         search."""
         return getattr(self._backend, "last_routing", None)
 
@@ -599,7 +601,7 @@ class FerexIndex:
         top_p: Optional[int] = None,
         n_clusters: Optional[int] = None,
     ) -> "tuple[int, int]":
-        """Online routing reconfigure (routed backend only): move the
+        """Online routing reconfigure (routed or tiered backend): move the
         probe width ``top_p`` (instant — a search-time knob) and/or the
         cluster count ``n_clusters`` (re-trains k-means on the live set
         and re-pins every cluster to banks).  Returns the effective

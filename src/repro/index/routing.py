@@ -31,9 +31,16 @@ unchanged, in either of two inner modes:
   compact / reconfigure).
 * ``inner="tiered"`` — probed clusters are voltaged at ``coarse_bits``
   and nominate ``refine_factor * k`` candidates via the shortlist
-  readout; the exact full-precision rescore :class:`TieredBackend`
-  uses (:func:`repro.index.backends.refine`) decides across the
-  routed subset.
+  readout; one exact full-precision rescore
+  (:func:`repro.index.backends.refine`) decides across the routed
+  subset.
+
+Tiered search (``backend="tiered"``, :class:`TieredBackend`) is this
+backend with one cluster probed in ``inner="tiered"`` mode: a coarse
+pass over every bank, then the rescore.  A one-centroid index skips the
+centroid pass altogether — every row and query belongs to cluster 0 —
+so it never builds the ``4**bits`` routing table and has no width limit
+(:data:`MAX_ROUTED_BITS` bounds only multi-cluster indexes).
 
 Routing is approximate exactly insofar as a true neighbor lives in an
 unprobed cluster.  The accounting is honest: every search records
@@ -70,14 +77,14 @@ the publisher.
 
 Device variation note: per-row variation draws are keyed by physical
 placement, which routing reassigns on every re-pin; cluster banks
-therefore run ideal devices (the same choice :class:`TieredBackend`
-makes for its coarse tier), keeping routed answers deterministic and
+therefore run ideal devices, keeping routed answers deterministic and
 the ``top_p = n_clusters`` flat parity exact.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partialmethod
 from typing import List, Optional, Tuple
 
 import numpy as np
@@ -94,6 +101,25 @@ from .backends import (
     refine,
 )
 
+#: Widest code a multi-cluster routed index accepts.  Its centroid
+#: kernel needs the ``4**bits``-entry :func:`metric_element_lut`, built
+#: one ``metric.element`` call at a time: 0.5-0.9 s at 10 bits and
+#: 2.5-4.5 s at 11 on one Xeon core, about 4x per bit beyond (16 bits
+#: would be ~4.3e9 calls and a 32 GiB table).  One cluster needs no
+#: table, so ``n_clusters=1`` has no limit.  Checked before any state
+#: moves: at every ``add`` and in :meth:`RoutedBackend.reconfigure_routing`.
+MAX_ROUTED_BITS = 10
+
+
+def _check_width(n_clusters: int, config: BankConfig) -> None:
+    if n_clusters > 1 and config.bits > MAX_ROUTED_BITS:
+        raise ValueError(
+            f"a {config.bits}-bit routed index cannot have "
+            f"{n_clusters} clusters: centroid routing needs a "
+            f"4**bits-entry table, built only up to {MAX_ROUTED_BITS} "
+            "bits; use n_clusters=1 (no centroid pass) for wider codes"
+        )
+
 
 def train_centroids(
     vectors: np.ndarray,
@@ -109,7 +135,9 @@ def train_centroids(
     Returns ``(m, dims)`` integer centroids with
     ``m = min(n_clusters, len(vectors))``.  Deterministic under
     ``seed`` (initial picks and empty-cluster reseeds); assignment ties
-    break to the lowest cluster index.
+    break to the lowest cluster index.  One centroid owns every row, so
+    ``m == 1`` assigns without scoring (and without the kernel's
+    ``4**bits`` table).
     """
     vectors = np.asarray(vectors, dtype=int)
     if vectors.ndim != 2 or not len(vectors):
@@ -122,7 +150,11 @@ def train_centroids(
     centroids = vectors[np.sort(picks)].copy()
     hi = config.n_values - 1
     for _ in range(max(1, int(iters))):
-        assign = assign_codes(vectors, centroids, config)
+        assign = (
+            np.zeros(len(vectors), dtype=np.int64)
+            if m == 1
+            else assign_codes(vectors, centroids, config)
+        )
         sums = np.zeros((m, vectors.shape[1]), dtype=np.int64)
         np.add.at(sums, assign, vectors)
         counts = np.bincount(assign, minlength=m)
@@ -156,8 +188,8 @@ def assign_codes(
 def metric_element_lut(metric: DistanceMetric, bits: int) -> np.ndarray:
     """(n_values, n_values) per-element metric distance table — the
     LUT the centroid kernel gathers from (stored codes are their own
-    symbol indices).  ``4**bits`` entries, which is what bounds how wide
-    a routed index can be."""
+    symbol indices).  ``4**bits`` entries, which is why a multi-cluster
+    routed index stops at :data:`MAX_ROUTED_BITS`."""
     n_values = 1 << bits
     return np.array(
         [
@@ -214,6 +246,7 @@ class RoutedBackend:
     ----------------------------------------
     n_clusters:
         Routing cells to train (clamped to the training-set size).
+        Above 1, codes may be at most :data:`MAX_ROUTED_BITS` wide.
     top_p:
         Clusters probed per query (IVF's ``nprobe``).  Automatically
         widened per query when the probed clusters hold fewer than
@@ -410,28 +443,28 @@ class RoutedBackend:
     _ASSIGN_CHUNK = 65536
 
     def _assign(self, vectors: np.ndarray) -> np.ndarray:
-        if self._router is None:
-            self._router = _routing_kernel(self._centroids, self.config)
         vectors = np.asarray(vectors, dtype=np.int64)
         out = np.empty(len(vectors), dtype=np.int64)
         for lo in range(0, len(vectors), self._ASSIGN_CHUNK):
             block = vectors[lo : lo + self._ASSIGN_CHUNK]
-            out[lo : lo + len(block)] = np.argmin(
-                self._router.scores(block), axis=1
-            )
+            out[lo : lo + len(block)] = np.argmin(self._route(block), axis=1)
         return out
 
-    def _route(self, queries: np.ndarray) -> np.ndarray:
-        """(n, m) exact query-to-centroid distances."""
+    def _route(self, codes: np.ndarray) -> np.ndarray:
+        """(n, m) exact code-to-centroid distances.  A lone centroid
+        is everyone's nearest, so one cluster skips the kernel (and
+        its ``4**bits`` table) and reads all zeros."""
+        if len(self._centroids) == 1:
+            return np.zeros((len(codes), 1), dtype=np.int64)
         if self._router is None:
             self._router = _routing_kernel(self._centroids, self.config)
-        return self._router.scores(np.asarray(queries, dtype=np.int64))
+        return self._router.scores(np.asarray(codes, dtype=np.int64))
 
-    def _append(
-        self, assign: np.ndarray, vectors: np.ndarray, start: int
-    ) -> None:
-        """Pin newly-assigned vectors to their clusters, keeping each
-        cluster's local order global-position ascending."""
+    def _append(self, vectors: np.ndarray, globals_: np.ndarray) -> None:
+        """Pin vectors (at ascending global positions ``globals_``) to
+        their nearest clusters, keeping each cluster's local order
+        global-position ascending."""
+        assign = self._assign(vectors)
         for ci in range(len(self._clusters)):
             members = np.flatnonzero(assign == ci)
             if not len(members):
@@ -439,7 +472,7 @@ class RoutedBackend:
             cluster = self._clusters[ci]
             local_start = cluster.written
             cluster.sub.add(self._sub_codes(vectors[members]))
-            positions = start + members.astype(np.int64)
+            positions = globals_[members]
             cluster.globals_ = np.concatenate(
                 [cluster.globals_, positions]
             )
@@ -455,6 +488,7 @@ class RoutedBackend:
     # Mutation (the SearchBackend protocol)
     # ------------------------------------------------------------------
     def add(self, vectors: np.ndarray) -> None:
+        _check_width(self.n_clusters, self.config)
         vectors = np.asarray(vectors, dtype=int)
         if not len(vectors):
             return
@@ -485,7 +519,7 @@ class RoutedBackend:
                     seed=self.routing_seed,
                 )
             )
-        self._append(self._assign(vectors), vectors, start)
+        self._append(vectors, np.arange(start, len(self._vectors)))
 
     def deactivate(self, positions: np.ndarray) -> None:
         positions = np.asarray(positions, dtype=np.int64)
@@ -556,13 +590,15 @@ class RoutedBackend:
         live set and re-pins every cluster.  Returns the effective
         ``(top_p, n_clusters)``.  Global positions survive either way.
         """
+        if n_clusters is not None:
+            if int(n_clusters) < 1:
+                raise ValueError("n_clusters must be >= 1")
+            _check_width(int(n_clusters), self.config)
         if top_p is not None:
             if int(top_p) < 1:
                 raise ValueError("top_p must be >= 1")
             self.top_p = int(top_p)
         if n_clusters is not None:
-            if int(n_clusters) < 1:
-                raise ValueError("n_clusters must be >= 1")
             self.n_clusters = int(n_clusters)
             if self._centroids is not None:
                 self._repin()
@@ -589,21 +625,7 @@ class RoutedBackend:
         )
         self._cluster_of[:] = -1
         self._local_of[:] = -1
-        assign = self._assign(vectors)
-        for ci in range(len(self._clusters)):
-            members = live[assign == ci]
-            if not len(members):
-                continue
-            cluster = self._clusters[ci]
-            cluster.sub.add(
-                self._sub_codes(self._vectors[members].astype(int))
-            )
-            cluster.globals_ = members.astype(np.int64)
-            cluster.alive = np.ones(len(members), dtype=bool)
-            self._cluster_of[members] = ci
-            self._local_of[members] = np.arange(
-                len(members), dtype=np.int64
-            )
+        self._append(vectors, live)
 
     # ------------------------------------------------------------------
     # Search
@@ -722,4 +744,38 @@ def _shortlist(sub: FerexBackend, queries: np.ndarray, c: int):
     return sub.shortlist(queries, c, with_units=True)
 
 
+class TieredBackend(RoutedBackend):
+    """Coarse-to-fine search: a low-bit FeReX pass nominates, an exact
+    full-precision rescore decides — a :class:`RoutedBackend` with one
+    cluster, probed in ``inner="tiered"`` mode.
+
+    The cluster's banks are voltaged at ``coarse_bits`` (default 1)
+    and hold the top bits of every stored code; a search asks them for
+    the ``max(k * refine_factor, k)`` nearest rows per query by
+    row-current readout — a much cheaper array evaluation, since the
+    low-bit cell needs fewer FeFETs per element — then rescores only
+    those with exact full-precision distances (:func:`refine`).
+    Returned distances are therefore exact integer distances (as
+    floats), and results are approximate exactly insofar as the
+    shortlist misses a true neighbor (``benchmarks/bench_reconfig.py``
+    tracks that recall).  ``coarse_bits >= bits`` degenerates
+    gracefully: the coarse pass runs at full precision and the rescore
+    only re-ranks ties.
+
+    Everything else is the routed backend's, by decision: tombstone
+    watermark compaction (a cluster past ``compact_watermark`` dead
+    rows is re-programmed from its live rows — same answers, fewer rows
+    read, one coarse re-program per crossing), ``last_routing``
+    accounting, persisted options, and :meth:`reconfigure_routing`
+    to more clusters.  Only the defaults differ: ``n_clusters=1``,
+    ``top_p=1``, ``inner="tiered"``.
+    """
+
+    name = "tiered"
+    __init__ = partialmethod(
+        RoutedBackend.__init__, n_clusters=1, top_p=1, inner="tiered"
+    )
+
+
 BACKENDS[RoutedBackend.name] = RoutedBackend
+BACKENDS[TieredBackend.name] = TieredBackend

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.core.config import BankConfig
-from repro.index import BACKENDS, FerexIndex, RoutedBackend
+from repro.index import BACKENDS, FerexIndex, RoutedBackend, routing
 from repro.index.routing import assign_codes, train_centroids
 
 
@@ -360,3 +360,108 @@ class TestSubCodeHoisting:
 def _flatten(state):
     meta, arrays = state
     return meta, arrays["vectors"], arrays["ids"], arrays["alive"]
+
+
+@pytest.fixture
+def no_routing_table(monkeypatch):
+    """Fail (instead of stalling) if a centroid LUT is ever built."""
+
+    def refuse(*args):
+        raise AssertionError("a centroid routing table was built")
+
+    monkeypatch.setattr(routing, "metric_element_lut", refuse)
+
+
+class TestOneCluster:
+    """A one-centroid index skips the centroid pass: every row and
+    query belongs to cluster 0, so no ``4**bits`` routing table is ever
+    built and the width limit does not apply."""
+
+    def test_training_assigns_without_scoring(self, rng, no_routing_table):
+        vectors = _clustered(rng, 50)
+        (centroid,) = train_centroids(vectors, 1, BankConfig("hamming", 2))
+        assert np.array_equal(
+            centroid, np.rint(vectors.mean(axis=0)).astype(int)
+        )
+
+    @pytest.mark.parametrize("bits", [15, 16])
+    def test_wide_tiered_routed_index_matches_exact(
+        self, bits, no_routing_table
+    ):
+        """End to end at widths a multi-cluster index refuses: a full
+        refine over one cluster is an exact search."""
+        rng = np.random.default_rng(bits)
+        stored = rng.integers(0, 1 << bits, size=(40, 4))
+        stored[0] = (1 << bits) - 1
+        queries = rng.integers(0, 1 << bits, size=(6, 4))
+        indexes = [
+            FerexIndex(dims=4, metric="manhattan", bits=bits, **kwargs)
+            for kwargs in (
+                {"backend": "exact"},
+                {
+                    "backend": "routed",
+                    "backend_options": {
+                        "n_clusters": 1,
+                        "inner": "tiered",
+                        "refine_factor": 1000,
+                    },
+                },
+            )
+        ]
+        for index in indexes:
+            index.add(stored[:30])
+            index.remove([3, 11])
+            index.add(stored[30:])
+        expected, result = (index.search(queries, k=5) for index in indexes)
+        np.testing.assert_array_equal(result.ids, expected.ids)
+        np.testing.assert_array_equal(result.distances, expected.distances)
+        assert indexes[1].last_routing["n_clusters"] == 1
+
+
+@pytest.mark.usefixtures("no_routing_table")
+class TestWidthGuard:
+    """A multi-cluster routed index wider than ``MAX_ROUTED_BITS``
+    raises before its routing table (seconds to hours to build) is
+    attempted, and before any state moves."""
+
+    WIDE = routing.MAX_ROUTED_BITS + 1
+
+    def _data(self, rows):
+        rng = np.random.default_rng(self.WIDE)
+        return rng.integers(0, 1 << self.WIDE, size=(rows, 4))
+
+    def test_first_add_raises_and_leaves_index_empty(self):
+        index = FerexIndex(
+            dims=4,
+            metric="manhattan",
+            bits=self.WIDE,
+            backend="routed",
+            backend_options={"n_clusters": 2, "inner": "tiered"},
+        )
+        with pytest.raises(ValueError, match="n_clusters=1"):
+            index.add(self._data(20))
+        assert index.ntotal == 0 and index.write_generation == 0
+        assert index.backend.centroids is None
+
+    @pytest.mark.parametrize("backend", ["routed", "tiered"])
+    def test_reconfigure_routing_raises_before_state_moves(self, backend):
+        index = FerexIndex(
+            dims=4,
+            metric="manhattan",
+            bits=self.WIDE,
+            backend=backend,
+            backend_options={"n_clusters": 1, "inner": "tiered"},
+        )
+        index.add(self._data(30))
+        queries = self._data(3)
+        before = index.search(queries, k=4)
+        generation = index.write_generation
+        knobs = index.backend.top_p, index.backend.n_clusters
+        with pytest.raises(ValueError, match="n_clusters=1"):
+            index.reconfigure_routing(top_p=3, n_clusters=4)
+        assert index.write_generation == generation
+        assert (index.backend.top_p, index.backend.n_clusters) == knobs
+        assert index.backend.n_trained_clusters == 1
+        after = index.search(queries, k=4)
+        np.testing.assert_array_equal(after.ids, before.ids)
+        np.testing.assert_array_equal(after.distances, before.distances)

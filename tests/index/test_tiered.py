@@ -342,3 +342,81 @@ class TestWideCodes:
         assert seen[-1] == code_dtype(bits)
         assert np.all(distances == self.DIMS * widest * widest)
 
+
+
+class TestOneClusterRoutedIndex:
+    """Tiered search is a routed index with one cluster probed in
+    ``inner="tiered"`` mode: it keeps no state or method of its own,
+    and what routed indexes do — persist their routing, re-route,
+    compact at the tombstone watermark — tiered indexes now do too."""
+
+    def test_only_defaults_of_its_own(self):
+        assert issubclass(TieredBackend, RoutedBackend)
+        own = {key for key in vars(TieredBackend) if not key.startswith("__")}
+        assert own == {"name"}
+        assert vars(TieredBackend)["__init__"].keywords == {
+            "n_clusters": 1,
+            "top_p": 1,
+            "inner": "tiered",
+        }
+
+    def test_parent_options_rebuild_the_same_index(self, stored, queries):
+        """A state whose options carry only the tiered knobs (what a
+        standalone tiered backend persisted) rebuilds an index with the
+        same answers and content fingerprint."""
+        index = build(stored, backend_options={"refine_factor": 4})
+        index.remove([2, 8, 30])
+        meta, arrays = index.export_state()
+        meta["backend_options"] = {
+            key: meta["backend_options"][key]
+            for key in ("coarse_bits", "refine_factor")
+        }
+        rebuilt = FerexIndex.from_state(
+            meta, arrays["vectors"], arrays["ids"], arrays["alive"]
+        )
+        assert isinstance(rebuilt.backend, TieredBackend)
+        before = index.search(queries, k=4)
+        after = rebuilt.search(queries, k=4)
+        np.testing.assert_array_equal(before.ids, after.ids)
+        np.testing.assert_array_equal(before.distances, after.distances)
+        assert rebuilt.content_fingerprint() == index.content_fingerprint()
+
+    def test_rerouted_index_survives_save_load(
+        self, stored, queries, tmp_path
+    ):
+        index = build(stored)
+        index.remove([5, 6])
+        assert index.reconfigure_routing(n_clusters=4) == (1, 4)
+        assert index.backend.n_trained_clusters == 4
+        index.save(tmp_path / "rerouted.npz")
+        loaded = FerexIndex.load(tmp_path / "rerouted.npz")
+        assert isinstance(loaded.backend, TieredBackend)
+        assert loaded.backend.n_trained_clusters == 4
+        before = index.search(queries, k=4)
+        after = loaded.search(queries, k=4)
+        np.testing.assert_array_equal(before.ids, after.ids)
+        np.testing.assert_array_equal(before.distances, after.distances)
+        assert loaded.content_fingerprint() == index.content_fingerprint()
+
+    def test_watermark_compaction_keeps_answers(self, stored, queries):
+        """Removing >= 35 % of rows crosses the default watermark: the
+        coarse tier re-programs from its live rows, and the answers
+        equal an index that never compacts."""
+        default = build(stored)
+        never = build(stored, backend_options={"compact_watermark": 1.0})
+        dead = np.arange(0, len(stored), 2)  # half the rows
+        for index in (default, never):
+            index.remove(dead)
+        assert default.backend.n_auto_compactions >= 1
+        assert never.backend.n_auto_compactions == 0
+        a = default.search(queries, k=6)
+        b = never.search(queries, k=6)
+        np.testing.assert_array_equal(a.ids, b.ids)
+        np.testing.assert_array_equal(a.distances, b.distances)
+        assert not np.isin(a.ids, dead).any()
+
+    def test_reports_its_routing(self, stored, queries):
+        index = build(stored)
+        index.search(queries, k=3)
+        assert index.last_routing["n_clusters"] == 1
+        assert index.last_routing["scan_fraction"] == 1.0
