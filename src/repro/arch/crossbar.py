@@ -63,6 +63,9 @@ to a small-integer *code* per cell and the bias alphabet to an integer
 compiled once per write generation by
 :meth:`FeReXArray.quantized_kernel`), so the hot loop is a gather +
 exact blocked reduction instead of re-evaluated float device physics.
+The score quantum is the configuration's, not the content's: its peak
+covers the engine's whole registered store alphabet, so every bank of
+one configuration reads a stored row at the same distance.
 Generic bias matrices are matched back onto the registered alphabet
 (:meth:`FeReXArray.set_search_alphabet`) so serial, batch and
 values-path searches all hit the same kernel and stay bit-identical.
@@ -92,6 +95,33 @@ from ..devices.variation import ArrayVariation, nominal_variation
 from .energy import EnergyBreakdown, EnergyModel
 from .parasitics import ArrayParasitics, extract
 from .timing import SearchTiming, TimingModel
+
+
+def vth_ladder(fefet) -> np.ndarray:
+    """Nominal threshold per stored level of ``fefet``'s MLC ladder.
+    The erased state comes last, so indexing with level -1 reads it."""
+    return np.array(
+        [fefet.vth_level(lv) for lv in range(fefet.n_vth_levels)]
+        + [fefet.vth_low + fefet.memory_window]
+    )
+
+
+def store_currents(
+    sl_alphabet: np.ndarray,
+    dl_alphabet: np.ndarray,
+    store_levels: np.ndarray,
+    tech: TechConfig,
+) -> np.ndarray:
+    """(n_search, n_values + 1) per-cell currents of every search value
+    against every value's store symbol (``store_levels``, one level
+    tuple per stored value), the erased cell last: every symbol an
+    engine can program.  Their peak is the configuration's kernel
+    quantum peak, whatever one array holds."""
+    erased = np.full((1, store_levels.shape[1]), -1)
+    levels = np.concatenate([store_levels, erased])
+    return compile_current_lut(
+        sl_alphabet, dl_alphabet, vth_ladder(tech.fefet)[levels], tech
+    )
 
 
 @dataclass
@@ -296,12 +326,8 @@ class FeReXArray:
         self.variation = variation
 
         fefet = self.tech.fefet
-        #: Nominal threshold per stored level.  The erased state comes
-        #: last so that ``_vth_lut[levels]`` reads it at level -1.
-        self._vth_lut = np.array(
-            [fefet.vth_level(lv) for lv in range(fefet.n_vth_levels)]
-            + [fefet.vth_low + fefet.memory_window]
-        )
+        #: Nominal threshold per stored level (see :func:`vth_ladder`).
+        self._vth_lut = vth_ladder(fefet)
         #: Disturb-induced drift accumulated per row, volts.
         self._disturb_drift = np.zeros(rows)
         #: Stored MLC level per cell, -1 = erased.
@@ -347,6 +373,8 @@ class FeReXArray:
         self.kernel_enabled = True
         #: Registered bias alphabet generic searches are matched onto.
         self._alphabet: Optional[tuple] = None
+        #: Registered (n_values, cell_fanout) store levels per value.
+        self._store_levels: Optional[np.ndarray] = None
         self._ideal_variation: Optional[bool] = None
 
     # ------------------------------------------------------------------
@@ -727,6 +755,12 @@ class FeReXArray:
         )
         self._alphabet = (sl_values, dl_values)
 
+    def set_store_alphabet(self, store_levels: np.ndarray) -> None:
+        """Register the (n_values, cell_fanout) level tuple each stored
+        value programs.  The kernel quantum then covers the whole store
+        alphabet, held or not (see :meth:`_compile_kernel`)."""
+        self._store_levels = np.asarray(store_levels)
+
     def _variation_is_ideal(self) -> bool:
         """True when every sampled device/comparator variation is
         exactly nominal — the static half of the kernel's eligibility
@@ -761,6 +795,10 @@ class FeReXArray:
         programmed row prefix; ``None`` when ineligible (varied/drifted
         devices, a bias alphabet that is not cell-uniform, or a geometry
         beyond the exact-integer bound).
+
+        The quantum depends on the configuration, not on the content:
+        it covers the symbols present plus, once registered, every
+        value's store symbol (:meth:`set_store_alphabet`).
         """
         if not self._variation_is_ideal() or np.any(self._disturb_drift):
             return None
@@ -802,11 +840,21 @@ class FeReXArray:
         raw = compile_current_lut(
             sl_cells[:, 0, :], dl_cells[:, 0, :], vth_symbols, self.tech
         )
+        peak = np.abs(raw).max()
+        if self._store_levels is not None:
+            # The peak covers every value's store symbol, held or not:
+            # every array of one configuration then shares one quantum,
+            # so a row reads the same distance whichever bank holds it.
+            stored = store_currents(
+                sl_cells[:, 0, :],
+                dl_cells[:, 0, :],
+                self._store_levels,
+                self.tech,
+            )
+            peak = max(peak, np.abs(stored).max())
         try:
             quantum = select_quantum(
-                float(np.abs(raw).max()) if raw.size else 0.0,
-                self.cells,
-                self.tech.cell.unit_current,
+                float(peak), self.cells, self.tech.cell.unit_current
             )
             kernel = LUTKernel(
                 codes[1:].reshape(prefix, self.cells),

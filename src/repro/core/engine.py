@@ -48,11 +48,11 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..arch.crossbar import FeReXArray, SearchResult
+from ..arch.crossbar import FeReXArray, SearchResult, store_currents
 from ..devices.tech import TechConfig, DEFAULT_TECH
 from ..devices.variation import ArrayVariation, VariationSampler
 from .config import BankConfig, code_dtype
@@ -61,6 +61,7 @@ from .dm import DistanceMatrix
 from .distance import DistanceMetric
 from .encoding import CellEncoding, best_encoding, encode_cell
 from .feasibility import find_min_cell
+from .kernel import select_quantum
 
 
 class ConfigurationError(RuntimeError):
@@ -318,10 +319,12 @@ class FeReX:
         )
         # Register the engine's bias alphabet so every search variant
         # (generic or values) can route through the quantized integer
-        # kernel when the array is eligible.
+        # kernel when the array is eligible, and its store alphabet, so
+        # that kernel's quantum is the configuration's (value_lut's).
         array.set_search_alphabet(
             self._sl_value_table, self._dl_value_table
         )
+        array.set_store_alphabet(self._store_lut)
         return array
 
     def program(self, vectors: np.ndarray) -> None:
@@ -403,6 +406,26 @@ class FeReX:
         if self.array is None:
             return None
         return self.array.quantized_kernel()
+
+    def value_lut(self) -> Tuple[np.ndarray, float]:
+        """``(lut, quantum)``: the integer score of every (query value,
+        stored value) cell pair, at the quantum every ideal array of
+        this engine compiles (the store alphabet and the erased cell fix
+        it, whatever a bank holds).  A :class:`repro.core.kernel.LUTKernel`
+        over stored value codes gathers from it and scores exactly what
+        the array's kernel scores.  Raises
+        :class:`repro.core.kernel.KernelOverflowError` beyond the exact
+        integer bound."""
+        raw = store_currents(
+            self._search_volt_lut,
+            self._search_mult_lut,
+            self._store_lut,
+            self.tech,
+        )
+        quantum = select_quantum(
+            float(np.abs(raw).max()), self.dims, self.tech.cell.unit_current
+        )
+        return np.rint(raw[:, :-1] / quantum).astype(np.int64), quantum
 
     def _query_bias(self, query: Sequence[int]):
         query = np.asarray(query, dtype=int)

@@ -13,10 +13,12 @@ decomposes into
 
 This module implements both halves, device-agnostically: the same
 :class:`LUTKernel` serves the crossbar's current-domain search (wrapped
-in :class:`QuantizedKernel` by :class:`repro.arch.crossbar.FeReXArray`)
-and the routed index's centroid scoring (:mod:`repro.index.routing`:
-many rows against a few reused centroids, over the metric's
-per-element distance table).  Exact software distances are
+in :class:`QuantizedKernel` by :class:`repro.arch.crossbar.FeReXArray`),
+the routed index's cluster scoring (a cluster's stored value codes
+against the configuration's value LUT,
+:meth:`repro.core.FeReX.value_lut`) and its centroid scoring
+(:mod:`repro.index.routing`: many rows against a few reused centroids,
+over the metric's per-element distance table).  Exact software distances are
 :meth:`repro.core.DistanceMetric.pairwise`'s job, not the kernel's.
 
 Exactness discipline
@@ -293,6 +295,12 @@ class LUTKernel:
             )
         return value_index
 
+    #: Stored rows per BLAS product, a bank's worth: a wider product
+    #: wakes a second OpenBLAS thread that burns CPU for no wall-clock
+    #: gain, so a kernel over many banks' rows (a routed cluster)
+    #: multiplies one bank-sized block at a time.
+    BLOCK_ROWS = 1024
+
     def scores(self, value_index: np.ndarray) -> np.ndarray:
         """(n, rows) reduction scores, exactly integer-valued float64.
 
@@ -306,11 +314,15 @@ class LUTKernel:
         out[:] = self._base
         for v, (g, plane) in enumerate(self._planes, start=1):
             mask = value_index == v
-            if mask.any():
-                part = mask.astype(plane.dtype) @ plane
+            if not mask.any():
+                continue
+            mask = mask.astype(plane.dtype)
+            for lo in range(0, self.rows, self.BLOCK_ROWS):
+                block = slice(lo, lo + self.BLOCK_ROWS)
+                part = mask @ plane[:, block]
                 if g != 1:
                     part = np.multiply(part, g, dtype=np.float64)
-                out += part
+                out[:, block] += part
         return out
 
     def scores_gather(

@@ -15,22 +15,32 @@ in.  :class:`RoutedBackend` reproduces that organisation in software:
    ``compact`` time;
 3. **route** — a search first scores the query against the centroids
    (one tiny kernel evaluation) and only the ``top_p`` nearest
-   clusters' banks run the real search.  The scan cost per query drops
-   from O(all banks) to O(top_p banks) — sublinear in the stored set
+   clusters are scored.  The scan cost per query drops from O(all
+   banks) to O(top_p clusters' banks) — sublinear in the stored set
    for a fixed cluster geometry.
 
-Within the selected banks the existing search machinery runs
-unchanged, in either of two inner modes:
+A probed cluster is scored as **one kernel**: its written codes, taken
+from the backend's narrow code mirror in local-row order, compiled
+once per write generation against the configuration's (query value x
+stored value) integer current LUT (:meth:`repro.core.FeReX.value_lut`).
+Every bank of one configuration compiles at that same quantum, so the
+cluster kernel's scores are exactly the ones its banks' own kernels
+would read.  One :func:`repro.circuits.lta.integer_top_k` over the
+cluster's alive mask nominates, and only the winners convert to unit
+currents.  The cluster's :class:`FerexBackend` stays the write,
+device-model and capacity unit — and answers itself where no exact
+kernel exists — but its banks never compile a search kernel.  Two
+inner modes:
 
-* ``inner="flat"`` (default) — each probed cluster answers through the
-  full-precision LTA path (:meth:`FerexBackend.search`) and candidates
-  merge on (analog distance, global position), exactly like the flat
+* ``inner="flat"`` (default) — each probed cluster nominates its
+  ``k`` nearest rows by (row current, position) and candidates merge
+  on (analog distance, global position), exactly like the flat
   backend's bank merge.  With ``top_p >= n_clusters`` every bank is
   probed and results are **bit-identical to flat search** (the
   property test sweeps metrics x bits, including after remove /
   compact / reconfigure).
 * ``inner="tiered"`` — probed clusters are voltaged at ``coarse_bits``
-  and nominate ``refine_factor * k`` candidates via the shortlist
+  and nominate ``refine_factor * k`` candidates by row-current
   readout; one exact full-precision rescore
   (:func:`repro.index.backends.refine`) decides across the routed
   subset.
@@ -83,15 +93,18 @@ the ``top_p = n_clusters`` flat parity exact.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 from functools import partialmethod
 from typing import List, Optional, Tuple
 
 import numpy as np
 
+from ..circuits.lta import integer_top_k
 from ..core.config import BankConfig, quantize_codes
 from ..core.distance import DistanceMetric
-from ..core.kernel import LUTKernel
+from ..core.engine import FeReX
+from ..core.kernel import KernelOverflowError, LUTKernel, select_accumulator
 from .backends import (
     BACKENDS,
     PAD_POSITION,
@@ -214,8 +227,10 @@ def _routing_kernel(centroids: np.ndarray, config: BankConfig) -> LUTKernel:
 
 @dataclass
 class _Cluster:
-    """One routing cell: a sharded FeReX backend plus the mapping from
-    its local rows back to global insertion positions."""
+    """One routing cell: a sharded FeReX backend — the write,
+    device-model and capacity unit — plus the mapping from its local
+    rows back to global insertion positions and the kernel a search
+    scores the cluster with."""
 
     sub: FerexBackend
     #: (written,) global position of each local row, strictly
@@ -224,6 +239,11 @@ class _Cluster:
     globals_: np.ndarray
     #: (written,) does the local row still compete?
     alive: np.ndarray
+    #: The written codes compiled against the configuration's value
+    #: LUT; ``None`` until a search compiles it, and again after a
+    #: write moves the cluster's rows (a tombstone only changes
+    #: ``alive``).
+    kernel: Optional[LUTKernel] = None
 
     @property
     def written(self) -> int:
@@ -339,6 +359,12 @@ class RoutedBackend:
         self._centroids: Optional[np.ndarray] = None
         self._clusters: List[_Cluster] = []
         self._router: Optional[LUTKernel] = None
+        # The cluster banks' (lut, quantum, unit current), () where no
+        # exact kernel exists; see _value_lut.
+        self._lut: Optional[tuple] = None
+        # Single flight: concurrent readers of one write generation
+        # compile each cluster once.
+        self._compile_lock = threading.Lock()
         if centroids is not None:
             adopted = np.asarray(centroids, dtype=int)
             if (
@@ -472,6 +498,7 @@ class RoutedBackend:
             cluster = self._clusters[ci]
             local_start = cluster.written
             cluster.sub.add(self._sub_codes(vectors[members]))
+            cluster.kernel = None
             positions = globals_[members]
             cluster.globals_ = np.concatenate(
                 [cluster.globals_, positions]
@@ -560,6 +587,7 @@ class RoutedBackend:
         )
         cluster.globals_ = live
         cluster.alive = np.ones(len(live), dtype=bool)
+        cluster.kernel = None
         self._local_of[live] = np.arange(len(live), dtype=np.int64)
         self.n_auto_compactions += 1
 
@@ -670,18 +698,69 @@ class RoutedBackend:
         )
         return member, live_counts
 
+    def _value_lut(self) -> Optional[tuple]:
+        """``(lut, quantum, unit current)`` of the cluster banks'
+        configuration (:meth:`FeReX.value_lut`), built once; ``None``
+        where no exact kernel exists, and the cluster banks answer."""
+        if self._lut is None:
+            engine = FeReX(
+                dims=self.dims, encoder=self.encoder, config=self._sub_config()
+            )
+            try:
+                lut, quantum = engine.value_lut()
+                select_accumulator(self.dims, int(np.abs(lut).max()))
+                self._lut = (lut, quantum, engine.tech.cell.unit_current)
+            except KernelOverflowError:
+                self._lut = ()
+        return self._lut or None
+
+    def _kernel(self, cluster: _Cluster) -> LUTKernel:
+        """The cluster's kernel: its written codes, from the narrow code
+        mirror in local-row order, against the configuration's value
+        LUT — compiled once per write generation, however many readers
+        ask at once."""
+        with self._compile_lock:
+            if cluster.kernel is None:
+                cluster.kernel = LUTKernel(
+                    quantize_codes(
+                        self._vectors[cluster.globals_],
+                        self.config.bits,
+                        self._sub_config().bits,
+                    ),
+                    self._value_lut()[0],
+                )
+            return cluster.kernel
+
+    def _nominate(
+        self, cluster: _Cluster, queries: np.ndarray, c: int
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """A cluster's ``c`` nearest live local rows in (row current,
+        local row) order, with their unit currents: the cluster's kernel
+        scores every written row, one :func:`integer_top_k` selects over
+        the alive mask, and only the winners convert to units.  Without
+        an exact kernel the cluster's banks answer instead."""
+        lut = self._value_lut()
+        if lut is None:
+            if self.inner == "tiered":
+                return cluster.sub.shortlist(queries, c, with_units=True)
+            return cluster.sub.search(queries, c)
+        _, quantum, unit_current = lut
+        raw = self._kernel(cluster).scores(queries).astype(np.int64)
+        local = integer_top_k(raw, c, cluster.alive)
+        score = np.take_along_axis(raw, local, axis=1)
+        return local, score * quantum / unit_current
+
     def _gather(
-        self, queries: np.ndarray, need: int, count: int, nominate
+        self, queries: np.ndarray, need: int, count: int
     ) -> Tuple[np.ndarray, np.ndarray]:
         """Route, then scatter every probed cluster's nominees into
         per-query candidate slots.
 
         The probe plan covers at least ``need`` live rows per query;
         each probed cluster contributes its ``min(count, live rows)``
-        best through ``nominate(sub, sub_queries, c)`` on its
-        :class:`FerexBackend`, which returns ``(local rows, scores)``.
-        Returns (n, cap) global positions and scores, unfilled slots
-        holding ``(PAD_POSITION, inf)``.
+        best through :meth:`_nominate`.  Returns (n, cap) global
+        positions and unit currents, unfilled slots holding
+        ``(PAD_POSITION, inf)``.
         """
         member, live_counts = self._probe_plan(queries, need)
         n = len(queries)
@@ -699,7 +778,7 @@ class RoutedBackend:
             c = min(count, cluster.n_live)
             if not len(rows) or c == 0:
                 continue
-            local, score = nominate(cluster.sub, sub_queries[rows], c)
+            local, score = self._nominate(cluster, sub_queries[rows], c)
             cols = fill[rows, None] + np.arange(c)[None, :]
             cand_pos[rows[:, None], cols] = cluster.globals_[local]
             cand_score[rows[:, None], cols] = score
@@ -709,39 +788,31 @@ class RoutedBackend:
     def search(
         self, queries: np.ndarray, k: int
     ) -> Tuple[np.ndarray, np.ndarray]:
-        """Route, search within the probed clusters, merge on
-        (distance, global position).
+        """Route, score the probed clusters, merge on (distance, global
+        position).
 
-        ``inner="flat"`` clusters answer through the full-precision LTA
-        path and distances are analog unit currents exactly as the flat
-        backend reports them; ``inner="tiered"`` clusters nominate
-        ``refine_factor * k`` rows each by coarse readout and one exact
-        full-precision :func:`refine` across the union decides, so
-        distances are exact integer rescores (as floats), like the
-        tiered backend.
+        Each probed cluster is one kernel evaluation
+        (:meth:`_nominate`) — its banks' kernels are never compiled.
+        ``inner="flat"`` clusters nominate ``k`` rows each and
+        distances are unit currents, bit-identical to what the flat
+        backend reports; ``inner="tiered"`` clusters score at
+        ``coarse_bits`` and nominate ``refine_factor * k`` rows each,
+        and one exact full-precision :func:`refine` across the union
+        decides, so distances are exact integer rescores (as floats).
         """
         if self.inner == "tiered":
             candidates, _ = self._gather(
-                queries, k, max(k * self.refine_factor, k), _shortlist
+                queries, k, max(k * self.refine_factor, k)
             )
             return refine(self.config, self._vectors, queries, candidates, k)
-        positions, distances = self._gather(
-            queries, k, k, FerexBackend.search
-        )
-        return merge_top_k(positions, distances, k)
+        return merge_top_k(*self._gather(queries, k, k), k)
 
     def shortlist(self, queries: np.ndarray, c: int) -> np.ndarray:
         """(n, c) nearest global positions by row-current readout
         within the routed subset — the probe plan widens until the
         probed clusters hold ``c`` live rows, then per-cluster
-        shortlists merge on (unit current, global position)."""
-        return merge_top_k(*self._gather(queries, c, c, _shortlist), c)[0]
-
-
-def _shortlist(sub: FerexBackend, queries: np.ndarray, c: int):
-    """A cluster's ``c`` nearest local rows by row-current readout,
-    with the unit currents backing the order."""
-    return sub.shortlist(queries, c, with_units=True)
+        nominees merge on (unit current, global position)."""
+        return merge_top_k(*self._gather(queries, c, c), c)[0]
 
 
 class TieredBackend(RoutedBackend):

@@ -6,7 +6,8 @@ ideal array each scores one exact integer per query, which
 Every case here compares the full-width readings exactly against a
 :class:`LUTKernel` compiled over *all* rows at the same quantum — the
 kernel as it was before the prefix cut — and checks that the quantum
-itself is the one the all-rows table selects.
+itself is the one the all-rows table selects once the engine's store
+alphabet is covered too.
 """
 
 import numpy as np
@@ -23,7 +24,8 @@ CONFIGS = [("hamming", 1), ("manhattan", 2), ("euclidean", 3)]
 
 
 def _all_rows_reference(array):
-    """(quantum, LUTKernel) compiled over every row of ``array``."""
+    """(quantum, LUTKernel) compiled over every row of ``array``, at the
+    quantum of its symbols plus the registered store alphabet."""
     sl, dl = array._alphabet
     k = array.cell_fanout
     n_values = sl.shape[0]
@@ -31,14 +33,21 @@ def _all_rows_reference(array):
     _, first, codes = np.unique(
         state, axis=0, return_index=True, return_inverse=True
     )
-    raw = compile_current_lut(
-        sl.reshape(n_values, array.cells, k)[:, 0, :],
-        dl.reshape(n_values, array.cells, k)[:, 0, :],
-        array._vth_lut[state[first]],
-        array.tech,
+
+    def currents(levels):
+        return compile_current_lut(
+            sl.reshape(n_values, array.cells, k)[:, 0, :],
+            dl.reshape(n_values, array.cells, k)[:, 0, :],
+            array._vth_lut[levels],
+            array.tech,
+        )
+
+    raw = currents(state[first])
+    peak = max(
+        np.abs(raw).max(), np.abs(currents(array._store_levels)).max()
     )
     quantum = select_quantum(
-        float(np.abs(raw).max()), array.cells, array.tech.cell.unit_current
+        float(peak), array.cells, array.tech.cell.unit_current
     )
     lut = np.rint(raw / quantum).astype(np.int64)
     return quantum, LUTKernel(codes.reshape(array.rows, array.cells), lut)
