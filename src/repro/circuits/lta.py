@@ -72,38 +72,61 @@ def stable_top_k(values: np.ndarray, k: int) -> np.ndarray:
     return np.take_along_axis(idx, order, axis=1)
 
 
+#: Columns one :func:`integer_top_k` key block spans: 10 column bits
+#: beside the < 2**52 magnitude of every exact kernel score
+#: (:func:`repro.core.kernel.select_accumulator` keeps
+#: ``2 x cells x max |entry|`` below ``2**53``) fill at most 62 bits.
+SELECT_BLOCK = 1024
+
+_KEY_MIN, _KEY_MAX = np.iinfo(np.int64).min, np.iinfo(np.int64).max
+
+
 def integer_top_k(
     scores: np.ndarray, k: int, active: Optional[np.ndarray] = None
 ) -> np.ndarray:
     """Per-row column indices of the ``k`` smallest active entries of an
     (n, m) int64 score block in (score, column) order — exactly
     ``np.argsort(np.where(active, scores, inf), axis=1,
-    kind="stable")[:, :k]`` for ``1 <= k <=`` active columns.
+    kind="stable")[:, :k]`` for ``1 <= k <=`` active columns and
+    ``|score| < 2**52``.
 
-    Each entry becomes the int64 key ``score << b | column`` with ``b``
-    bits per column index.  The keys are unique and their plain order is
-    the stable (score, column) order, so one ``np.partition`` plus a
-    ``k``-wide sort selects with no tie rule, and the column decodes
-    from the winning key's low bits.  Columns ``active`` masks out key
-    to the int64 maximum.  Scores too
-    wide for the key (``max |score| >= 2**(62 - b)``, reachable only
-    past 1024 columns at kernel scale) fall back to
-    :func:`stable_top_k` on the ``inf``-masked values.
+    The columns split into blocks of at most :data:`SELECT_BLOCK`, and
+    each entry becomes the int64 key ``score << b | column`` with ``b``
+    bits per column index within its block.  A block's keys are unique
+    and their plain order is the stable (score, column) order, so one
+    ``np.partition`` selects with no tie rule; columns ``active`` masks
+    out key to the int64 maximum.  One block is the whole answer after
+    a ``k``-wide sort.  Wider blocks nominate their ``k`` best each —
+    the paper's LTA decides per array, and a multi-bank CAM composes
+    its banks' winners — and one (score, column) lexsort orders the
+    ``(n, k x blocks)`` nominees, masked keys last.
     """
-    m = scores.shape[1]
-    bits = (m - 1).bit_length()
-    peak = max(int(scores.max()), -int(scores.min())) if scores.size else 0
-    if peak >= 1 << (62 - bits):
-        values = scores.astype(float)
-        if active is not None:
-            values[:, ~active] = np.inf
-        return stable_top_k(values, k)
-    key = scores << bits
-    key += np.arange(m)
+    n, m = scores.shape
+    blocks = -(-m // SELECT_BLOCK)
+    width = -(-m // blocks)
+    bits = (width - 1).bit_length()
+    low = (1 << bits) - 1
+    key = np.empty((n, blocks * width), dtype=np.int64)
+    np.left_shift(scores, bits, out=key[:, :m])
+    nominees = key.reshape(n, blocks, width)
+    nominees += np.arange(width)
+    # Equal blocks: the fewer than ``blocks`` padding columns key to
+    # the maximum, like masked ones.
+    key[:, m:] = _KEY_MAX
     if active is not None and not active.all():
-        np.copyto(key, np.iinfo(np.int64).max, where=~active)
-    top = np.sort(np.partition(key, k - 1, axis=1)[:, :k], axis=1)
-    return top & ((1 << bits) - 1)
+        dead = np.where(active, _KEY_MIN, _KEY_MAX)
+        np.maximum(key[:, :m], dead, out=key[:, :m])
+    if blocks == 1:
+        top = np.sort(np.partition(key, k - 1, axis=1)[:, :k], axis=1)
+        return top & low
+    take = min(k, width)
+    if take < width:
+        nominees = np.partition(nominees, take - 1, axis=2)[:, :, :take]
+    shape = (n, blocks * take)
+    columns = (nominees & low) + width * np.arange(blocks)[:, None]
+    columns = columns.reshape(shape)
+    order = np.lexsort((columns, (nominees >> bits).reshape(shape)))
+    return columns[np.arange(n)[:, None], order[:, :k]]
 
 
 @dataclass(frozen=True)

@@ -11,6 +11,17 @@ decomposes into
 2. **search** (per batch): gather the scores selected by the query's
    value indices and reduce them per row.
 
+A compiled :class:`LUTKernel` also grows row by row, as the array is
+written: :meth:`LUTKernel.append` compiles only the new rows' codes,
+base entries and plane columns.  A fresh compile fits its rows exactly;
+an append that outgrows the buffers regrows them to
+:func:`headroom` rows, ``n + n // 8``, so a stream of small appends
+costs amortised work in proportion to the rows written while the idle
+capacity stays an eighth (a 2x doubling's spare half cost real peak
+memory on a 100k-row routed index).  Planes are kept ``(cells,
+capacity)`` C-ordered and scored through their ``[:, :rows]`` view,
+which BLAS reads in place.
+
 This module implements both halves, device-agnostically: the same
 :class:`LUTKernel` serves the crossbar's current-domain search (wrapped
 in :class:`QuantizedKernel` by :class:`repro.arch.crossbar.FeReXArray`),
@@ -147,6 +158,22 @@ def select_quantum(
     return quantum
 
 
+def headroom(rows: int) -> int:
+    """Capacity a buffer regrows to when an append takes it past its
+    end: ``rows + rows // 8``.  A 2x doubling's idle half costs real
+    peak memory on a 100k-row routed index; an eighth keeps a stream of
+    small appends amortised O(rows written)."""
+    return rows + rows // 8
+
+
+def regrown(prefix: np.ndarray, size: int, axis: int = 0) -> np.ndarray:
+    """A fresh C-ordered buffer, ``size`` long on ``axis``, whose
+    leading part copies ``prefix``."""
+    pad = [(0, 0)] * prefix.ndim
+    pad[axis] = (0, size - prefix.shape[axis])
+    return np.pad(prefix, pad)
+
+
 #: Largest mixed-radix key space :func:`symbol_codes` ranks through a
 #: dense presence table; wider spaces take a 1-D sort of the keys.
 DENSE_SYMBOL_SPACE = 1 << 20
@@ -241,6 +268,11 @@ class LUTKernel:
       reduction in the accumulator dtype :func:`select_accumulator`
       picked.  The reference semantics, and the shape the kernel takes
       on gather-friendly accelerators.
+
+    :meth:`append` adds rows in place.  ``g_v``, ``small_v``, the plane
+    dtypes and the accumulator depend on the LUT and ``cells`` alone,
+    never on the rows, so an appended kernel equals one compiled over
+    all its codes, bit for bit.
     """
 
     def __init__(self, codes: np.ndarray, lut: np.ndarray):
@@ -252,24 +284,20 @@ class LUTKernel:
             raise ValueError(f"lut must be 2-D, got {lut.shape}")
         if not np.issubdtype(lut.dtype, np.integer):
             raise ValueError("lut must be an integer table")
-        if codes.size and (
-            codes.min() < 0 or codes.max() >= lut.shape[1]
-        ):
-            raise ValueError(
-                f"codes outside the [0, {lut.shape[1]}) symbol range"
-            )
+        #: Rows compiled so far; every buffer below holds at least as
+        #: many (a fresh compile exactly as many).
         self.rows, self.cells = codes.shape
         self.n_values = lut.shape[0]
-        self.codes = codes.astype(np.int64, copy=False)
         self.lut = lut.astype(np.int64, copy=False)
+        self._codes = self._validate_codes(codes).astype(np.int64, copy=False)
         max_entry = int(np.abs(self.lut).max()) if self.lut.size else 0
         #: Accumulator dtype certified by the overflow bound.
         self.accumulator = select_accumulator(self.cells, max_entry)
-        self._base = self.lut[0][self.codes].sum(axis=1).astype(np.float64)
-        # One (g, plane) per value v >= 1, gathered straight from the
-        # small LUT into a C-ordered (cells, rows) plane (sgemm on the
-        # F-ordered gather is slower).
-        self._planes = []
+        self._base = self.lut[0][self._codes].sum(axis=1).astype(np.float64)
+        # One (g, small) per value v >= 1; its plane is gathered straight
+        # from the small LUT into a C-ordered (cells, rows) array (sgemm
+        # on the F-ordered gather is slower).
+        self._small = []
         for delta in self.lut[1:] - self.lut[0]:
             g = int(np.gcd.reduce(delta)) or 1
             peak = int(np.abs(delta).max(initial=0)) // g
@@ -277,8 +305,59 @@ class LUTKernel:
                 small = (delta // g).astype(np.float32)
             else:  # float64 holds the delta itself: no rescale
                 g, small = 1, delta.astype(np.float64)
-            plane = np.ascontiguousarray(small[self.codes.T])
-            self._planes.append((g, plane))
+            self._small.append((g, small))
+        self._planes = [
+            (g, np.ascontiguousarray(columns))
+            for (g, _), columns in zip(self._small, self._columns(codes))
+        ]
+
+    @property
+    def codes(self) -> np.ndarray:
+        """(rows, cells) int64 compiled codes."""
+        rows = self.rows  # before the buffer: an append moves it last
+        return self._codes[:rows]
+
+    def _validate_codes(self, codes: np.ndarray) -> np.ndarray:
+        if codes.ndim != 2 or codes.shape[1] != self.cells:
+            raise ValueError(
+                f"expected (n, {self.cells}) codes, got {codes.shape}"
+            )
+        if codes.size and (
+            codes.min() < 0 or codes.max() >= self.lut.shape[1]
+        ):
+            raise ValueError(
+                f"codes outside the [0, {self.lut.shape[1]}) symbol range"
+            )
+        return codes
+
+    def _columns(self, codes: np.ndarray):
+        """Each plane's (cells, n) columns for ``codes``, one at a time."""
+        return (small[codes.T] for _, small in self._small)
+
+    def append(self, codes: np.ndarray) -> None:
+        """Compile (n, cells) more ``codes`` after the last row.
+
+        Only the new rows' codes, base entries and plane columns are
+        computed.  Buffers they would overflow regrow to
+        :func:`headroom` rows first.  ``g``, ``small`` and every dtype
+        depend on the LUT alone, so the result equals one kernel over
+        all the codes, bit for bit.  ``rows`` moves last, so a reader
+        that read it earlier still scores a consistent prefix."""
+        codes = self._validate_codes(np.asarray(codes))
+        start, stop = self.rows, self.rows + len(codes)
+        if stop > len(self._base):
+            size = headroom(stop)
+            self._codes = regrown(self._codes[:start], size)
+            self._base = regrown(self._base[:start], size)
+            self._planes = [
+                (g, regrown(plane[:, :start], size, axis=1))
+                for g, plane in self._planes
+            ]
+        self._codes[start:stop] = codes
+        self._base[start:stop] = self.lut[0][codes].sum(axis=1)
+        for (_, plane), columns in zip(self._planes, self._columns(codes)):
+            plane[:, start:stop] = columns
+        self.rows = stop
 
     def _validate_index(self, value_index: np.ndarray) -> np.ndarray:
         value_index = np.asarray(value_index)
@@ -310,15 +389,16 @@ class LUTKernel:
         array times a Python int would stay float32)."""
         value_index = self._validate_index(value_index)
         n = value_index.shape[0]
-        out = np.empty((n, self.rows))
-        out[:] = self._base
-        for v, (g, plane) in enumerate(self._planes, start=1):
+        rows, base, planes = self.rows, self._base, self._planes
+        out = np.empty((n, rows))
+        out[:] = base[:rows]
+        for v, (g, plane) in enumerate(planes, start=1):
             mask = value_index == v
             if not mask.any():
                 continue
             mask = mask.astype(plane.dtype)
-            for lo in range(0, self.rows, self.BLOCK_ROWS):
-                block = slice(lo, lo + self.BLOCK_ROWS)
+            for lo in range(0, rows, self.BLOCK_ROWS):
+                block = slice(lo, min(lo + self.BLOCK_ROWS, rows))
                 part = mask @ plane[:, block]
                 if g != 1:
                     part = np.multiply(part, g, dtype=np.float64)
@@ -336,14 +416,15 @@ class LUTKernel:
         """
         value_index = self._validate_index(value_index)
         n = value_index.shape[0]
+        codes = self.codes
         if block is None:
-            block = max(1, (1 << 20) // max(1, self.rows * self.cells))
+            block = max(1, (1 << 20) // max(1, codes.size))
         block = max(1, block)
-        out = np.empty((n, self.rows), dtype=np.int64)
+        out = np.empty((n, len(codes)), dtype=np.int64)
         for start in range(0, n, block):
             stop = min(start + block, n)
             gathered = self.lut[
-                value_index[start:stop, None, :], self.codes[None, :, :]
+                value_index[start:stop, None, :], codes[None, :, :]
             ]
             out[start:stop] = gathered.sum(
                 axis=2, dtype=self.accumulator

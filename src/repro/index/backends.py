@@ -64,6 +64,13 @@ A seeded bank additionally holds its variation sample (two float64 per
 FeFET), once: every allocation slices it and the array adopts the
 slice uncopied.
 
+The index's canonical arrays, the mirrors above and the routed
+backend's store and position maps all grow through one
+:class:`RowStore`: a bulk load fits exactly, and once appended to a
+buffer keeps at most an eighth of spare rows past the written prefix —
+the price of an add costing its own rows, not a copy of everything
+stored.
+
 Variation discipline
 --------------------
 Under a seed, bank ``b`` samples its full-capacity variation once
@@ -88,7 +95,44 @@ import numpy as np
 from ..circuits.lta import stable_top_k
 from ..core.config import BankConfig, code_dtype, quantize_codes
 from ..core.engine import FeReX
+from ..core.kernel import headroom, regrown
 from ..devices.variation import ArrayVariation, VariationSampler
+
+
+class RowStore:
+    """Aligned append-only row arrays: every write costs its own rows.
+
+    ``columns`` holds each array's written prefix, a view of a buffer
+    that an append outgrowing it regrows to
+    :func:`repro.core.kernel.headroom` rows — except the first write
+    into an empty store, which fits exactly, as a fresh kernel compile
+    does: a bulk-loaded, read-mostly index keeps no spare rows.  Rows
+    are only ever written past the prefix, so a prefix handed out
+    earlier — an :meth:`FerexIndex.export_state` array, a fingerprinted
+    or published state — keeps its rows under later appends.  The
+    initial arrays are adopted uncopied (a read-only shared-memory view
+    included: the first append regrows into a private buffer).
+    In-place writes through a prefix (a tombstone flipping ``alive``)
+    reach the buffer.
+    """
+
+    def __init__(self, *columns: np.ndarray):
+        self.columns = self._buffers = columns
+
+    def append(self, *rows: np.ndarray) -> Tuple[np.ndarray, ...]:
+        """Write one block of new rows per column past the prefix;
+        returns the grown prefixes."""
+        start = len(self.columns[0])
+        stop = start + len(rows[0])
+        if stop > len(self._buffers[0]):
+            size = headroom(stop) if start else stop
+            self._buffers = tuple(
+                regrown(prefix, size) for prefix in self.columns
+            )
+        for buffer, new in zip(self._buffers, rows):
+            buffer[start:stop] = new
+        self.columns = tuple(buffer[:stop] for buffer in self._buffers)
+        return self.columns
 
 
 @runtime_checkable
@@ -144,23 +188,22 @@ class ExactBackend:
         self.metric = config.resolved
         self.bits = config.bits
         self.dims = dims
-        self._vectors = code_store(dims, config.bits)
-        self._alive = np.empty(0, dtype=bool)
+        self.rebuild(np.empty((0, dims), dtype=int))
 
     def add(self, vectors: np.ndarray) -> None:
-        self._vectors = np.concatenate(
-            [self._vectors, np.asarray(vectors, dtype=self._vectors.dtype)]
-        )
-        self._alive = np.concatenate(
-            [self._alive, np.ones(len(vectors), dtype=bool)]
+        self._vectors, self._alive = self._rows.append(
+            vectors, np.ones(len(vectors), dtype=bool)
         )
 
     def deactivate(self, positions: np.ndarray) -> None:
         self._alive[positions] = False
 
     def rebuild(self, vectors: np.ndarray) -> None:
-        self._vectors = np.array(vectors, dtype=self._vectors.dtype)
-        self._alive = np.ones(len(vectors), dtype=bool)
+        self._rows = RowStore(
+            np.array(vectors, dtype=code_dtype(self.bits)),
+            np.ones(len(vectors), dtype=bool),
+        )
+        self._vectors, self._alive = self._rows.columns
 
     def search(
         self, queries: np.ndarray, k: int
@@ -302,6 +345,15 @@ class _Bank:
     #: Full-capacity variation sample the allocations slice (None =
     #: ideal devices).
     variation: Optional[ArrayVariation] = None
+
+    def __post_init__(self) -> None:
+        self._rows = RowStore(self.vectors, self.alive)
+
+    def append(self, vectors: np.ndarray) -> None:
+        """Mirror newly written ``vectors``, every row live."""
+        self.vectors, self.alive = self._rows.append(
+            vectors, np.ones(len(vectors), dtype=bool)
+        )
 
     @property
     def written(self) -> int:
@@ -452,12 +504,7 @@ class FerexBackend:
             start,
             quantize_codes(written, self.config.bits, bank.config.bits),
         )
-        bank.vectors = np.concatenate(
-            [bank.vectors, np.asarray(vectors, dtype=bank.vectors.dtype)]
-        )
-        bank.alive = np.concatenate(
-            [bank.alive, np.ones(len(vectors), dtype=bool)]
-        )
+        bank.append(vectors)
 
     def add(self, vectors: np.ndarray) -> None:
         i = 0
@@ -500,7 +547,7 @@ class FerexBackend:
         )
         if old.written:
             self._write(bank, old.vectors)
-            bank.alive = old.alive.copy()
+            bank.alive[:] = old.alive
         return bank
 
     def reconfigure_banks(

@@ -59,7 +59,7 @@ import numpy as np
 from ..core.config import BankConfig
 from ..core.distance import DistanceMetric
 from ..core.engine import NotProgrammedError
-from .backends import BACKENDS, FerexBackend, SearchBackend
+from .backends import BACKENDS, FerexBackend, RowStore, SearchBackend
 from .routing import RoutedBackend
 
 #: Bumped when the on-disk layout changes.  Version 2 added
@@ -209,9 +209,11 @@ class FerexIndex:
         self._backend_kind = backend if isinstance(backend, str) else None
         self._backend_options = dict(backend_options or {})
         self._backend = self._make_backend(backend)
-        self._vectors = np.empty((0, dims), dtype=int)
-        self._ids = np.empty(0, dtype=np.int64)
-        self._alive = np.empty(0, dtype=bool)
+        self._hold(
+            np.empty((0, dims), dtype=np.int64),
+            np.empty(0, dtype=np.int64),
+            np.empty(0, dtype=bool),
+        )
         self._id_to_pos: dict = {}
         self._next_id = 0
         self._write_generation = 0
@@ -221,6 +223,14 @@ class FerexIndex:
         #: arrays alias another process's segments, so mutation is
         #: refused — writes go to the publisher, which republishes.
         self._read_only = False
+
+    def _hold(
+        self, vectors: np.ndarray, ids: np.ndarray, alive: np.ndarray
+    ) -> None:
+        """Hold the canonical state in a fresh :class:`RowStore` over
+        these arrays (adopted uncopied); ``add`` appends to it."""
+        self._rows = RowStore(vectors, ids, alive)
+        self._vectors, self._ids, self._alive = self._rows.columns
 
     def _make_backend(
         self, backend: Union[str, SearchBackend]
@@ -450,9 +460,9 @@ class FerexIndex:
         # must not report vectors the backend never admitted.
         self._backend.add(vectors)
         start = len(self._vectors)
-        self._vectors = np.concatenate([self._vectors, vectors])
-        self._ids = np.concatenate([self._ids, ids])
-        self._alive = np.concatenate([self._alive, np.ones(n, dtype=bool)])
+        self._vectors, self._ids, self._alive = self._rows.append(
+            vectors, ids, np.ones(n, dtype=bool)
+        )
         for offset, id_ in enumerate(ids):
             self._id_to_pos[int(id_)] = start + offset
         self._next_id = max(self._next_id, int(ids.max()) + 1)
@@ -494,9 +504,11 @@ class FerexIndex:
         compacting if the fleet should stay mixed."""
         self._check_writable()
         live = np.flatnonzero(self._alive)
-        self._vectors = self._vectors[live]
-        self._ids = self._ids[live]
-        self._alive = np.ones(len(live), dtype=bool)
+        self._hold(
+            self._vectors[live],
+            self._ids[live],
+            np.ones(len(live), dtype=bool),
+        )
         self._id_to_pos = {
             int(id_): pos for pos, id_ in enumerate(self._ids)
         }
@@ -787,9 +799,11 @@ class FerexIndex:
         # Explicit int64 (not platform-int): exported state is int64,
         # and a platform where int != int64 would otherwise silently
         # copy — defeating the zero-copy shared-memory attach.
-        index._vectors = adopt(vectors, dtype=np.int64)
-        index._ids = adopt(ids, dtype=np.int64)
-        index._alive = adopt(alive, dtype=bool)
+        index._hold(
+            adopt(vectors, dtype=np.int64),
+            adopt(ids, dtype=np.int64),
+            adopt(alive, dtype=bool),
+        )
         index._id_to_pos = {
             int(id_): pos
             for pos, (id_, live) in enumerate(zip(index._ids, index._alive))

@@ -20,9 +20,13 @@ in.  :class:`RoutedBackend` reproduces that organisation in software:
    for a fixed cluster geometry.
 
 A probed cluster is scored as **one kernel**: its written codes, taken
-from the backend's narrow code mirror in local-row order, compiled
-once per write generation against the configuration's (query value x
-stored value) integer current LUT (:meth:`repro.core.FeReX.value_lut`).
+from the backend's narrow code mirror in local-row order, compiled on
+first search against the configuration's (query value x stored value)
+integer current LUT (:meth:`repro.core.FeReX.value_lut`).  A write
+costs the rows it writes: an add appends the new rows' codes to each
+touched cluster's compiled kernel (:meth:`LUTKernel.append`, equal to a
+recompile bit for bit), a tombstone only flips the cluster's alive
+mask, and only a compaction, ``rebuild`` or re-pin recompiles.
 Every bank of one configuration compiles at that same quantum, so the
 cluster kernel's scores are exactly the ones its banks' own kernels
 would read.  One :func:`repro.circuits.lta.integer_top_k` over the
@@ -109,6 +113,7 @@ from .backends import (
     BACKENDS,
     PAD_POSITION,
     FerexBackend,
+    RowStore,
     code_store,
     merge_top_k,
     refine,
@@ -233,17 +238,29 @@ class _Cluster:
     scores the cluster with."""
 
     sub: FerexBackend
-    #: (written,) global position of each local row, strictly
-    #: ascending — the invariant that makes local (current, position)
-    #: tie-breaks equal global ones.
-    globals_: np.ndarray
-    #: (written,) does the local row still compete?
-    alive: np.ndarray
     #: The written codes compiled against the configuration's value
     #: LUT; ``None`` until a search compiles it, and again after a
-    #: write moves the cluster's rows (a tombstone only changes
-    #: ``alive``).
+    #: compaction moves the cluster's rows.  An append extends it
+    #: (:meth:`LUTKernel.append`); a tombstone only changes ``alive``.
     kernel: Optional[LUTKernel] = None
+
+    def __post_init__(self) -> None:
+        self.reset(np.empty(0, dtype=np.int64))
+
+    def reset(self, globals_: np.ndarray) -> None:
+        """Hold the rows at ``globals_``, every one live."""
+        self._rows = RowStore(globals_, np.ones(len(globals_), dtype=bool))
+        #: (written,) global position of each local row, strictly
+        #: ascending — the invariant that makes local (current,
+        #: position) tie-breaks equal global ones — and whether the
+        #: local row still competes.
+        self.globals_, self.alive = self._rows.columns
+
+    def append(self, globals_: np.ndarray) -> None:
+        """Hold new live rows at ``globals_`` (past every held one)."""
+        self.globals_, self.alive = self._rows.append(
+            globals_, np.ones(len(globals_), dtype=bool)
+        )
 
     @property
     def written(self) -> int:
@@ -352,18 +369,15 @@ class RoutedBackend:
         # plus the global -> (cluster, local row) maps.  -1 in the
         # local map marks a tombstone whose row a watermark compaction
         # already reclaimed.
-        self._vectors = code_store(dims, self.config.bits)
-        self._alive = np.empty(0, dtype=bool)
-        self._cluster_of = np.empty(0, dtype=np.int32)
-        self._local_of = np.empty(0, dtype=np.int64)
+        self._reset_rows()
         self._centroids: Optional[np.ndarray] = None
         self._clusters: List[_Cluster] = []
         self._router: Optional[LUTKernel] = None
         # The cluster banks' (lut, quantum, unit current), () where no
         # exact kernel exists; see _value_lut.
         self._lut: Optional[tuple] = None
-        # Single flight: concurrent readers of one write generation
-        # compile each cluster once.
+        # Single flight: concurrent readers compile each cluster once;
+        # an append extends a compiled kernel under the same lock.
         self._compile_lock = threading.Lock()
         if centroids is not None:
             adopted = np.asarray(centroids, dtype=int)
@@ -456,9 +470,7 @@ class RoutedBackend:
                     bank_rows=self.bank_rows,
                     encoder=self.encoder,
                     seed=None,
-                ),
-                globals_=np.empty(0, dtype=np.int64),
-                alive=np.empty(0, dtype=bool),
+                )
             )
             for _ in range(len(self._centroids))
         ]
@@ -489,23 +501,20 @@ class RoutedBackend:
     def _append(self, vectors: np.ndarray, globals_: np.ndarray) -> None:
         """Pin vectors (at ascending global positions ``globals_``) to
         their nearest clusters, keeping each cluster's local order
-        global-position ascending."""
+        global-position ascending.  A cluster with a compiled kernel
+        appends the new rows' codes to it."""
         assign = self._assign(vectors)
-        for ci in range(len(self._clusters)):
+        for ci in np.unique(assign):
             members = np.flatnonzero(assign == ci)
-            if not len(members):
-                continue
             cluster = self._clusters[ci]
             local_start = cluster.written
-            cluster.sub.add(self._sub_codes(vectors[members]))
-            cluster.kernel = None
+            codes = self._sub_codes(vectors[members])
+            cluster.sub.add(codes)
+            with self._compile_lock:
+                if cluster.kernel is not None:
+                    cluster.kernel.append(codes)
             positions = globals_[members]
-            cluster.globals_ = np.concatenate(
-                [cluster.globals_, positions]
-            )
-            cluster.alive = np.concatenate(
-                [cluster.alive, np.ones(len(members), dtype=bool)]
-            )
+            cluster.append(positions)
             self._cluster_of[positions] = ci
             self._local_of[positions] = local_start + np.arange(
                 len(members), dtype=np.int64
@@ -514,23 +523,33 @@ class RoutedBackend:
     # ------------------------------------------------------------------
     # Mutation (the SearchBackend protocol)
     # ------------------------------------------------------------------
+    def _reset_rows(self) -> None:
+        """Empty rescore / re-pin mirror and position maps."""
+        self._rows = RowStore(
+            code_store(self.dims, self.config.bits),
+            np.empty(0, dtype=bool),
+            np.empty(0, dtype=np.int32),
+            np.empty(0, dtype=np.int64),
+        )
+        self._take_rows(self._rows.columns)
+
+    def _take_rows(self, columns: tuple) -> None:
+        self._vectors, self._alive, self._cluster_of, self._local_of = columns
+
     def add(self, vectors: np.ndarray) -> None:
         _check_width(self.n_clusters, self.config)
         vectors = np.asarray(vectors, dtype=int)
-        if not len(vectors):
+        n = len(vectors)
+        if not n:
             return
         start = len(self._vectors)
-        self._vectors = np.concatenate(
-            [self._vectors, vectors.astype(self._vectors.dtype)]
-        )
-        self._alive = np.concatenate(
-            [self._alive, np.ones(len(vectors), dtype=bool)]
-        )
-        self._cluster_of = np.concatenate(
-            [self._cluster_of, np.full(len(vectors), -1, dtype=np.int32)]
-        )
-        self._local_of = np.concatenate(
-            [self._local_of, np.full(len(vectors), -1, dtype=np.int64)]
+        self._take_rows(
+            self._rows.append(
+                vectors,
+                np.ones(n, dtype=bool),
+                np.full(n, -1, dtype=np.int32),
+                np.full(n, -1, dtype=np.int64),
+            )
         )
         if self._centroids is None:
             prefix = np.asarray(
@@ -585,8 +604,7 @@ class RoutedBackend:
         cluster.sub.rebuild(
             self._sub_codes(self._vectors[live].astype(int))
         )
-        cluster.globals_ = live
-        cluster.alive = np.ones(len(live), dtype=bool)
+        cluster.reset(live)
         cluster.kernel = None
         self._local_of[live] = np.arange(len(live), dtype=np.int64)
         self.n_auto_compactions += 1
@@ -595,10 +613,7 @@ class RoutedBackend:
         """Fresh build of the live set (the index ``compact``):
         re-train on the new insertion order and re-pin everything."""
         vectors = np.asarray(vectors, dtype=int)
-        self._vectors = code_store(self.dims, self.config.bits)
-        self._alive = np.empty(0, dtype=bool)
-        self._cluster_of = np.empty(0, dtype=np.int32)
-        self._local_of = np.empty(0, dtype=np.int64)
+        self._reset_rows()
         self._centroids = None
         self._router = None
         self._clusters = []
@@ -717,8 +732,8 @@ class RoutedBackend:
     def _kernel(self, cluster: _Cluster) -> LUTKernel:
         """The cluster's kernel: its written codes, from the narrow code
         mirror in local-row order, against the configuration's value
-        LUT — compiled once per write generation, however many readers
-        ask at once."""
+        LUT — compiled once, however many readers ask at once, then
+        appended to by :meth:`_append`."""
         with self._compile_lock:
             if cluster.kernel is None:
                 cluster.kernel = LUTKernel(

@@ -3,15 +3,14 @@
 :func:`repro.circuits.lta.integer_top_k` selects the compiled kernel's
 winners from unique int64 keys ``score << b | column``; it must agree
 with ``np.argsort(np.where(active, scores, inf), kind="stable")[:, :k]``
-entry for entry — heavy ties, negative scores, any column count, any
-mask, every ``k`` up to the competing columns, empty batches, and scores
-too wide for the key, where it falls back to :func:`stable_top_k`.
+entry for entry — heavy ties, negative scores, any column count (one
+key block or many), any mask, every ``k`` up to the competing columns,
+empty batches, and scores at the key's 52-bit bound.
 """
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from repro.circuits import lta
 from repro.circuits.lta import integer_top_k
 
 
@@ -27,7 +26,7 @@ def score_blocks(draw):
     """(scores, active): few distinct integer levels, so most rows hold
     several exact ties, around a random (possibly negative) offset."""
     n = draw(st.integers(0, 6))
-    m = draw(st.integers(1, 70))
+    m = draw(st.integers(1, 100_000))
     levels = draw(st.integers(1, 6))
     offset = draw(st.integers(-(1 << 40), 1 << 40))
     seed = draw(st.integers(0, 2**32 - 1))
@@ -93,9 +92,9 @@ def test_empty_batch():
     masked=st.booleans(),
 )
 @settings(max_examples=20, deadline=None)
-def test_scores_too_wide_for_the_key_fall_back_exactly(n, k, seed, masked):
-    # 4096 columns take 12 key bits, so scores near 2**52 reach the
-    # 2**(62 - 12) bound and take the stable_top_k fallback.
+def test_scores_at_the_key_bound_select_exactly(n, k, seed, masked):
+    # 4096 columns are four key blocks of 10 column bits each, so
+    # scores near 2**52 fill all 62 bits of every key.
     rng = np.random.default_rng(seed)
     m = 4096
     base = rng.choice([-1, 1]) * ((1 << 52) - 64)
@@ -106,19 +105,3 @@ def test_scores_too_wide_for_the_key_fall_back_exactly(n, k, seed, masked):
     picks = integer_top_k(scores, k, active)
     assert np.array_equal(picks, _reference(scores, k, active))
 
-
-def test_only_wide_scores_take_the_fallback(monkeypatch):
-    calls = []
-    fallback = lta.stable_top_k
-
-    def counted(values, k):
-        calls.append(values.shape)
-        return fallback(values, k)
-
-    monkeypatch.setattr(lta, "stable_top_k", counted)
-    narrow = np.full((2, 1024), (1 << 52) - 1, dtype=np.int64)
-    lta.integer_top_k(narrow, 3)
-    assert calls == []  # 10 key bits: 2**52 - 1 < 2**52
-    wide = np.full((2, 1025), (1 << 51), dtype=np.int64)
-    assert np.array_equal(lta.integer_top_k(wide, 3), [[0, 1, 2]] * 2)
-    assert calls == [(2, 1025)]

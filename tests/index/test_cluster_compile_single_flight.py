@@ -2,11 +2,11 @@
 
 Serving runs index searches on several executor threads at once.  A
 routed search scores every probed cluster with the cluster's own
-kernel, compiled from its codes on first use after a write: the builds
-must be single-flight — one ``LUTKernel`` per cluster per write
-generation, every other reader waiting for it — and a write must drop
-only the kernels of the clusters it touched.  No cluster bank compiles
-a kernel of its own.
+kernel, compiled from its codes on first use: the builds must be
+single-flight — one ``LUTKernel`` per cluster, every other reader
+waiting for it — and a write must append its rows to the kernels of
+the clusters it touched, recompiling none.  No cluster bank compiles a
+kernel of its own.
 """
 
 import threading
@@ -99,7 +99,7 @@ def test_concurrent_readers_compile_each_cluster_once(monkeypatch):
     assert bank_compiles == []
 
 
-def test_a_write_drops_only_the_kernels_it_touched(monkeypatch):
+def test_a_write_appends_to_only_the_kernels_it_touched(monkeypatch):
     rng = np.random.default_rng(36)
     index = _index(rng)
     queries = rng.integers(0, 4, size=(16, 24))
@@ -124,13 +124,19 @@ def test_a_write_drops_only_the_kernels_it_touched(monkeypatch):
         if cluster.written != written[ci]
     ]
     assert 1 <= len(touched) < N_CLUSTERS
+    assert [cluster.kernel for cluster in clusters] == kernels
+    assert [kernel.rows for kernel in kernels] == [
+        cluster.written for cluster in clusters
+    ]
     results = _search_together(index, queries, 5)
-    assert len(constructions) == len(touched)
-    for ci, cluster in enumerate(clusters):
-        if ci in touched:
-            assert cluster.kernel is not kernels[ci]
-        else:
-            assert cluster.kernel is kernels[ci]
-    _assert_identical(results, index.search(queries, 5))
-    assert len(constructions) == len(touched)
+    assert constructions == []
+    assert [cluster.kernel for cluster in clusters] == kernels
+    expected = index.search(queries, 5)
+    _assert_identical(results, expected)
     assert bank_compiles == []
+
+    # The appended kernels answer exactly like freshly compiled ones.
+    for cluster in clusters:
+        cluster.kernel = None
+    _assert_identical([index.search(queries, 5)], expected)
+    assert len(constructions) == N_CLUSTERS
