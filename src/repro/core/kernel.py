@@ -18,9 +18,13 @@ an append that outgrows the buffers regrows them to
 :func:`headroom` rows, ``n + n // 8``, so a stream of small appends
 costs amortised work in proportion to the rows written while the idle
 capacity stays an eighth (a 2x doubling's spare half cost real peak
-memory on a 100k-row routed index).  Planes are kept ``(cells,
-capacity)`` C-ordered and scored through their ``[:, :rows]`` view,
-which BLAS reads in place.
+memory on a 100k-row routed index).  The base row and every float64
+plane are row blocks of one C-ordered ``(1 + planes x cells,
+capacity)`` *wide matrix*, so a search multiplies one ``[1 | one-hot]``
+operand by its ``[:, :rows]`` view once — one BLAS product per kernel,
+however many rows it holds — and only gcd-scaled float32 planes take a
+product of their own.  A served read runs that product on one BLAS
+thread (:mod:`repro.core.blas`); a second one would only spin.
 
 This module implements both halves, device-agnostically: the same
 :class:`LUTKernel` serves the crossbar's current-domain search (wrapped
@@ -261,7 +265,8 @@ class LUTKernel:
       ``g_v * small_v`` with ``g_v`` the row's gcd.  A plane is float32
       when ``cells x max |small_v| < 2**24`` (at 1 bit every plane is
       ``±1``: 4 B per cell), else the float64 delta with ``g_v = 1``;
-      either way every partial sum is an exact integer, so BLAS
+      the base and every float64 plane share one wide matrix and one
+      product.  Every partial sum is an exact integer, so BLAS
       evaluates it exactly regardless of kernel/order — this is the
       numpy hot path.
     * :meth:`scores_gather` — the literal gather + blocked integer
@@ -293,7 +298,6 @@ class LUTKernel:
         max_entry = int(np.abs(self.lut).max()) if self.lut.size else 0
         #: Accumulator dtype certified by the overflow bound.
         self.accumulator = select_accumulator(self.cells, max_entry)
-        self._base = self.lut[0][self._codes].sum(axis=1).astype(np.float64)
         # One (g, small) per value v >= 1; its plane is gathered straight
         # from the small LUT into a C-ordered (cells, rows) array (sgemm
         # on the F-ordered gather is slower).
@@ -306,10 +310,44 @@ class LUTKernel:
             else:  # float64 holds the delta itself: no rescale
                 g, small = 1, delta.astype(np.float64)
             self._small.append((g, small))
+        wide = sum(small.dtype == np.float64 for _, small in self._small)
+        self._wide = np.empty((1 + wide * self.cells, self.rows))
+        # A fresh float32 plane is its own gather, copied C-ordered: one
+        # allocated ahead of the gather left heap holes that cost an
+        # 8 x 1024 x 512 bank index 14 MiB of peak RSS.
+        self._layout(
+            np.ascontiguousarray(small[codes.T])
+            for _, small in self._small
+            if small.dtype == np.float32
+        )
+        self._compile(codes, 0, narrow=False)
+
+    def _layout(self, narrow) -> None:
+        """Bind ``_base`` and every float64 plane to their rows of the
+        wide matrix, and the float32 planes, in value order, to
+        ``narrow``."""
+        narrow = iter(narrow)
+        wide = (
+            self._wide[top : top + self.cells]
+            for top in range(1, len(self._wide), self.cells)
+        )
+        self._base = self._wide[0]
         self._planes = [
-            (g, np.ascontiguousarray(columns))
-            for (g, _), columns in zip(self._small, self._columns(codes))
+            (g, next(wide if small.dtype == np.float64 else narrow))
+            for g, small in self._small
         ]
+
+    def _compile(
+        self, codes: np.ndarray, start: int, narrow: bool = True
+    ) -> None:
+        """Write ``codes``' base entries and float64 plane columns from
+        row ``start`` on, and their float32 plane columns if
+        ``narrow``."""
+        stop = start + len(codes)
+        self._base[start:stop] = self.lut[0][codes].sum(axis=1)
+        for (_, small), (_, plane) in zip(self._small, self._planes):
+            if narrow or small.dtype == np.float64:
+                plane[:, start:stop] = small[codes.T]
 
     @property
     def codes(self) -> np.ndarray:
@@ -330,10 +368,6 @@ class LUTKernel:
             )
         return codes
 
-    def _columns(self, codes: np.ndarray):
-        """Each plane's (cells, n) columns for ``codes``, one at a time."""
-        return (small[codes.T] for _, small in self._small)
-
     def append(self, codes: np.ndarray) -> None:
         """Compile (n, cells) more ``codes`` after the last row.
 
@@ -348,15 +382,14 @@ class LUTKernel:
         if stop > len(self._base):
             size = headroom(stop)
             self._codes = regrown(self._codes[:start], size)
-            self._base = regrown(self._base[:start], size)
-            self._planes = [
-                (g, regrown(plane[:, :start], size, axis=1))
-                for g, plane in self._planes
-            ]
+            self._wide = regrown(self._wide[:, :start], size, axis=1)
+            self._layout(
+                regrown(plane[:, :start], size, axis=1)
+                for _, plane in self._planes
+                if plane.dtype == np.float32
+            )
         self._codes[start:stop] = codes
-        self._base[start:stop] = self.lut[0][codes].sum(axis=1)
-        for (_, plane), columns in zip(self._planes, self._columns(codes)):
-            plane[:, start:stop] = columns
+        self._compile(codes, start)
         self.rows = stop
 
     def _validate_index(self, value_index: np.ndarray) -> np.ndarray:
@@ -374,35 +407,50 @@ class LUTKernel:
             )
         return value_index
 
-    #: Stored rows per BLAS product, a bank's worth: a wider product
-    #: wakes a second OpenBLAS thread that burns CPU for no wall-clock
-    #: gain, so a kernel over many banks' rows (a routed cluster)
-    #: multiplies one bank-sized block at a time.
-    BLOCK_ROWS = 1024
-
     def scores(self, value_index: np.ndarray) -> np.ndarray:
         """(n, rows) reduction scores, exactly integer-valued float64.
 
-        A float32 plane's product is exact below ``2**24``; scaling it
-        by ``g`` and adding it to the float64 total stay exact below
-        ``2**53`` (``np.multiply`` with ``dtype=float64``: a float32
-        array times a Python int would stay float32)."""
+        One product of the ``[1 | one-hot(value_index)]`` operand with
+        the wide matrix sums each row's base and float64 deltas: every
+        partial sum is the base plus at most ``cells`` deltas, the terms
+        :func:`accumulator_bound` certifies.  A float32 plane's product
+        is exact below ``2**24``; scaling it by ``g`` and adding it to
+        the float64 total stay exact below ``2**53`` (``np.multiply``
+        with ``dtype=float64``: a float32 array times a Python int would
+        stay float32).  Without float64 planes the first scaled product
+        becomes the total and the base is added to it (a one-column
+        product costs several times a broadcast)."""
         value_index = self._validate_index(value_index)
         n = value_index.shape[0]
-        rows, base, planes = self.rows, self._base, self._planes
-        out = np.empty((n, rows))
-        out[:] = base[:rows]
+        rows, wide, planes = self.rows, self._wide, self._planes
+        out = None
+        if len(wide) > 1:
+            operand = np.zeros((n, len(wide)))
+            operand[:, 0], top = 1.0, 1
+            for v, (_, plane) in enumerate(planes, start=1):
+                if plane.dtype == np.float64:
+                    operand[:, top : top + self.cells] = value_index == v
+                    top += self.cells
+            out = operand @ wide[:, :rows]
         for v, (g, plane) in enumerate(planes, start=1):
+            if plane.dtype != np.float32:
+                continue
             mask = value_index == v
             if not mask.any():
                 continue
-            mask = mask.astype(plane.dtype)
-            for lo in range(0, rows, self.BLOCK_ROWS):
-                block = slice(lo, min(lo + self.BLOCK_ROWS, rows))
-                part = mask @ plane[:, block]
-                if g != 1:
-                    part = np.multiply(part, g, dtype=np.float64)
-                out[:, block] += part
+            part = np.multiply(
+                mask.astype(np.float32) @ plane[:, :rows],
+                g,
+                dtype=np.float64,
+            )
+            if out is None:
+                out = part
+                out += wide[0, :rows]
+            else:
+                out += part
+        if out is None:
+            out = np.empty((n, rows))
+            out[:] = wide[0, :rows]
         return out
 
     def scores_gather(

@@ -29,7 +29,10 @@ recompile bit for bit), a tombstone only flips the cluster's alive
 mask, and only a compaction, ``rebuild`` or re-pin recompiles.
 Every bank of one configuration compiles at that same quantum, so the
 cluster kernel's scores are exactly the ones its banks' own kernels
-would read.  One :func:`repro.circuits.lta.integer_top_k` over the
+would read; the kernel scores a whole cluster as one BLAS product, and
+a search runs its cluster loop on one BLAS thread
+(:func:`repro.core.blas.one_thread`), whose second one would only spin
+between clusters.  One :func:`repro.circuits.lta.integer_top_k` over the
 cluster's alive mask nominates, and only the winners convert to unit
 currents.  The cluster's :class:`FerexBackend` stays the write,
 device-model and capacity unit — and answers itself where no exact
@@ -105,6 +108,7 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from ..circuits.lta import integer_top_k
+from ..core.blas import one_thread
 from ..core.config import BankConfig, quantize_codes
 from ..core.distance import DistanceMetric
 from ..core.engine import FeReX
@@ -790,7 +794,7 @@ class RoutedBackend:
         sub_queries = self._sub_codes(queries)
         for ci, cluster in enumerate(self._clusters):
             rows = np.flatnonzero(member[:, ci])
-            c = min(count, cluster.n_live)
+            c = min(count, int(live_counts[ci]))
             if not len(rows) or c == 0:
                 continue
             local, score = self._nominate(cluster, sub_queries[rows], c)
@@ -814,13 +818,17 @@ class RoutedBackend:
         ``coarse_bits`` and nominate ``refine_factor * k`` rows each,
         and one exact full-precision :func:`refine` across the union
         decides, so distances are exact integer rescores (as floats).
+        The whole search runs on one BLAS thread.
         """
-        if self.inner == "tiered":
-            candidates, _ = self._gather(
-                queries, k, max(k * self.refine_factor, k)
-            )
-            return refine(self.config, self._vectors, queries, candidates, k)
-        return merge_top_k(*self._gather(queries, k, k), k)
+        with one_thread():
+            if self.inner == "tiered":
+                candidates, _ = self._gather(
+                    queries, k, max(k * self.refine_factor, k)
+                )
+                return refine(
+                    self.config, self._vectors, queries, candidates, k
+                )
+            return merge_top_k(*self._gather(queries, k, k), k)
 
     def shortlist(self, queries: np.ndarray, c: int) -> np.ndarray:
         """(n, c) nearest global positions by row-current readout

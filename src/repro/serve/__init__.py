@@ -22,31 +22,38 @@
   :class:`~repro.serve.net.Autoscaler`).
 """
 
-from .cache import QueryCache, canonical_int_query
-from .coalescer import DeadlineExceededError, RequestCoalescer
-from .procpool import PoolBrokenError, ProcReplicaPool
-from .router import ReplicaRouter
-from .server import FerexServer
-from .shm import (
-    SegmentIntegrityError,
-    SegmentManifest,
-    attach_index,
-    publish_index,
-)
-from .stats import ServerStats
+#: Public name -> submodule.  Loaded on first access (PEP 562), so a
+#: pool worker, which imports only :mod:`repro.serve.procpool`, never
+#: pays for the asyncio front half.
+_LAZY_EXPORTS = {
+    "DeadlineExceededError": "coalescer",
+    "FerexServer": "server",
+    "PoolBrokenError": "procpool",
+    "ProcReplicaPool": "procpool",
+    "QueryCache": "cache",
+    "ReplicaRouter": "router",
+    "RequestCoalescer": "coalescer",
+    "SegmentIntegrityError": "shm",
+    "SegmentManifest": "shm",
+    "ServerStats": "stats",
+    "attach_index": "shm",
+    "canonical_int_query": "cache",
+    "publish_index": "shm",
+}
 
-__all__ = [
-    "DeadlineExceededError",
-    "FerexServer",
-    "PoolBrokenError",
-    "ProcReplicaPool",
-    "QueryCache",
-    "ReplicaRouter",
-    "RequestCoalescer",
-    "SegmentIntegrityError",
-    "SegmentManifest",
-    "ServerStats",
-    "attach_index",
-    "canonical_int_query",
-    "publish_index",
-]
+__all__ = sorted(_LAZY_EXPORTS)
+
+
+def __getattr__(name: str):
+    """PEP 562 lazy loader for the serving layer's exports."""
+    try:
+        module = _LAZY_EXPORTS[name]
+    except KeyError:
+        raise AttributeError(
+            f"module {__name__!r} has no attribute {name!r}"
+        ) from None
+    import importlib
+
+    value = getattr(importlib.import_module(f"{__name__}.{module}"), name)
+    globals()[name] = value
+    return value

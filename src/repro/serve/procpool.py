@@ -14,7 +14,9 @@ that cap:
   are bit-identical to the primary (:func:`repro.serve.shm.
   attach_index`);
 * searches route to idle workers over pipes — many batches genuinely in
-  flight at once, one per core;
+  flight at once, one per core; each worker runs on one BLAS thread
+  (:func:`repro.core.blas.one_thread`), so a worker is one core, not
+  one core plus a spinning OpenBLAS helper;
 * writes never touch workers: the caller mutates the primary (through
   the usual single-writer path) and calls :meth:`ProcReplicaPool.
   republish`, which quiesces the pool, publishes a fresh
@@ -51,6 +53,7 @@ from typing import List, Optional
 
 import numpy as np
 
+from ..core.blas import one_thread
 from ..index import FerexIndex, SearchOutcome
 from .shm import (
     DispatchSlabs,
@@ -146,12 +149,14 @@ def _slab_search(index, slabs, message) -> tuple:
     return ("ok_slab", tuple(ids.shape), generation)
 
 
+@one_thread()
 def _worker_main(
     conn, manifest: SegmentManifest, slab_manifest: SlabManifest
 ) -> None:
     """Worker process body: attach the published snapshot and the
     dispatch slabs, then serve ``search``/``search_slab``/``reslab``/
-    ``republish``/``ping`` requests until closed."""
+    ``republish``/``ping`` requests until closed, on one BLAS thread
+    (:func:`repro.core.blas.one_thread`)."""
     index = None
     attached = None
     slabs: Optional[DispatchSlabs] = None

@@ -22,7 +22,9 @@ The request path composes the three serving primitives::
   :class:`~repro.serve.router.ReplicaRouter` and the batched index
   search runs on a worker thread (``run_in_executor``), so the event
   loop keeps accepting and coalescing requests while the array
-  simulation crunches;
+  simulation crunches.  It runs on one BLAS thread
+  (:func:`repro.core.blas.one_thread`): a served batch's products are
+  small, and a second OpenBLAS thread only spins between them;
 * writes (``add``/``remove``/``compact``/``reconfigure``) go through
   the router's single-writer path and clear the cache.
 
@@ -48,12 +50,23 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
+from ..core.blas import one_thread
 from ..index import FerexIndex, SearchOutcome
 from .cache import QueryCache, canonical_int_query
 from .coalescer import RequestCoalescer
 from .procpool import PoolBrokenError, ProcReplicaPool
 from .router import ReplicaRouter
 from .stats import ServerStats
+
+
+def _served_search(
+    index: FerexIndex, queries: np.ndarray, k: int
+) -> SearchOutcome:
+    """``index.search`` as a served read: on one BLAS thread
+    (:func:`repro.core.blas.one_thread`), whose second one would only
+    spin between the batch's small products."""
+    with one_thread():
+        return index.search(queries, k)
 
 
 class FerexServer:
@@ -304,16 +317,19 @@ class FerexServer:
     ) -> SearchOutcome:
         """Evaluate one (sub-)batch on the right substrate: a pool
         worker process, inline on the loop (sparse singleton fast
-        path), or the default executor thread."""
+        path), or the default executor thread — the last two on one
+        BLAS thread."""
         if self._pool is not None:
             loop = asyncio.get_running_loop()
             return await loop.run_in_executor(
                 None, self._pool.search, queries, k
             )
         if inline:
-            return index.search(queries, k)
+            return _served_search(index, queries, k)
         loop = asyncio.get_running_loop()
-        return await loop.run_in_executor(None, index.search, queries, k)
+        return await loop.run_in_executor(
+            None, _served_search, index, queries, k
+        )
 
     async def _dispatch(
         self, queries: np.ndarray, k: int, inline: bool = False

@@ -6,7 +6,9 @@ codes, base entries and plane columns, into buffers regrown to
 appends — empty ones and ones that cross a regrowth included — must
 leave a kernel whose ``scores``, ``scores_gather``, plane dtypes and
 steps, accumulator and codes equal those of one ``LUTKernel`` over the
-concatenated codes, bit for bit, for float32 and float64 planes alike.
+concatenated codes, bit for bit, for float32 and float64 planes alike
+and for mixed sets of both.  The base and every float64 plane stay row
+blocks of one wide matrix through every regrowth.
 """
 
 import sys
@@ -16,20 +18,34 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.core.engine import FeReX
 from repro.core.kernel import LUTKernel, headroom
 
+F32, F64 = np.dtype(np.float32), np.dtype(np.float64)
 
-def _lut(rng, n_values, n_symbols, wide):
-    """A LUT whose planes are all float32 (``wide=False``) or whose
-    first plane is float64: a gcd-1 delta reaching ``2**22``, over at
-    least four cells, passes float32's ``2**24`` bound."""
-    hi = 1 << 22 if wide else 40
-    lut = rng.integers(-hi, hi, size=(n_values, n_symbols))
-    if wide:
-        lut[1] = lut[0]
-        lut[1, 0] += 1
-        lut[1, -1] += hi
+
+def _lut(rng, n_values, n_symbols, wide=()):
+    """A LUT whose planes are float32 except those of the values in
+    ``wide``, which are float64: a gcd-1 delta reaching ``2**22``, over
+    at least four cells, passes float32's ``2**24`` bound."""
+    lut = rng.integers(-40, 40, size=(n_values, n_symbols))
+    for v in wide:
+        lut[v] = lut[0]
+        lut[v, 0] += 1
+        lut[v, -1] += 1 << 22
     return lut
+
+
+def _assert_one_wide_matrix(kernel):
+    """The base and every float64 plane are views of one buffer; no
+    float32 plane is."""
+    owner = kernel._base.base
+    assert owner is not None
+    for _, plane in kernel._planes:
+        assert plane.shape == (kernel.cells, len(kernel._base))
+        assert (plane.base is owner) == (plane.dtype == F64)
+        if plane.size and plane.dtype == F64:
+            assert np.shares_memory(owner, plane)
 
 
 def _assert_same_kernel(appended, fresh, value_index):
@@ -39,6 +55,8 @@ def _assert_same_kernel(appended, fresh, value_index):
     assert [(g, p.dtype) for g, p in appended._planes] == [
         (g, p.dtype) for g, p in fresh._planes
     ]
+    _assert_one_wide_matrix(appended)
+    _assert_one_wide_matrix(fresh)
     scores = appended.scores(value_index)
     assert scores.dtype == np.float64
     assert np.array_equal(scores, fresh.scores(value_index))
@@ -51,8 +69,10 @@ def _assert_same_kernel(appended, fresh, value_index):
 def append_streams(draw):
     """(lut, first codes, appended code blocks, value index)."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    wide = draw(st.booleans())
-    n_values = draw(st.integers(2 if wide else 1, 5))
+    n_values = draw(st.integers(1, 5))
+    # Any subset of the planes is float64: none, some (a mixed set) or
+    # all of them.
+    wide = draw(st.sets(st.integers(1, 4))) & set(range(1, n_values))
     n_symbols = draw(st.integers(2 if wide else 1, 6))
     cells = draw(st.integers(4 if wide else 1, 12))
     sizes = draw(st.lists(st.integers(0, 40), min_size=1, max_size=8))
@@ -75,7 +95,11 @@ def test_appends_equal_one_kernel_over_all_codes(stream):
     _assert_same_kernel(kernel, fresh, value_index)
 
 
-@pytest.mark.parametrize("wide", [False, True])
+@pytest.mark.parametrize(
+    "wide",
+    [(), (1,), (1, 2), (1, 2, 3)],
+    ids=["float32", "first-float64", "mixed", "float64"],
+)
 def test_appends_across_regrowths(wide):
     rng = np.random.default_rng(17)
     lut = _lut(rng, 4, 5, wide)
@@ -88,11 +112,26 @@ def test_appends_across_regrowths(wide):
         capacities.append(len(kernel._base))
     # 9 rows regrow to 10, the next fits, 40 regrow to 45.
     assert capacities == [headroom(9), 10, 10, headroom(40), 45]
-    assert [p.dtype for _, p in kernel._planes][0] == (
-        np.float64 if wide else np.float32
-    )
+    assert [p.dtype for _, p in kernel._planes] == [
+        F64 if v in wide else F32 for v in (1, 2, 3)
+    ]
     assert all(p.flags.c_contiguous for _, p in kernel._planes)
     value_index = rng.integers(0, 4, size=(7, 9))
+    _assert_same_kernel(
+        kernel, LUTKernel(np.concatenate(blocks), lut), value_index
+    )
+
+
+def test_hamming_two_bit_value_lut_appends_into_one_wide_matrix():
+    """The shipped mixed set: two float64 planes and one float32."""
+    lut, _ = FeReX(metric="hamming", bits=2, dims=24).value_lut()
+    rng = np.random.default_rng(29)
+    blocks = [rng.integers(0, 4, size=(n, 24)) for n in (5, 3, 0, 40, 2)]
+    kernel = LUTKernel(blocks[0], lut)
+    assert [p.dtype for _, p in kernel._planes] == [F64, F64, F32]
+    for block in blocks[1:]:
+        kernel.append(block)
+    value_index = rng.integers(0, 4, size=(9, 24))
     _assert_same_kernel(
         kernel, LUTKernel(np.concatenate(blocks), lut), value_index
     )
@@ -109,7 +148,7 @@ def test_append_validates_its_codes():
 
 def test_readers_score_a_consistent_prefix_while_rows_append():
     rng = np.random.default_rng(23)
-    lut = _lut(rng, 4, 5, False)
+    lut = _lut(rng, 4, 5, wide=(2,))
     codes = rng.integers(0, 5, size=(900, 9))
     value_index = rng.integers(0, 4, size=(3, 9))
     full = LUTKernel(codes, lut).scores(value_index)

@@ -4,9 +4,11 @@
 ``v >= 1``, gathered per cell: the delta row ``lut[v] - lut[0]`` as its
 gcd ``g_v`` times small integers in float32 while
 ``cells x max|small_v| < 2**24``, and the float64 delta itself
-otherwise.  ``scores`` must equal ``scores_gather`` and the float64
-formula it replaced, ``base + sum_v mask_v @ (lut[v] - lut[0])[codes].T``,
-bit for bit.
+otherwise.  The base and the float64 planes are row blocks of one
+wide matrix, scored by one product; float32 planes keep their own.
+``scores`` must equal ``scores_gather`` and the float64 formula it
+replaced, ``base + sum_v mask_v @ (lut[v] - lut[0])[codes].T``, bit for
+bit, whatever mix of the two plane kinds a LUT compiles to.
 """
 
 import numpy as np
@@ -32,6 +34,10 @@ def _assert_exact(codes, lut, value_index):
     assert scores.shape == (len(value_index), len(codes))
     assert np.array_equal(scores, kernel.scores_gather(value_index))
     assert np.array_equal(scores, _float64_formula(codes, lut, value_index))
+    for _, plane in kernel._planes:
+        assert (plane.base is kernel._base.base) == (
+            plane.dtype == np.float64
+        )
     return kernel
 
 
@@ -49,7 +55,7 @@ def kernels(draw):
     n_values = draw(st.integers(1, 5))
     n_symbols = draw(st.integers(1, 6))
     shape = (n_values - 1, n_symbols)
-    kind = draw(st.sampled_from(["physical", "wide", "random"]))
+    kind = draw(st.sampled_from(["physical", "wide", "random", "mixed"]))
     if kind == "physical":
         # Device LUTs: a 40-47-bit current step times {-peak .. peak}
         # over a leakage-sized offset.
@@ -64,6 +70,17 @@ def kernels(draw):
         g = rng.integers(1, 1 << 16, size=n_values - 1)
         small = rng.integers(-peak, peak + 1, size=shape)
         lut = _deltas(g, small, rng, 20)
+    elif kind == "mixed":
+        # Physical float32 planes beside raw gcd-1 deltas only float64
+        # holds: the wide matrix's product and float32 products at once.
+        g = rng.integers(1 << 39, 1 << 40, size=n_values - 1)
+        small = rng.integers(-4, 5, size=shape)
+        lut = _deltas(g, small, rng, 28)
+        for v in draw(st.sets(st.integers(1, 4))):
+            if v < n_values:
+                lut[v] = lut[0] + rng.integers(
+                    -(1 << 44), 1 << 44, size=n_symbols
+                )
     else:
         lut = rng.integers(-(1 << 45), 1 << 45, size=(n_values, n_symbols))
     for v in draw(st.sets(st.integers(1, max(1, n_values - 1)))):
