@@ -1,9 +1,9 @@
 """Quantized integer kernel vs the float device-physics path.
 
-Every programmed bank compiles its device state into small-integer code
-tables plus a per-(state, bias) score LUT, so a batch search is one
-gather + blocked integer reduction instead of re-evaluating FeFET
-transfer curves per query.  This bench measures what that buys on the
+Every programmed bank compiles the values it stores into small-integer
+code tables plus a per-(query value, stored value) score LUT, so a
+batch search is one gather + blocked integer reduction instead of
+re-evaluating FeFET transfer curves per query.  This bench measures what that buys on the
 same engine by toggling ``array.kernel_enabled`` — the only difference
 between the two timed paths is the arithmetic, not the workload.
 

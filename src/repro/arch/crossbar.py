@@ -57,27 +57,28 @@ is property-tested against (winners and ``row_units`` bit-identical).
 Quantized integer kernel
 ------------------------
 On ideal (unvaried, undrifted) arrays every search path above routes
-through one more level of compilation: the programmed state collapses
-to a small-integer *code* per cell and the bias alphabet to an integer
-(value, code) score LUT (:class:`repro.core.kernel.QuantizedKernel`,
-compiled once per write generation by
-:meth:`FeReXArray.quantized_kernel`), so the hot loop is a gather +
-exact blocked reduction instead of re-evaluated float device physics.
-The score quantum is the configuration's, not the content's: its peak
-covers the engine's whole registered store alphabet, so every bank of
-one configuration reads a stored row at the same distance.
-Generic bias matrices are matched back onto the registered alphabet
-(:meth:`FeReXArray.set_search_alphabet`) so serial, batch and
-values-path searches all hit the same kernel and stay bit-identical.
-Varied / drifted arrays — the Monte Carlo setting — and foreign bias
-matrices keep the float physics path unchanged; ``kernel_enabled``
-switches the kernel off entirely (the benchmark baseline).
+through an exact integer kernel instead of re-evaluated float device
+physics: a :class:`repro.core.kernel.QuantizedKernel` whose codes are
+the values stored in each cell and whose LUT is the configuration's
+(query value, stored value) score table at the configuration's quantum
+(:meth:`repro.core.FeReX.value_lut`), so every bank of one
+configuration reads a stored row at the same distance.  The engine that
+wrote the array compiles it (:meth:`FeReXArray.set_kernel_compiler`);
+:meth:`FeReXArray.quantized_kernel` memoises it per write generation,
+for the registered search alphabet only.  Generic bias matrices are
+matched back onto that alphabet (:meth:`FeReXArray.set_search_alphabet`)
+so serial, batch and values-path searches all hit the same kernel and
+stay bit-identical.  Varied / drifted arrays — the Monte Carlo setting
+—, foreign bias alphabets, arrays written past their engine and arrays
+with no engine keep the float physics path; ``kernel_enabled`` switches
+the kernel off entirely (the benchmark baseline).
 """
 
 from __future__ import annotations
 
 import functools
 import threading
+import weakref
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
@@ -89,7 +90,7 @@ from ..circuits.lta import (
     integer_top_k,
     stable_top_k,
 )
-from ..devices.cell import compile_current_lut, fast_cell_currents
+from ..devices.cell import fast_cell_currents
 from ..devices.tech import TechConfig, DEFAULT_TECH
 from ..devices.variation import ArrayVariation, nominal_variation
 from .energy import EnergyBreakdown, EnergyModel
@@ -103,24 +104,6 @@ def vth_ladder(fefet) -> np.ndarray:
     return np.array(
         [fefet.vth_level(lv) for lv in range(fefet.n_vth_levels)]
         + [fefet.vth_low + fefet.memory_window]
-    )
-
-
-def store_currents(
-    sl_alphabet: np.ndarray,
-    dl_alphabet: np.ndarray,
-    store_levels: np.ndarray,
-    tech: TechConfig,
-) -> np.ndarray:
-    """(n_search, n_values + 1) per-cell currents of every search value
-    against every value's store symbol (``store_levels``, one level
-    tuple per stored value), the erased cell last: every symbol an
-    engine can program.  Their peak is the configuration's kernel
-    quantum peak, whatever one array holds."""
-    erased = np.full((1, store_levels.shape[1]), -1)
-    levels = np.concatenate([store_levels, erased])
-    return compile_current_lut(
-        sl_alphabet, dl_alphabet, vth_ladder(tech.fefet)[levels], tech
     )
 
 
@@ -277,7 +260,8 @@ class FeReXArray:
     ======================  =======  ==================================
 
     Scoring derives ``vth`` / ``resistance`` once per call (the float
-    physics) or not at all (the compiled kernel reads ``levels``).
+    physics) or not at all (the compiled kernel reads the values the
+    engine stored).
     """
 
     #: Threshold drift per disturb event, volts per volt of overdrive
@@ -373,8 +357,8 @@ class FeReXArray:
         self.kernel_enabled = True
         #: Registered bias alphabet generic searches are matched onto.
         self._alphabet: Optional[tuple] = None
-        #: Registered (n_values, cell_fanout) store levels per value.
-        self._store_levels: Optional[np.ndarray] = None
+        #: Weak reference to the registered kernel compile.
+        self._compiler: Optional[weakref.WeakMethod] = None
         self._ideal_variation: Optional[bool] = None
 
     # ------------------------------------------------------------------
@@ -755,16 +739,20 @@ class FeReXArray:
         )
         self._alphabet = (sl_values, dl_values)
 
-    def set_store_alphabet(self, store_levels: np.ndarray) -> None:
-        """Register the (n_values, cell_fanout) level tuple each stored
-        value programs.  The kernel quantum then covers the whole store
-        alphabet, held or not (see :meth:`_compile_kernel`)."""
-        self._store_levels = np.asarray(store_levels)
+    def set_kernel_compiler(
+        self, compiler: Callable[[], Optional[object]]
+    ) -> None:
+        """Register the bound method that compiles this array's
+        :class:`repro.core.kernel.QuantizedKernel` (``None`` when it
+        cannot); :meth:`_compile_kernel` calls it behind the
+        eligibility gate.  Held weakly: the array never keeps its
+        engine alive."""
+        self._compiler = weakref.WeakMethod(compiler)
 
     def _variation_is_ideal(self) -> bool:
         """True when every sampled device/comparator variation is
         exactly nominal — the static half of the kernel's eligibility
-        gate (a shared per-symbol LUT cannot model per-device spread).
+        gate (a shared per-value LUT cannot model per-device spread).
         Cached: the variation object is fixed at construction."""
         if self._ideal_variation is None:
             v = self.variation
@@ -791,89 +779,26 @@ class FeReXArray:
         )
 
     def _compile_kernel(self, sl_values: np.ndarray, dl_values: np.ndarray):
-        """Compile (codes, LUT) for one write generation over the
-        programmed row prefix; ``None`` when ineligible (varied/drifted
-        devices, a bias alphabet that is not cell-uniform, or a geometry
-        beyond the exact-integer bound).
-
-        The quantum depends on the configuration, not on the content:
-        it covers the symbols present plus, once registered, every
-        value's store symbol (:meth:`set_store_alphabet`).
-        """
-        if not self._variation_is_ideal() or np.any(self._disturb_drift):
-            return None
-        k = self.cell_fanout
-        n_values = sl_values.shape[0]
-        sl_cells = sl_values.reshape(n_values, self.cells, k)
-        dl_cells = dl_values.reshape(n_values, self.cells, k)
-        # A shared (value, symbol) LUT needs every cell to see the same
-        # per-value bias — the engine tiles one element alphabet across
-        # all cells, so this holds on every mapped configuration.
-        if self.cells > 1 and (
-            np.any(sl_cells != sl_cells[:, :1, :])
-            or np.any(dl_cells != dl_cells[:, :1, :])
+        """The registered compile's kernel for one write generation, or
+        ``None`` (float physics) where the array is ineligible: varied
+        or drifted devices, a bias alphabet other than the registered
+        one, or no live compile registered."""
+        build = self._compiler and self._compiler()
+        if (
+            build is None
+            or not self._variation_is_ideal()
+            or np.any(self._disturb_drift)
+            or not np.array_equal(sl_values, self._alphabet[0])
+            or not np.array_equal(dl_values, self._alphabet[1])
         ):
             return None
-        # Deferred import: repro.core pulls in the engine, which imports
-        # this module back.
-        from ..core.kernel import (
-            KernelOverflowError,
-            LUTKernel,
-            QuantizedKernel,
-            select_quantum,
-            symbol_codes,
-        )
-
-        # Only rows up to the last one holding a programmed level are
-        # compiled: past it every row is erased, which on an ideal array
-        # scores one integer per query (QuantizedKernel broadcasts it).
-        # The erased cell leads the state, so its symbol is always in
-        # the LUT.
-        programmed = np.flatnonzero(self.levels.max(axis=1) >= 0)
-        prefix = int(programmed[-1]) + 1 if len(programmed) else 0
-        state = np.concatenate([
-            np.full((1, k), -1, dtype=self.levels.dtype),
-            self.levels[:prefix].reshape(prefix * self.cells, k),
-        ])
-        codes, symbols = symbol_codes(state, self.tech.fefet.n_vth_levels)
-        vth_symbols = self._vth_lut[symbols]
-        raw = compile_current_lut(
-            sl_cells[:, 0, :], dl_cells[:, 0, :], vth_symbols, self.tech
-        )
-        peak = np.abs(raw).max()
-        if self._store_levels is not None:
-            # The peak covers every value's store symbol, held or not:
-            # every array of one configuration then shares one quantum,
-            # so a row reads the same distance whichever bank holds it.
-            stored = store_currents(
-                sl_cells[:, 0, :],
-                dl_cells[:, 0, :],
-                self._store_levels,
-                self.tech,
-            )
-            peak = max(peak, np.abs(stored).max())
-        try:
-            quantum = select_quantum(
-                float(peak), self.cells, self.tech.cell.unit_current
-            )
-            kernel = LUTKernel(
-                codes[1:].reshape(prefix, self.cells),
-                np.rint(raw / quantum).astype(np.int64),
-            )
-        except KernelOverflowError:
-            return None
-        return QuantizedKernel(
-            kernel=kernel,
-            quantum=quantum,
-            raw_currents=raw,
-            rows=self.rows,
-            erased=int(codes[0]),
-        )
+        return build()
 
     def quantized_kernel(self):
         """The compiled kernel for the registered search alphabet, or
         ``None`` when no alphabet is registered or the array is
-        ineligible (varied devices, kernel disabled, overflow)."""
+        ineligible (no engine compiles it, varied or drifted devices,
+        kernel disabled, a write past the engine, overflow)."""
         if self._alphabet is None:
             return None
         return self._kernel_for(*self._alphabet)

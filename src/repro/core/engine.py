@@ -47,12 +47,15 @@ Example
 from __future__ import annotations
 
 import dataclasses
+import functools
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..arch.crossbar import FeReXArray, SearchResult, store_currents
+from . import kernel
+from ..arch.crossbar import FeReXArray, SearchResult, vth_ladder
+from ..devices.cell import compile_current_lut
 from ..devices.tech import TechConfig, DEFAULT_TECH
 from ..devices.variation import ArrayVariation, VariationSampler
 from .config import BankConfig, code_dtype
@@ -61,7 +64,7 @@ from .dm import DistanceMatrix
 from .distance import DistanceMetric
 from .encoding import CellEncoding, best_encoding, encode_cell
 from .feasibility import find_min_cell
-from .kernel import select_quantum
+from .kernel import KernelOverflowError, QuantizedKernel, select_quantum
 
 
 class ConfigurationError(RuntimeError):
@@ -177,6 +180,9 @@ class FeReX:
         #: Per-row occupancy; rows allocated but not yet written hold a
         #: placeholder in ``stored`` and must not be read as data.
         self._row_written: Optional[np.ndarray] = None
+        #: The array's ``write_generation`` after this engine's last
+        #: write: ``stored`` describes the array only while they agree.
+        self._written_generation = -1
 
         # Precomputed per-value lookup tables for fast vector mapping.
         n_values = self.dm.n_stored
@@ -319,12 +325,12 @@ class FeReX:
         )
         # Register the engine's bias alphabet so every search variant
         # (generic or values) can route through the quantized integer
-        # kernel when the array is eligible, and its store alphabet, so
-        # that kernel's quantum is the configuration's (value_lut's).
+        # kernel when the array is eligible, and the compile of that
+        # kernel from the values this engine writes.
         array.set_search_alphabet(
             self._sl_value_table, self._dl_value_table
         )
-        array.set_store_alphabet(self._store_lut)
+        array.set_kernel_compiler(self._compile_kernel)
         return array
 
     def program(self, vectors: np.ndarray) -> None:
@@ -343,6 +349,7 @@ class FeReX:
         self.array.program_matrix(levels)
         self.stored = vectors.astype(code_dtype(self.bits))
         self._row_written = np.ones(rows, dtype=bool)
+        self._written_generation = self.array.write_generation
 
     def allocate(
         self,
@@ -370,6 +377,7 @@ class FeReX:
             (capacity, self.dims), dtype=code_dtype(self.bits)
         )
         self._row_written = np.zeros(capacity, dtype=bool)
+        self._written_generation = self.array.write_generation
 
     def write_rows(self, start: int, vectors: np.ndarray) -> None:
         """Program ``vectors`` into rows ``start ..`` of the allocated
@@ -392,6 +400,7 @@ class FeReX:
         self.array.program_rows(start, levels)
         self.stored[start : start + n] = vectors
         self._row_written[start : start + n] = True
+        self._written_generation = self.array.write_generation
 
     # ------------------------------------------------------------------
     # Search
@@ -400,12 +409,34 @@ class FeReX:
         """The array's compiled integer search kernel
         (:class:`repro.core.kernel.QuantizedKernel`), or ``None`` before
         programming / when the array is ineligible (sampled variation,
-        ``kernel_enabled = False``, geometry beyond the exact-integer
-        bound).  Introspection only — every ``search*`` variant routes
-        through it automatically when it is available."""
+        ``kernel_enabled = False``, a raw array write since this
+        engine's last write, geometry beyond the exact-integer bound).
+        Introspection only — every ``search*`` variant routes through it
+        automatically when it is available."""
         if self.array is None:
             return None
         return self.array.quantized_kernel()
+
+    @functools.cached_property
+    def _value_table(self) -> Tuple[np.ndarray, float]:
+        """``(lut, quantum)`` over every stored value plus the erased
+        cell, its last column: the integer score of each (query value,
+        cell) pair at the power-of-two quantum their peak current
+        fixes.  Read-only, built once per configuration."""
+        erased = np.full((1, self.k), -1)
+        levels = np.concatenate([self._store_lut, erased])
+        raw = compile_current_lut(
+            self._search_volt_lut,
+            self._search_mult_lut,
+            vth_ladder(self.tech.fefet)[levels],
+            self.tech,
+        )
+        quantum = select_quantum(
+            float(np.abs(raw).max()), self.dims, self.tech.cell.unit_current
+        )
+        lut = np.rint(raw / quantum).astype(np.int64)
+        lut.flags.writeable = False
+        return lut, quantum
 
     def value_lut(self) -> Tuple[np.ndarray, float]:
         """``(lut, quantum)``: the integer score of every (query value,
@@ -416,16 +447,33 @@ class FeReX:
         the array's kernel scores.  Raises
         :class:`repro.core.kernel.KernelOverflowError` beyond the exact
         integer bound."""
-        raw = store_currents(
-            self._search_volt_lut,
-            self._search_mult_lut,
-            self._store_lut,
-            self.tech,
-        )
-        quantum = select_quantum(
-            float(np.abs(raw).max()), self.dims, self.tech.cell.unit_current
-        )
-        return np.rint(raw[:, :-1] / quantum).astype(np.int64), quantum
+        lut, quantum = self._value_table
+        return lut[:, :-1], quantum
+
+    def _compile_kernel(self) -> Optional[QuantizedKernel]:
+        """The array's kernel, from the values this engine wrote: a
+        :class:`repro.core.kernel.LUTKernel` over the stored codes of the
+        rows up to the last written one (the erased code where a row is
+        unwritten) and the full value LUT.  ``None`` when the array was
+        written past this engine (``stored`` is stale) or beyond the
+        exact-integer bound.  The array calls it behind its eligibility
+        gate (:meth:`FeReXArray.set_kernel_compiler`)."""
+        if self.array.write_generation != self._written_generation:
+            return None
+        written = self._row_written
+        last = np.flatnonzero(written)
+        prefix = int(last[-1]) + 1 if len(last) else 0
+        try:
+            lut, quantum = self._value_table
+            erased = lut.shape[1] - 1
+            codes = np.where(
+                written[:prefix, None], self.stored[:prefix], np.int64(erased)
+            )
+            # Looked up at call time, so a substituted class is used.
+            compiled = kernel.LUTKernel(codes, lut)
+        except KernelOverflowError:
+            return None
+        return QuantizedKernel(compiled, quantum, self.array.rows, erased)
 
     def _query_bias(self, query: Sequence[int]):
         query = np.asarray(query, dtype=int)

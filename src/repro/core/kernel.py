@@ -4,10 +4,11 @@ FeReX search is physically a table lookup.  Device physics fixes one
 current per (stored state, bias), so under ideal devices a bank search
 decomposes into
 
-1. **compile** (once per write generation): map every cell's stored
-   state onto a small-integer *code* and every (query value, code) pair
-   onto an integer *score* — the cell's current snapped to a
-   power-of-two quantum;
+1. **compile** (once per write generation): every cell's *code* is the
+   value stored in it (an unwritten cell reads the erased code), and
+   every (query value, stored value) pair maps onto an integer *score*
+   — the cell's current snapped to the configuration's power-of-two
+   quantum;
 2. **search** (per batch): gather the scores selected by the query's
    value indices and reduce them per row.
 
@@ -26,15 +27,15 @@ however many rows it holds — and only gcd-scaled float32 planes take a
 product of their own.  A served read runs that product on one BLAS
 thread (:mod:`repro.core.blas`); a second one would only spin.
 
-This module implements both halves, device-agnostically: the same
-:class:`LUTKernel` serves the crossbar's current-domain search (wrapped
-in :class:`QuantizedKernel` by :class:`repro.arch.crossbar.FeReXArray`),
-the routed index's cluster scoring (a cluster's stored value codes
-against the configuration's value LUT,
-:meth:`repro.core.FeReX.value_lut`) and its centroid scoring
+This module implements both halves, device-agnostically.  One
+:class:`LUTKernel` over stored value codes and the configuration's value
+LUT (:meth:`repro.core.FeReX.value_lut`) scores a bank (wrapped in
+:class:`QuantizedKernel` by the engine that wrote it) or a routed
+cluster; the same class scores routing centroids
 (:mod:`repro.index.routing`: many rows against a few reused centroids,
-over the metric's per-element distance table).  Exact software distances are
-:meth:`repro.core.DistanceMetric.pairwise`'s job, not the kernel's.
+over the metric's per-element distance table).  Exact software
+distances are :meth:`repro.core.DistanceMetric.pairwise`'s job, not the
+kernel's.
 
 Exactness discipline
 --------------------
@@ -60,8 +61,14 @@ kernel choice.  Three choices guarantee it:
 
 Reconstructed currents (``score * quantum``) are exact float64 products,
 so the quantization changes readings by at most half a quantum per cell
-— orders of magnitude below the subthreshold-leakage distinctions that
-order analog ties.
+— far below one unit current: rounded distances equal the float
+physics'.  Tie order does not survive.  Rows whose modelled currents tie
+exactly sum the same per-cell floats in different orders on the float
+path, which ranks them by summation noise; exact kernel scores tie
+exactly and rank by row.  On an ideal 256 x 64 bank with 64 random
+queries at k = 10, the two paths return different ids on 1 to 52 of the
+queries, depending on metric and bit width, with equal rounded
+distances.
 """
 
 from __future__ import annotations
@@ -82,8 +89,9 @@ EXACT_FLOAT_BITS = 53
 EXACT_FLOAT32_BITS = 24
 
 #: The quantum must stay at least this many binary orders below the
-#: reference current (one nominal unit current for the crossbar kernel):
-#: coarser would start eroding the leakage-level tie ordering.
+#: reference current (one nominal unit current for the crossbar kernel),
+#: so the rounding, at most half a quantum per cell, stays far below one
+#: distance unit.
 MIN_RESOLUTION_BITS = 24
 
 
@@ -178,79 +186,16 @@ def regrown(prefix: np.ndarray, size: int, axis: int = 0) -> np.ndarray:
     return np.pad(prefix, pad)
 
 
-#: Largest mixed-radix key space :func:`symbol_codes` ranks through a
-#: dense presence table; wider spaces take a 1-D sort of the keys.
-DENSE_SYMBOL_SPACE = 1 << 20
-
-
-def _rank_symbols(key, space, head, width, radix):
-    """Rank int64 ``key`` values in ``[0, space)`` densely.
-
-    Each key is a ``head`` row index (its leading digit) followed by
-    ``width`` base-``radix`` level digits.  Returns ``(rank, symbols)``:
-    the dense rank of every key and the distinct keys decoded back into
-    level rows, in key order.
-    """
-    if space <= DENSE_SYMBOL_SPACE:
-        present = np.zeros(space, dtype=bool)
-        present[key] = True
-        rank = (np.cumsum(present) - 1)[key]
-        distinct = np.flatnonzero(present)
-    else:
-        distinct, rank = np.unique(key, return_inverse=True)
-        rank = rank.reshape(-1)
-    tail = np.empty((len(distinct), width), dtype=head.dtype)
-    for j in range(width - 1, -1, -1):
-        distinct, tail[:, j] = np.divmod(distinct, radix)
-    tail -= 1
-    return rank, np.concatenate([head[distinct], tail], axis=1)
-
-
-def symbol_codes(state: np.ndarray, n_levels: int):
-    """Dense symbol codes of the (n, k) stored ``state``: each row is
-    one cell's ``k`` FeFETs, every entry a level in
-    ``-1 .. n_levels - 1`` (-1 = erased).
-
-    Returns ``(codes, symbols)``: ``codes`` (n,) int64 names each row's
-    symbol and ``symbols`` (n_symbols, k) in ``state``'s dtype lists the
-    distinct rows in lexicographic order, so ``symbols[codes]`` is
-    ``state`` — exactly what a row-wise ``np.unique`` returns, without
-    sorting rows.  A row is a ``k``-digit number in base
-    ``n_levels + 1`` (digit ``level + 1``, none negative), whose
-    numeric order is the rows' lexicographic order.  Key spaces up to
-    :data:`DENSE_SYMBOL_SPACE` are ranked through a presence table,
-    wider ones by a 1-D sort of the keys.  Where the key space would
-    overflow int64, the leading columns are first folded into their
-    dense rank, so every key stays exact.
-    """
-    state = np.asarray(state)
-    if state.ndim != 2:
-        raise ValueError(f"state must be 2-D, got {state.shape}")
-    if state.size and (state.min() < -1 or state.max() >= n_levels):
-        raise ValueError(f"state outside the [-1, {n_levels}) levels")
-    radix = n_levels + 1
-    key = np.zeros(len(state), dtype=np.int64)
-    head = np.empty((1, 0), dtype=state.dtype)
-    space, width = 1, 0
-    for column in state.T:
-        if space * radix > 1 << 63:
-            key, head = _rank_symbols(key, space, head, width, radix)
-            space, width = len(head), 0
-        key = key * radix + column + 1
-        space, width = space * radix, width + 1
-    return _rank_symbols(key, space, head, width, radix)
-
-
 class LUTKernel:
     """Integer gather + reduce over (codes, lut).
 
     Parameters
     ----------
     codes:
-        (rows, cells) small-integer symbol per cell — the compiled
-        stored state.
+        (rows, cells) small-integer code per cell — the stored value,
+        or the erased code where nothing was written.
     lut:
-        (n_values, n_symbols) integer score per (query value, symbol).
+        (n_values, n_codes) integer score per (query value, code).
 
     ``scores(value_index)`` evaluates, for each query row of the
     (n, cells) ``value_index``, the per-row reduction
@@ -485,12 +430,12 @@ class QuantizedKernel:
     """A :class:`LUTKernel` in the current domain: integer scores plus
     the power-of-two quantum that maps them back to amps.
 
-    Compiled by :meth:`repro.arch.crossbar.FeReXArray.quantized_kernel`
-    from the array's programmed state and a cell-uniform bias alphabet;
-    valid for exactly one write generation.
+    Compiled by the :class:`repro.core.FeReX` engine that wrote the
+    array, from the values it stored, at the configuration's value LUT
+    and quantum; valid for exactly one write generation.
 
-    ``kernel`` covers the programmed row prefix only.  Every row from
-    ``kernel.rows`` to ``rows`` holds the ``erased`` symbol in every
+    ``kernel`` covers the written row prefix only.  Every row from
+    ``kernel.rows`` to ``rows`` holds the ``erased`` code in every
     cell, so its score is the one exact integer
     ``sum_c lut[value_index[q, c], erased]`` per query, broadcast into
     the tail: full-width scores equal a kernel compiled over all rows.
@@ -500,12 +445,9 @@ class QuantizedKernel:
     #: Amps per score unit (a power of two: ``score * quantum`` is an
     #: exact float64 product).
     quantum: float
-    #: The raw (n_values, n_symbols) current table the LUT quantized,
-    #: kept for introspection and error analysis.
-    raw_currents: np.ndarray
     #: Full array height the scores span.
     rows: int
-    #: The erased cell's symbol (always a LUT column).
+    #: The erased cell's code (the LUT's last column).
     erased: int
 
     @property
