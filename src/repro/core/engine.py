@@ -5,7 +5,9 @@ This is the library's main entry point, tying together the whole stack:
 1. **configure** — derive the voltage encoding for the requested distance
    function, either through the paper's CSP pipeline (Alg. 1 + Fig. 5
    post-processing) or the closed-form constructive encoder for wide
-   alphabets;
+   alphabets.  The solve runs once per configuration per process:
+   every later engine of that configuration (each index bank, replica
+   or reconfigure) reuses the frozen :class:`CellEncoding`;
 2. **program** — map stored vectors onto the 1FeFET1R crossbar (each
    element fans out to the cell's K FeFETs);
 3. **search** — drive the query's search/drain voltages, aggregate row
@@ -49,7 +51,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -69,6 +71,13 @@ from .kernel import KernelOverflowError, QuantizedKernel, select_quantum
 
 class ConfigurationError(RuntimeError):
     """Raised when no feasible encoding exists for the request."""
+
+
+#: Solved cells, one per configuration per process: keyed by exactly
+#: what the solve reads (resolved encoder mode, metric name, bits, DM
+#: values, ``max_k``, resolved current range).  A :class:`CellEncoding`
+#: is frozen, so every engine of a configuration shares one.
+_SOLVED_CELLS: Dict[tuple, CellEncoding] = {}
 
 
 class NotProgrammedError(RuntimeError):
@@ -125,7 +134,8 @@ class FeReX:
         "auto" (default) runs the CSP when the DM is small (alphabet <= 4
         values and entries <= 4 units — covers 1-2 bit Hamming/Manhattan
         and 1-bit Euclidean) and falls back to the constructive encoding
-        otherwise.
+        otherwise.  Either solve runs once per configuration per
+        process; later engines of the configuration share its encoding.
     max_k:
         Cell-size cap for the CSP search.
     current_range:
@@ -223,6 +233,31 @@ class FeReX:
                 encoder = "csp"
             else:
                 encoder = "constructive"
+        if current_range is None:
+            current_range = range(1, DEFAULT_TECH.cell.max_vds_multiple + 1)
+        current_range = tuple(current_range)
+        values = self.dm.values
+        key = (
+            encoder,
+            self.metric.name,
+            self.bits,
+            values.shape,
+            values.tobytes(),
+            max_k,
+            current_range,
+        )
+        encoding = _SOLVED_CELLS.get(key)
+        if encoding is None:
+            # A failed solve raises here, so it is never stored; racing
+            # builders all keep the first stored solve.
+            encoding = _SOLVED_CELLS.setdefault(
+                key, self._solve(encoder, max_k, current_range)
+            )
+        return encoding
+
+    def _solve(
+        self, encoder: str, max_k: int, current_range: Tuple[int, ...]
+    ) -> CellEncoding:
         if encoder == "constructive":
             if not has_constructive(self.metric.name):
                 raise ConfigurationError(
@@ -232,14 +267,8 @@ class FeReX:
             solution = constructive_cell(self.metric.name, self.bits)
             return encode_cell(solution, self.metric.name, self.bits)
 
-        if current_range is None:
-            current_range = tuple(
-                range(1, DEFAULT_TECH.cell.max_vds_multiple + 1)
-            )
         result = find_min_cell(
-            self.dm,
-            current_range=tuple(current_range),
-            max_k=max_k,
+            self.dm, current_range=current_range, max_k=max_k
         )
         if not result.feasible or result.solution is None:
             raise ConfigurationError(

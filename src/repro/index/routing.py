@@ -102,7 +102,7 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
-from functools import partialmethod
+from functools import lru_cache, partialmethod
 from typing import List, Optional, Tuple
 
 import numpy as np
@@ -207,19 +207,25 @@ def assign_codes(
     return np.argmin(table, axis=1)
 
 
+@lru_cache(maxsize=8)
 def metric_element_lut(metric: DistanceMetric, bits: int) -> np.ndarray:
     """(n_values, n_values) per-element metric distance table — the
     LUT the centroid kernel gathers from (stored codes are their own
     symbol indices).  ``4**bits`` entries, which is why a multi-cluster
-    routed index stops at :data:`MAX_ROUTED_BITS`."""
+    routed index stops at :data:`MAX_ROUTED_BITS`.  Read-only, built
+    once per ``(metric, bits)`` and shared by every Lloyd iteration,
+    assignment and router of it (the 8 most recent pairs are kept: at
+    10 bits a table is 8 MiB)."""
     n_values = 1 << bits
-    return np.array(
+    table = np.array(
         [
             [metric.element(q, s, bits) for s in range(n_values)]
             for q in range(n_values)
         ],
         dtype=np.int64,
     )
+    table.flags.writeable = False
+    return table
 
 
 def _routing_kernel(centroids: np.ndarray, config: BankConfig) -> LUTKernel:

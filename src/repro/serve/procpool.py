@@ -44,7 +44,6 @@ a zero-copy view would race the very next dispatch into the same slab.
 
 from __future__ import annotations
 
-import gc
 import multiprocessing
 import queue
 import threading
@@ -168,7 +167,6 @@ def _worker_main(
         # Drop every view over the old buffers before unmapping them.
         del old_index
         if old_attached is not None:
-            gc.collect()
             old_attached.close()
         index, attached = attach_index(new_manifest)
 
@@ -209,7 +207,6 @@ def _worker_main(
                 try:
                     old_slabs, slabs = slabs, None
                     if old_slabs is not None:
-                        gc.collect()
                         old_slabs.close()
                     slabs = attach_slabs(new_slab_manifest)
                 except Exception as exc:
@@ -242,7 +239,6 @@ def _worker_main(
                 return
     finally:
         index = None
-        gc.collect()
         if attached is not None:
             attached.close()
         if slabs is not None:

@@ -62,6 +62,25 @@ class ArraySpec:
     dtype: str
 
 
+def _close_blocks(blocks) -> None:
+    """Unmap ``blocks``.  A view that lives on only in cyclic garbage
+    still exports its buffer, so the first ``BufferError`` costs one
+    full collection and a second pass; a view still referenced after
+    that keeps its mapping alive rather than crashing the process.
+    (``SharedMemory.close`` is idempotent, so the retry skips blocks
+    already closed.)"""
+    try:
+        for block in blocks:
+            block.close()
+    except BufferError:
+        gc.collect()
+        for block in blocks:
+            try:
+                block.close()
+            except BufferError:
+                pass
+
+
 @dataclass(frozen=True)
 class SegmentManifest:
     """Everything a worker needs to attach one published snapshot.
@@ -89,11 +108,7 @@ class PublishedSegments:
 
     def close(self) -> None:
         """Unmap this process's views (blocks stay alive for workers)."""
-        for block in self._blocks:
-            try:
-                block.close()
-            except BufferError:  # a view still alive somewhere local
-                pass
+        _close_blocks(self._blocks)
 
     def unlink(self) -> None:
         """Destroy the named blocks.  Attached workers keep their
@@ -116,13 +131,8 @@ class AttachedSegments:
 
     def close(self) -> None:
         """Unmap the attached views.  Callers must drop every numpy
-        array referencing the buffers first; a still-exported buffer
-        keeps its mapping alive rather than crashing the worker."""
-        for block in self._blocks:
-            try:
-                block.close()
-            except BufferError:
-                pass
+        array referencing the buffers first (see :func:`_close_blocks`)."""
+        _close_blocks(self._blocks)
 
 
 @dataclass(frozen=True)
@@ -155,13 +165,8 @@ class DispatchSlabs:
 
     def close(self) -> None:
         """Unmap this process's views.  Callers drop their numpy views
-        first; a still-exported buffer keeps its mapping alive rather
-        than crashing the process."""
-        for block in (self.request, self.response):
-            try:
-                block.close()
-            except BufferError:
-                pass
+        first (see :func:`_close_blocks`)."""
+        _close_blocks((self.request, self.response))
 
     def unlink(self) -> None:
         """Destroy the named blocks (parent side, on retire/grow)."""
@@ -268,7 +273,6 @@ def publish_index(
             block.unlink()
         raise
     views.clear()
-    gc.collect()
     manifest = SegmentManifest(
         meta=meta,
         arrays=specs,

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro.core.config import BankConfig
+from repro.core.distance import DistanceMetric, get_metric
 from repro.index import BACKENDS, FerexIndex, RoutedBackend, routing
 from repro.index.routing import assign_codes, train_centroids
 
@@ -77,6 +78,35 @@ class TestTraining:
         assign = assign_codes(vectors, centroids, config)
         table = config.resolved.pairwise(vectors, centroids, 2)
         assert np.array_equal(assign, np.argmin(table, axis=1))
+
+    def test_element_table_built_once_per_training(self, rng, monkeypatch):
+        """An 8-bit training builds its ``4**bits`` element table once,
+        not once per Lloyd iteration, and trains exactly as a table
+        rebuilt at every call does."""
+        element = get_metric("manhattan").element_fn
+        calls = [0]
+
+        def counted(search_value, stored_value, bits):
+            calls[0] += 1
+            return element(search_value, stored_value, bits)
+
+        # A fresh metric object: nothing cached under it yet.
+        config = BankConfig(DistanceMetric("manhattan", counted), 8)
+        per_table = 4**8
+        vectors = _clustered(rng, 300, dims=8, bits=8, centers=6)
+        centroids = train_centroids(vectors, 6, config, seed=2)
+        assign = assign_codes(vectors, centroids, config)
+        assert calls[0] == per_table
+        table = routing.metric_element_lut(config.resolved, 8)
+        assert not table.flags.writeable
+
+        calls[0] = 0
+        uncached = routing.metric_element_lut.__wrapped__
+        monkeypatch.setattr(routing, "metric_element_lut", uncached)
+        reference = train_centroids(vectors, 6, config, seed=2)
+        assert calls[0] > per_table  # several Lloyd iterations ran
+        assert np.array_equal(centroids, reference)
+        assert np.array_equal(assign, assign_codes(vectors, reference, config))
 
     def test_training_happens_at_first_add(self, rng):
         backend = RoutedBackend(

@@ -2,6 +2,7 @@
 index search, crash recovery, and write→republish visibility."""
 
 import gc
+import os
 import time
 
 import numpy as np
@@ -129,6 +130,33 @@ class TestSegments:
                 del replica
                 gc.collect()
                 attached.close()
+        finally:
+            published.unlink()
+
+    @pytest.mark.skipif(
+        not os.path.exists("/proc/self/maps"), reason="needs /proc maps"
+    )
+    def test_close_frees_a_replica_left_in_cyclic_garbage(self):
+        """A replica that only a reference cycle still holds keeps its
+        views exported: ``close`` collects once and unmaps anyway."""
+        index = build_index()
+        published = publish_index(index)
+        try:
+            replica, attached = attach_index(published.manifest)
+            cycle = [replica]
+            cycle.append(cycle)
+            del replica, cycle
+            gc.disable()
+            try:
+                attached.close()
+            finally:
+                gc.enable()
+            with open("/proc/self/maps") as maps:
+                mapped = maps.read()
+            names = [spec.name for spec in published.manifest.arrays.values()]
+            # The publisher's own mappings carry the same names: count
+            # one mapping per block, not two.
+            assert [mapped.count(name) for name in names] == [1] * len(names)
         finally:
             published.unlink()
 
@@ -301,6 +329,32 @@ class TestRepublish:
 
         with ProcReplicaPool(index, n_workers=1) as pool:
             asyncio.run(main(pool))
+
+    @pytest.mark.skipif(
+        not os.path.exists("/proc/self/maps"), reason="needs /proc maps"
+    )
+    def test_republish_unmaps_every_retired_generation(self):
+        """Twenty republishes: neither a worker nor the publisher still
+        maps a segment of a retired generation, and every generation
+        answers bit-identically to direct search."""
+        index = build_index(rows=12)
+        queries = make_queries(2)
+        rng = np.random.default_rng(9)
+        retired = []
+        with ProcReplicaPool(index, n_workers=2) as pool:
+            for _ in range(20):
+                manifest = pool._published.manifest
+                retired += [spec.name for spec in manifest.arrays.values()]
+                index.add(rng.integers(0, 4, size=(1, DIMS)))
+                pool.republish()
+                assert_outcomes_equal(
+                    pool.search(queries, k=3), index.search(queries, k=3)
+                )
+            pids = [worker.process.pid for worker in pool.workers]
+            for pid in pids + [os.getpid()]:
+                with open(f"/proc/{pid}/maps") as maps:
+                    mapped = maps.read()
+                assert [name for name in retired if name in mapped] == []
 
     def test_generation_is_monotone_across_republishes(self):
         index = build_index(rows=10)
