@@ -1,18 +1,16 @@
-"""Serving FeReX over the wire: HTTP front-end, admission, autoscaling.
+"""Serving FeReX over the wire: HTTP front-end and admission control.
 
-Builds the full elastic-serving stack in one process and exercises it
-end to end:
+Builds the full serving stack in one process and exercises it end to
+end:
 
 1. a `FerexIndex` published into a `ProcReplicaPool` (shared-memory
    worker processes) with a `FerexServer` facade in front;
 2. a `NetFrontend` — the dependency-free asyncio HTTP/1.1 layer —
    bound to a loopback port, with an `AdmissionController` (bounded
-   pending budget, overload shed as 429 + Retry-After) and an
-   `Autoscaler` (grows/shrinks pool workers from the coalescer's
-   queue-depth gauge);
+   pending budget, overload shed as 429 + Retry-After);
 3. wire traffic through `HttpClient`: single search, a coalesced
-   burst that drives the autoscaler into growing the pool, a streamed
-   NDJSON bulk add, a binary-framed batch search over the
+   burst that parks in one coalescer window, a streamed NDJSON bulk
+   add, a binary-framed batch search over the
    `application/x-ferex-batch` fast path (fixed 28-byte header + raw
    array bytes each way — no JSON number parsing), an overload wave
    that gets shed, and the `/metrics` document that reports all of it.
@@ -29,7 +27,7 @@ import numpy as np
 
 from repro import FerexIndex, FerexServer
 from repro.serve import ProcReplicaPool
-from repro.serve.net import AdmissionController, Autoscaler, HttpClient, NetFrontend
+from repro.serve.net import AdmissionController, HttpClient, NetFrontend
 
 rng = np.random.default_rng(11)
 DIMS, BITS, K = 64, 2, 3
@@ -38,7 +36,9 @@ queries = rng.integers(0, 1 << BITS, size=(48, DIMS))
 
 
 def build_index():
-    index = FerexIndex(dims=DIMS, metric="hamming", bits=BITS, bank_rows=64, seed=5)
+    index = FerexIndex(
+        dims=DIMS, metric="hamming", bits=BITS, bank_rows=64, seed=5
+    )
     index.add(stored)
     return index
 
@@ -49,20 +49,9 @@ async def main():
         server = FerexServer(
             pool.index, pool=pool, max_batch_size=64, max_wait_ms=30.0
         )
-        scaler = Autoscaler(
-            pool,
-            depth_probe=lambda: server.stats.coalescer_queue_depth,
-            service_probe=lambda: server.coalescer.ewma_service_s,
-            max_workers=2,
-            fallback_service_s=0.05,
-            up_ticks=2,
-            down_ticks=3,
-            interval_s=0.01,
-        )
         frontend = NetFrontend(
             server,
             admission=AdmissionController(max_pending=64, retry_after_s=0.05),
-            autoscaler=scaler,
             default_deadline_ms=2_000.0,
         )
         async with server, frontend:
@@ -85,8 +74,7 @@ async def main():
 
             # --- a coalesced burst: 48 clients at once ----------------
             # Concurrent wire requests park in the same coalescer
-            # window as in-process callers; the queue-depth gauge
-            # spikes and the autoscaler grows the pool.
+            # window as in-process callers.
             burst = [await HttpClient.connect(host, port) for _ in queries]
             answers = await asyncio.gather(
                 *(
@@ -110,16 +98,6 @@ async def main():
             )
             for c in burst:
                 await c.close()
-            # Let the drained gauge talk the scaler back down.
-            for _ in range(200):
-                if scaler.n_shrinks and pool.n_workers == 1:
-                    break
-                await asyncio.sleep(0.01)
-            print(
-                f"autoscaler: {scaler.n_grows} grow(s), "
-                f"{scaler.n_shrinks} shrink(s), "
-                f"{pool.n_workers} worker(s) after drain"
-            )
 
             # --- streamed NDJSON bulk add -----------------------------
             rows = rng.integers(0, 1 << BITS, size=(10, DIMS))

@@ -22,6 +22,7 @@ is ON only if Vti < Vsj, where i < j".
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -106,9 +107,12 @@ class CellEncoding:
             max(f.search_levels) for f in self.fefets
         )
 
-    @property
+    @cached_property
     def n_ladder_levels(self) -> int:
-        """Rungs of the shared Vt/Vs ladder (max of the two requirements)."""
+        """Rungs of the shared Vt/Vs ladder (max of the two requirements).
+
+        Cached: ``_check_ladder`` reads it on every per-value voltage
+        lookup, and the fields it scans never change."""
         return max(
             self.n_vth_levels_required, self.n_search_levels_required
         )

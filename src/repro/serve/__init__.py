@@ -16,10 +16,9 @@
   path and republish a fresh generation;
 * :class:`ServerStats` — qps, batch-size histogram, cache hit rate and
   latency percentiles for benchmarks and tests;
-* :mod:`repro.serve.net` — the HTTP wire on top: front-end, admission
-  control and the pool autoscaler (:class:`~repro.serve.net.
-  NetFrontend`, :class:`~repro.serve.net.AdmissionController`,
-  :class:`~repro.serve.net.Autoscaler`).
+* :mod:`repro.serve.net` — the HTTP wire on top: front-end and
+  admission control (:class:`~repro.serve.net.NetFrontend`,
+  :class:`~repro.serve.net.AdmissionController`).
 """
 
 #: Public name -> submodule.  Loaded on first access (PEP 562), so a

@@ -181,8 +181,8 @@ class RequestCoalescer:
     @property
     def ewma_service_s(self) -> Optional[float]:
         """EWMA of batch dispatch durations in seconds (``None`` until
-        the first batch is served) — the service-time half of the
-        autoscaling signal."""
+        the first batch is served) — with the queue depth, how long
+        the parked backlog would take to drain."""
         return self._ewma_service
 
     @property

@@ -1,21 +1,17 @@
-"""The network front-end: HTTP wire protocol and elastic serving over
+"""The network front-end: HTTP wire protocol over
 :class:`repro.serve.FerexServer`.
 
 * :class:`NetFrontend` — dependency-free asyncio HTTP/1.1 front-end:
-  JSON search endpoints riding the request coalescer, streaming NDJSON
-  bulk writes through the single-writer path, ``/healthz`` and
-  ``/metrics``;
+  search endpoints riding the request coalescer, with one JSON-or-frame
+  codec per row-carrying endpoint, streaming NDJSON bulk writes through
+  the single-writer path, ``/healthz`` and ``/metrics``;
 * :class:`AdmissionController` — bounded pending budget; overload is
   shed with ``429`` + ``Retry-After`` instead of queued without limit;
-* :class:`Autoscaler` — grows/shrinks
-  :class:`~repro.serve.procpool.ProcReplicaPool` workers from the
-  coalescer queue-depth gauge and EWMA service time;
 * :class:`HttpClient` — the matching minimal asyncio client (tests,
   benches, examples).
 """
 
 from .admission import AdmissionController, AdmissionError
-from .autoscaler import Autoscaler
 from .client import HttpClient, Response
 from .frontend import NetFrontend
 from .protocol import (
@@ -30,7 +26,6 @@ from .protocol import (
 __all__ = [
     "AdmissionController",
     "AdmissionError",
-    "Autoscaler",
     "BINARY_CONTENT_TYPE",
     "HttpClient",
     "HttpError",

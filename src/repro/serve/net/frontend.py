@@ -16,20 +16,13 @@ Endpoints
 ``POST /v1/search_batch``
     ``{"queries": [[...], ...], "k": 3}`` → stacked rows.  Each row
     rides the coalescer independently, so one wire batch micro-batches
-    with every other request in flight.  Also speaks the binary
-    ``application/x-ferex-batch`` content type (one array frame in;
-    ``Accept: application/x-ferex-batch`` gets a result frame back) —
-    raw little-endian array bytes instead of per-component JSON; see
-    :mod:`repro.serve.net.protocol` for the frame layout.
+    with every other request in flight.
 ``POST /v1/add`` / ``POST /v1/remove``
     Bulk writes through the single-writer path.  JSON bodies
     (``{"vectors": [[...]]}`` / ``{"ids": [...]}``) or streaming
     NDJSON (``application/x-ndjson``, one ``{"vector": [...]}`` /
     ``{"id": ...}`` object per line) applied chunk-by-chunk as the
     body arrives — a bulk load larger than memory never buffers whole.
-    ``/v1/add`` additionally accepts a binary array frame
-    (``application/x-ferex-batch``) and mirrors the assigned ids as a
-    frame under the same ``Accept``.
 ``POST /v1/compact`` / ``POST /v1/reconfigure``
     Maintenance writes; reconfigure takes ``{"bits":, "metric":,
     "banks":}`` and re-voltages online, under live wire traffic — or
@@ -42,8 +35,17 @@ Endpoints
     One JSON document: the :class:`~repro.serve.stats.ServerStats`
     snapshot (its ``cache`` section carries both lifetime and
     windowed — since-last-invalidation — hit accounting), wire
-    counters, admission budget, autoscaler state, pool state.  Plain
-    ints/floats throughout — ``json.dumps`` clean.
+    counters, admission budget, pool state.  Plain ints/floats
+    throughout — ``json.dumps`` clean.
+
+The two row-carrying endpoints, ``/v1/search_batch`` and ``/v1/add``,
+have one codec each way: the rows come from a JSON body or from one
+binary ``application/x-ferex-batch`` array frame, chosen by
+``Content-Type``; the answer is JSON or a binary frame (a result frame
+for search, the assigned ids as an array frame for add), chosen by
+``Accept`` — raw little-endian array bytes instead of per-component
+JSON numbers; see :mod:`repro.serve.net.protocol` for the frame
+layout.  Errors are always JSON.
 
 Overload behaviour (admission + deadlines) is the point of the layer:
 requests beyond the pending budget are shed instantly with ``429`` +
@@ -73,7 +75,6 @@ from ..coalescer import DeadlineExceededError
 from ..procpool import PoolBrokenError
 from ..server import FerexServer
 from .admission import AdmissionController, AdmissionError
-from .autoscaler import Autoscaler
 from .protocol import (
     BINARY_CONTENT_TYPE,
     HttpError,
@@ -94,11 +95,41 @@ from .protocol import (
 _DEFAULT_RETRY_AFTER_S = 0.05
 
 
+#: What every handler returns: ``(status, body, content_type)``.
+Reply = Tuple[int, bytes, str]
+
+
 def _wire_distances(distances: np.ndarray) -> list:
     """Distances as strict-JSON floats, non-finite rows as ``None``."""
     return [
         float(d) if math.isfinite(d) else None for d in distances.tolist()
     ]
+
+
+def _json(payload: dict) -> Reply:
+    return 200, json_body(payload), "application/json"
+
+
+def _rows_reply(
+    request: Request,
+    ids: np.ndarray,
+    distances: Optional[np.ndarray] = None,
+    **fields,
+) -> Reply:
+    """The writer of the row-carrying endpoints: a binary frame when
+    ``Accept`` asks for one — a result frame for ``(ids, distances)``,
+    an array frame for bare ids — else JSON ``ids`` (and ``distances``,
+    non-finite as ``null``) followed by ``fields``."""
+    if BINARY_CONTENT_TYPE in request.headers.get("accept", ""):
+        if distances is None:
+            frame = pack_array_frame(np.ascontiguousarray(ids, dtype="<i8"))
+        else:
+            frame = pack_result_frame(ids, distances)
+        return 200, frame, BINARY_CONTENT_TYPE
+    payload = {"ids": ids.tolist()}
+    if distances is not None:
+        payload["distances"] = [_wire_distances(row) for row in distances]
+    return _json({**payload, **fields})
 
 
 class NetFrontend:
@@ -108,8 +139,8 @@ class NetFrontend:
     ----------
     server:
         The in-process serving facade.  The front-end does not own it:
-        closing the front-end stops the wire (and the autoscaler) but
-        leaves the server serving in-process callers.
+        closing the front-end stops the wire but leaves the server
+        serving in-process callers.
     host / port:
         Bind address; port ``0`` picks a free port (see
         :attr:`bound_port` after :meth:`start`).
@@ -117,9 +148,6 @@ class NetFrontend:
         Optional :class:`AdmissionController`; without one, nothing is
         shed and overload queues unboundedly (fine for trusted
         in-process benches, wrong for a real wire).
-    autoscaler:
-        Optional :class:`Autoscaler`; its control loop is started and
-        stopped with the front-end.
     default_deadline_ms:
         Deadline applied to read requests that do not send their own
         ``deadline_ms``; a client deadline below the default wins.
@@ -138,7 +166,6 @@ class NetFrontend:
         host: str = "127.0.0.1",
         port: int = 0,
         admission: Optional[AdmissionController] = None,
-        autoscaler: Optional[Autoscaler] = None,
         default_deadline_ms: Optional[float] = None,
         max_body_bytes: int = 8 * 1024 * 1024,
         write_chunk_rows: int = 256,
@@ -151,12 +178,10 @@ class NetFrontend:
         self._host = host
         self._port = port
         self.admission = admission
-        self.autoscaler = autoscaler
         self.default_deadline_ms = default_deadline_ms
         self.max_body_bytes = int(max_body_bytes)
         self.write_chunk_rows = int(write_chunk_rows)
         self._listener: Optional[asyncio.AbstractServer] = None
-        self._autoscaler_task: Optional[asyncio.Task] = None
         self._conn_tasks: set = set()
         # Wire counters — event-loop confined, like ServerStats.
         self.n_connections = 0
@@ -185,16 +210,13 @@ class NetFrontend:
     # Lifecycle
     # ------------------------------------------------------------------
     async def start(self) -> Tuple[str, int]:
-        """Bind the socket (and start the autoscaler loop); returns the
-        bound ``(host, port)``."""
+        """Bind the socket; returns the bound ``(host, port)``."""
         if self._listener is not None:
             raise RuntimeError("front-end is already started")
         self._listener = await asyncio.start_server(
             self._handle_connection, self._host, self._port
         )
         self._port = self._listener.sockets[0].getsockname()[1]
-        if self.autoscaler is not None:
-            self._autoscaler_task = self.autoscaler.start()
         return self._host, self._port
 
     @property
@@ -208,12 +230,8 @@ class NetFrontend:
         return self._server
 
     async def close(self) -> None:
-        """Stop accepting, close the listener, stop the autoscaler.
-        The underlying :class:`FerexServer` stays open (the caller owns
-        it)."""
-        if self.autoscaler is not None and self._autoscaler_task is not None:
-            await self.autoscaler.stop()
-            self._autoscaler_task = None
+        """Stop accepting and close the listener.  The underlying
+        :class:`FerexServer` stays open (the caller owns it)."""
         if self._listener is not None:
             self._listener.close()
             await self._listener.wait_closed()
@@ -274,15 +292,9 @@ class NetFrontend:
                                 f"{request.path}",
                             )
                         raise HttpError(404, f"no route {request.path}")
-                    result = await handler(request, reader)
-                    if len(result) == 3:
-                        # Binary-capable handlers return the encoded
-                        # body + content type themselves.
-                        status, body, content_type = result
-                    else:
-                        status, payload = result
-                        body = json_body(payload)
-                        content_type = "application/json"
+                    status, body, content_type = await handler(
+                        request, reader
+                    )
                     self.status_counts[status] += 1
                     self.bytes_out += len(body)
                     write_response(
@@ -428,30 +440,32 @@ class NetFrontend:
             return nullcontext()
         return self.admission.admit(rows)
 
-    @staticmethod
-    def _wants_binary(request: Request) -> bool:
-        """Response format is the client's ``Accept`` choice —
-        independent of the request body's own content type."""
-        return BINARY_CONTENT_TYPE in request.headers.get("accept", "")
-
-    async def _read_binary_2d(
-        self, request: Request, reader, what: str
-    ) -> Tuple[np.ndarray, int]:
-        """Read and decode one binary array frame that must be 2-D."""
-        body = await self._read_raw(request, reader)
-        array, k = unpack_array_frame(body)
-        if array.ndim != 2:
+    async def _read_rows(
+        self, request: Request, reader, field: str
+    ) -> Tuple[np.ndarray, dict]:
+        """The reader of the row-carrying endpoints: ``(rows, fields)``
+        from one binary array frame (its header ``k`` is the only
+        field) or from a JSON body carrying ``field``, chosen by
+        ``Content-Type``.  Either way the rows must be 2-D."""
+        if request.content_type == BINARY_CONTENT_TYPE:
+            body = await self._read_raw(request, reader)
+            rows, k = unpack_array_frame(body)
+            payload = {"k": k}
+        else:
+            payload = await self._read_json(request, reader)
+            if field not in payload:
+                raise HttpError(400, f"body must carry {field!r}")
+            rows = np.asarray(payload[field])
+        if rows.ndim != 2:
             raise HttpError(
-                400,
-                f"binary {what} frame must carry a 2-D array "
-                f"(cols > 0), got shape {array.shape}",
+                400, f"{field} must be a 2-D array, got shape {rows.shape}"
             )
-        return array, k
+        return rows, payload
 
     # ------------------------------------------------------------------
     # Read endpoints
     # ------------------------------------------------------------------
-    async def _handle_search(self, request: Request, reader):
+    async def _handle_search(self, request: Request, reader) -> Reply:
         payload = await self._read_json(request, reader)
         if "query" not in payload:
             raise HttpError(400, "body must carry 'query'")
@@ -462,84 +476,36 @@ class NetFrontend:
             outcome = await self._server.search(
                 query, k=k, deadline=deadline
             )
-        return 200, {
-            "ids": [int(i) for i in outcome.ids.tolist()],
-            "distances": _wire_distances(outcome.distances),
-        }
+        return _json(
+            {
+                "ids": outcome.ids.tolist(),
+                "distances": _wire_distances(outcome.distances),
+            }
+        )
 
-    async def _handle_search_batch(self, request: Request, reader):
-        if request.content_type == BINARY_CONTENT_TYPE:
-            queries, k = await self._read_binary_2d(
-                request, reader, "search_batch"
-            )
-            if k < 1:
-                raise HttpError(
-                    400, f"binary frame k must be >= 1, got {k}"
-                )
-            deadline = self._deadline({}, request)
-        else:
-            payload = await self._read_json(request, reader)
-            if "queries" not in payload:
-                raise HttpError(400, "body must carry 'queries'")
-            k = self._parse_k(payload)
-            deadline = self._deadline(payload, request)
-            queries = np.asarray(payload["queries"])
-            if queries.ndim != 2:
-                raise HttpError(
-                    400,
-                    f"queries must be a 2-D array, got {queries.shape}",
-                )
+    async def _handle_search_batch(self, request: Request, reader) -> Reply:
+        queries, payload = await self._read_rows(request, reader, "queries")
+        k = self._parse_k(payload)
+        deadline = self._deadline(payload, request)
         with self._admit(max(len(queries), 1)):
             outcome = await self._server.search_many(
                 queries, k=k, deadline=deadline
             )
-        if self._wants_binary(request):
-            return (
-                200,
-                pack_result_frame(outcome.ids, outcome.distances),
-                BINARY_CONTENT_TYPE,
-            )
-        return 200, {
-            "ids": [[int(i) for i in row] for row in outcome.ids.tolist()],
-            "distances": [
-                _wire_distances(row) for row in outcome.distances
-            ],
-            "n": int(len(queries)),
-        }
+        return _rows_reply(
+            request, outcome.ids, outcome.distances, n=len(queries)
+        )
 
     # ------------------------------------------------------------------
     # Write endpoints (single-writer path, optionally streamed)
     # ------------------------------------------------------------------
-    async def _handle_add(self, request: Request, reader):
+    async def _handle_add(self, request: Request, reader) -> Reply:
         if request.content_type == "application/x-ndjson":
             return await self._streamed_add(request, reader)
-        if request.content_type == BINARY_CONTENT_TYPE:
-            vectors, _ = await self._read_binary_2d(
-                request, reader, "add"
-            )
-            assigned = await self._server.add(vectors)
-        else:
-            payload = await self._read_json(request, reader)
-            if "vectors" not in payload:
-                raise HttpError(400, "body must carry 'vectors'")
-            ids = payload.get("ids")
-            assigned = await self._server.add(
-                np.asarray(payload["vectors"]), ids=ids
-            )
-        if self._wants_binary(request):
-            return (
-                200,
-                pack_array_frame(
-                    np.ascontiguousarray(assigned, dtype="<i8")
-                ),
-                BINARY_CONTENT_TYPE,
-            )
-        return 200, {
-            "ids": [int(i) for i in assigned.tolist()],
-            "count": int(len(assigned)),
-        }
+        vectors, payload = await self._read_rows(request, reader, "vectors")
+        assigned = await self._server.add(vectors, ids=payload.get("ids"))
+        return _rows_reply(request, assigned, count=len(assigned))
 
-    async def _streamed_add(self, request: Request, reader):
+    async def _streamed_add(self, request: Request, reader) -> Reply:
         """NDJSON bulk load: rows are applied through the single-writer
         path every ``write_chunk_rows`` lines, while the body is still
         arriving.  Chunks already applied stay applied if a later line
@@ -590,18 +556,18 @@ class NetFrontend:
                 await flush()
         await flush()
         self.bytes_in += request.content_length
-        return 200, {"ids": assigned, "count": len(assigned)}
+        return _json({"ids": assigned, "count": len(assigned)})
 
-    async def _handle_remove(self, request: Request, reader):
+    async def _handle_remove(self, request: Request, reader) -> Reply:
         if request.content_type == "application/x-ndjson":
             return await self._streamed_remove(request, reader)
         payload = await self._read_json(request, reader)
         if "ids" not in payload:
             raise HttpError(400, "body must carry 'ids'")
         removed = await self._server.remove(payload["ids"])
-        return 200, {"removed": int(removed)}
+        return _json({"removed": int(removed)})
 
-    async def _streamed_remove(self, request: Request, reader):
+    async def _streamed_remove(self, request: Request, reader) -> Reply:
         ids: list = []
         removed = 0
 
@@ -632,14 +598,14 @@ class NetFrontend:
                 await flush()
         await flush()
         self.bytes_in += request.content_length
-        return 200, {"removed": removed}
+        return _json({"removed": removed})
 
-    async def _handle_compact(self, request: Request, reader):
+    async def _handle_compact(self, request: Request, reader) -> Reply:
         await self._read_json(request, reader)  # drain (empty) body
         await self._server.compact()
-        return 200, {"ok": True}
+        return _json({"ok": True})
 
-    async def _handle_reconfigure(self, request: Request, reader):
+    async def _handle_reconfigure(self, request: Request, reader) -> Reply:
         payload = await self._read_json(request, reader)
         bits = payload.get("bits")
         metric = payload.get("metric")
@@ -669,15 +635,17 @@ class NetFrontend:
             await self._server.reconfigure(
                 bits=bits, metric=metric, banks=banks
             )
-        return 200, {
-            "ok": True,
-            "write_generation": int(self._server.write_generation),
-        }
+        return _json(
+            {
+                "ok": True,
+                "write_generation": int(self._server.write_generation),
+            }
+        )
 
     # ------------------------------------------------------------------
     # Health + metrics
     # ------------------------------------------------------------------
-    async def _handle_healthz(self, request: Request, reader):
+    async def _handle_healthz(self, request: Request, reader) -> Reply:
         await self._read_json(request, reader)
         server = self._server
         pool = server.pool
@@ -691,9 +659,9 @@ class NetFrontend:
         }
         if pool is not None:
             payload["pool_workers"] = int(pool.n_workers)
-        return 200, payload
+        return _json(payload)
 
-    async def _handle_metrics(self, request: Request, reader):
+    async def _handle_metrics(self, request: Request, reader) -> Reply:
         await self._read_json(request, reader)
         payload = {
             "server": self._server.stats.snapshot(),
@@ -701,8 +669,6 @@ class NetFrontend:
         }
         if self.admission is not None:
             payload["admission"] = self.admission.snapshot()
-        if self.autoscaler is not None:
-            payload["autoscaler"] = self.autoscaler.snapshot()
         if self._server.pool is not None:
             payload["pool"] = {
                 key: value
@@ -710,7 +676,7 @@ class NetFrontend:
                 else [int(v) for v in value]
                 for key, value in self._server.pool.snapshot().items()
             }
-        return 200, payload
+        return _json(payload)
 
     def snapshot(self) -> dict:
         """JSON-ready wire counters (one section of ``/metrics``)."""

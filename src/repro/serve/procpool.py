@@ -321,7 +321,7 @@ class ProcReplicaPool:
         self.n_pickle_fallbacks = 0
         #: Slab-overflow regrows (per worker-slab pair).
         self.n_slab_grows = 0
-        # High-water slab sizing: respawned/grown workers start at the
+        # High-water slab sizing: respawned workers start at the
         # largest capacity any batch has needed so far.
         self._slab_request_bytes = _slab_capacity(
             _INITIAL_SLAB_ROWS * max(1, index.dims) * 8
@@ -787,78 +787,6 @@ class ProcReplicaPool:
                     f"to serve a generation-straddling fleet"
                 )
             return manifest.generation
-
-    # ------------------------------------------------------------------
-    # Elastic worker count (the autoscaler's actuators)
-    # ------------------------------------------------------------------
-    def grow(self, n: int = 1) -> int:
-        """Spawn ``n`` extra workers onto the currently published
-        generation; returns the new worker count.
-
-        Reuses the ordinary spawn machinery (handshake, fingerprint
-        parity check) and serialises against :meth:`republish` and
-        :meth:`shrink`, so a new worker can never attach to a
-        generation that is being retired under it.  A spawn failure
-        propagates but does *not* poison the pool: no existing slot was
-        lost, and any workers already added by this call stay.
-        """
-        if n < 1:
-            raise ValueError("grow() needs n >= 1")
-        with self._publish_lock:
-            with self._lock:
-                if self._closed or self._published is None:
-                    raise RuntimeError("pool is closed")
-                if self._broken:
-                    raise PoolBrokenError(
-                        "pool lost a worker and could not respawn it"
-                    )
-                manifest = self._published.manifest
-            for _ in range(n):
-                worker = self._spawn_worker(manifest)
-                with self._lock:
-                    if self._closed:
-                        self._retire(worker)
-                        raise RuntimeError("pool is closed")
-                    self._workers.append(worker)
-                    self.n_workers += 1
-                self._idle.put(worker)
-            return self.n_workers
-
-    def shrink(self, n: int = 1) -> int:
-        """Retire ``n`` workers; returns the new worker count.
-
-        Each retired worker is checked out of the idle queue first —
-        exactly the quiesce step :meth:`republish` uses — so a worker
-        is only ever stopped *between* requests: in-flight searches
-        finish on their worker and nothing is dropped or retried.
-        The pool refuses to shrink below one worker (the autoscaler's
-        ``min_workers`` clamp sits above this floor).
-        """
-        if n < 1:
-            raise ValueError("shrink() needs n >= 1")
-        with self._publish_lock:
-            with self._lock:
-                if self._closed:
-                    raise RuntimeError("pool is closed")
-                if self.n_workers - n < 1:
-                    raise ValueError(
-                        f"cannot shrink a {self.n_workers}-worker pool "
-                        f"by {n}: at least one worker must remain"
-                    )
-            for _ in range(n):
-                worker = self._get_idle()
-                try:
-                    worker.conn.send(("close",))
-                    worker.process.join(timeout=5)
-                except Exception:
-                    pass
-                self._retire(worker)
-                with self._lock:
-                    self._workers = [
-                        w for w in self._workers if w is not worker
-                    ]
-                    self.n_workers -= 1
-            return self.n_workers
 
     # ------------------------------------------------------------------
     # Lifecycle

@@ -128,7 +128,7 @@ class FerexServer:
         # /metrics and bench artifacts read the cache through the stats
         # snapshot.
         self.stats.cache_probe = self._cache.snapshot
-        # The autoscaling signals: stats snapshots read the coalescer's
+        # The backlog gauges: stats snapshots read the coalescer's
         # pending-queue depth (and its EWMAs / deadline drops) live
         # through these probes.
         self.stats.queue_depth_probe = lambda: self._coalescer.n_pending

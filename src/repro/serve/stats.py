@@ -70,7 +70,7 @@ class ServerStats:
         #: Online reconfigure operations served.
         self.n_reconfigures = 0
         #: Optional gauge probe returning the coalescer's pending-queue
-        #: depth — the autoscaling signal; the server wires it up.
+        #: depth (a ``/metrics`` gauge); the server wires it up.
         self.queue_depth_probe: Optional[Callable[[], int]] = None
         #: Optional probe returning the query cache's snapshot dict
         #: (lifetime + windowed hit accounting); the server wires it up
@@ -161,8 +161,8 @@ class ServerStats:
     @property
     def coalescer_queue_depth(self) -> int:
         """Pending (parked, undispatched) requests right now — the
-        queue-depth gauge worker autoscaling keys off (0 when no probe
-        is wired)."""
+        backlog gauge ``/metrics`` reports (0 when no probe is
+        wired)."""
         probe = self.queue_depth_probe
         return int(probe()) if probe is not None else 0
 

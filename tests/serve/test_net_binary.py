@@ -464,3 +464,81 @@ def test_metrics_count_wire_bytes(rng):
                     json.dumps(snap)  # stays JSON-clean
 
     asyncio.run(main())
+
+
+class TestCodecGuard:
+    """Every row-carrying endpoint reads either body and writes either
+    answer: ``Content-Type`` picks the decoder, ``Accept`` the encoder,
+    independently, and an error is always a JSON body."""
+
+    @staticmethod
+    def _request(endpoint, body, accept, rows):
+        field = "queries" if endpoint == "/v1/search_batch" else "vectors"
+        kwargs = {"headers": [("Accept", accept)] if accept else []}
+        if body == "json":
+            kwargs["json_body"] = {field: rows.tolist(), "k": 3}
+        else:
+            kwargs["body"] = pack_array_frame(
+                np.ascontiguousarray(rows), k=3
+            )
+            kwargs["content_type"] = BINARY_CONTENT_TYPE
+        return kwargs
+
+    @staticmethod
+    async def _post(endpoint, kwargs, stored):
+        index = build_index("hamming", 2, stored)
+        async with FerexServer(index, cache_size=0) as server:
+            async with NetFrontend(server) as frontend:
+                async with await HttpClient.connect(
+                    "127.0.0.1", frontend.bound_port
+                ) as client:
+                    return await client.request("POST", endpoint, **kwargs)
+
+    @pytest.mark.parametrize("endpoint", ["/v1/search_batch", "/v1/add"])
+    @pytest.mark.parametrize("accept", [None, BINARY_CONTENT_TYPE])
+    @pytest.mark.parametrize("body", ["json", "frame"])
+    def test_body_and_accept_pick_the_codec(
+        self, rng, body, accept, endpoint
+    ):
+        stored = rng.integers(0, 4, size=(40, DIMS))
+        rows = rng.integers(0, 4, size=(6, DIMS))
+        kwargs = self._request(endpoint, body, accept, rows)
+        response = asyncio.run(self._post(endpoint, kwargs, stored))
+        assert response.status == 200
+        binary = accept is not None
+        assert response.headers["content-type"] == (
+            BINARY_CONTENT_TYPE if binary else "application/json"
+        )
+        if endpoint == "/v1/search_batch":
+            reference = build_index("hamming", 2, stored).search(rows, k=3)
+            if binary:
+                ids, distances = unpack_result_frame(response.body)
+            else:
+                payload = response.json()
+                assert payload["n"] == len(rows)
+                ids = np.asarray(payload["ids"])
+                distances = np.asarray(payload["distances"], dtype=float)
+            assert np.array_equal(ids, reference.ids)
+            assert np.array_equal(distances, reference.distances)
+        else:
+            expected = build_index("hamming", 2, stored).add(rows)
+            if binary:
+                ids, _ = unpack_array_frame(response.body)
+            else:
+                payload = response.json()
+                assert payload["count"] == len(rows)
+                ids = np.asarray(payload["ids"])
+            assert np.array_equal(ids, expected)
+
+    @pytest.mark.parametrize("endpoint", ["/v1/search_batch", "/v1/add"])
+    @pytest.mark.parametrize("body", ["json", "frame"])
+    def test_error_under_binary_accept_is_json(self, rng, body, endpoint):
+        stored = rng.integers(0, 4, size=(40, DIMS))
+        flat = rng.integers(0, 4, size=DIMS)  # 1-D: not a row batch
+        kwargs = self._request(endpoint, body, BINARY_CONTENT_TYPE, flat)
+        response = asyncio.run(self._post(endpoint, kwargs, stored))
+        assert response.status == 400
+        assert response.headers["content-type"] == "application/json"
+        payload = response.json()
+        assert payload["status"] == 400
+        assert payload["message"]

@@ -479,113 +479,3 @@ def test_pool_close_releases_workers_and_segments():
     with pytest.raises(RuntimeError):
         pool.search(make_queries(2, n=1), k=1)
 
-
-class TestElasticity:
-    """grow()/shrink() — the autoscaler's actuators."""
-
-    def test_grow_adds_bit_identical_workers(self):
-        index = build_index()
-        queries = make_queries(2)
-        direct = index.search(queries, k=3)
-        with ProcReplicaPool(index, n_workers=1) as pool:
-            assert pool.grow() == 2
-            assert pool.n_workers == 2
-            # Enough round-robin passes to land on the new worker.
-            for _ in range(2 * pool.n_workers):
-                assert_outcomes_equal(pool.search(queries, k=3), direct)
-
-    def test_grown_worker_serves_the_published_generation(self):
-        """A worker spawned after a write attaches to the current
-        generation, not the boot-time one."""
-        index = build_index()
-        with ProcReplicaPool(index, n_workers=1) as pool:
-            rng = np.random.default_rng(77)
-            index.add(rng.integers(0, 4, size=(5, DIMS)))
-            pool.republish()
-            pool.grow()
-            queries = make_queries(2)
-            direct = index.search(queries, k=3)
-            for _ in range(2 * pool.n_workers):
-                assert_outcomes_equal(pool.search(queries, k=3), direct)
-
-    def test_shrink_quiesces_under_live_load(self):
-        """Shrinking while searches are in flight drops nothing: every
-        request completes, bit-identically, across the resize."""
-        import threading
-
-        index = build_index()
-        queries = make_queries(2)
-        direct = index.search(queries, k=3)
-        with ProcReplicaPool(index, n_workers=3) as pool:
-            outcomes = []
-            errors = []
-
-            def hammer():
-                try:
-                    for _ in range(20):
-                        outcomes.append(pool.search(queries, k=3))
-                except Exception as exc:  # pragma: no cover
-                    errors.append(exc)
-
-            threads = [
-                threading.Thread(target=hammer) for _ in range(3)
-            ]
-            for thread in threads:
-                thread.start()
-            assert pool.shrink() == 2
-            assert pool.shrink() == 1
-            for thread in threads:
-                thread.join()
-            assert errors == []
-            assert len(outcomes) == 60  # nothing dropped
-            for outcome in outcomes:
-                assert_outcomes_equal(outcome, direct)
-            assert pool.n_workers == 1
-            # The survivor still serves.
-            assert_outcomes_equal(pool.search(queries, k=3), direct)
-
-    def test_shrink_refuses_to_empty_the_pool(self):
-        index = build_index()
-        with ProcReplicaPool(index, n_workers=2) as pool:
-            with pytest.raises(ValueError, match="at least one"):
-                pool.shrink(2)
-            assert pool.n_workers == 2
-            pool.shrink()
-            with pytest.raises(ValueError, match="at least one"):
-                pool.shrink()
-            assert pool.n_workers == 1
-
-    def test_grow_shrink_validation_and_closed_pool(self):
-        index = build_index(rows=8)
-        pool = ProcReplicaPool(index, n_workers=1)
-        with pytest.raises(ValueError):
-            pool.grow(0)
-        with pytest.raises(ValueError):
-            pool.shrink(0)
-        pool.close()
-        with pytest.raises(RuntimeError, match="closed"):
-            pool.grow()
-        with pytest.raises(RuntimeError, match="closed"):
-            pool.shrink()
-
-    def test_resize_interleaves_with_republish(self):
-        """grow -> write/republish -> shrink -> write/republish: every
-        step leaves a fleet that answers identically to the primary."""
-        index = build_index()
-        rng = np.random.default_rng(99)
-        with ProcReplicaPool(index, n_workers=1) as pool:
-            pool.grow()
-            index.add(rng.integers(0, 4, size=(4, DIMS)))
-            pool.republish()
-            queries = make_queries(2)
-            for _ in range(2 * pool.n_workers):
-                assert_outcomes_equal(
-                    pool.search(queries, k=3), index.search(queries, k=3)
-                )
-            pool.shrink()
-            index.remove(index.search(queries[:1], k=1).ids[0].tolist())
-            pool.republish()
-            for _ in range(2 * pool.n_workers):
-                assert_outcomes_equal(
-                    pool.search(queries, k=3), index.search(queries, k=3)
-                )

@@ -1,4 +1,4 @@
-"""The coalescer queue-depth gauge — the autoscaling signal — under
+"""The coalescer queue-depth gauge — the ``/metrics`` backlog — under
 concurrent load: consistent with the pending set while parked, monotone
 through a drain, zero after it."""
 

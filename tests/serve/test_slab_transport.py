@@ -1,7 +1,7 @@
 """Slab dispatch: pooled searches over the shared-memory
 request/response slabs stay bit-identical to direct index search —
-across metrics x bits, through slab growth, republish, crash/respawn
-and elasticity — and the pickle fallback for payloads a slab cannot
+across metrics x bits, through slab growth, republish and
+crash/respawn — and the pickle fallback for payloads a slab cannot
 carry stays honest."""
 
 import itertools
@@ -195,21 +195,6 @@ class TestSlabLifecycle:
             )
             assert pool.respawns >= 1
             assert pool.snapshot()["n_pickle_fallbacks"] == 0
-
-    def test_grow_shrink_under_slab_transport(self):
-        index = build_index()
-        queries = make_queries(2)
-        with ProcReplicaPool(index, n_workers=1) as pool:
-            pool.grow(2)
-            assert pool.n_workers == 3
-            assert_outcomes_equal(
-                pool.search(queries, k=3), index.search(queries, k=3)
-            )
-            pool.shrink(2)
-            assert pool.n_workers == 1
-            assert_outcomes_equal(
-                pool.search(queries, k=3), index.search(queries, k=3)
-            )
 
     def test_respawn_inherits_grown_slab_sizing(self):
         """A replacement worker starts at the pool's high-water slab
