@@ -479,3 +479,105 @@ def test_pool_close_releases_workers_and_segments():
     with pytest.raises(RuntimeError):
         pool.search(make_queries(2, n=1), k=1)
 
+
+
+class TestFixedFleet:
+    """A pool keeps the worker count it was built with: every worker of
+    a multi-worker fleet answers bit-identically, republish moves all of
+    them, and in-flight searches quiesce around a republish."""
+
+    def test_every_worker_answers_bit_identically(self):
+        index = build_index()
+        queries = make_queries(2)
+        direct = index.search(queries, k=3)
+        with ProcReplicaPool(index, n_workers=3) as pool:
+            # Enough round-robin passes to land on every worker.
+            for _ in range(2 * pool.n_workers):
+                assert_outcomes_equal(pool.search(queries, k=3), direct)
+            assert all(
+                served > 0
+                for served in pool.snapshot()["served_per_worker"]
+            )
+
+    def test_every_worker_serves_the_republished_generation(self):
+        """After a write and a republish no worker still answers from
+        the boot-time generation."""
+        index = build_index()
+        with ProcReplicaPool(index, n_workers=3) as pool:
+            rng = np.random.default_rng(77)
+            index.add(rng.integers(0, 4, size=(5, DIMS)))
+            pool.republish()
+            queries = make_queries(2)
+            direct = index.search(queries, k=3)
+            for _ in range(2 * pool.n_workers):
+                assert_outcomes_equal(pool.search(queries, k=3), direct)
+            assert pool.respawns == 0
+
+    def test_republish_quiesces_under_live_load(self):
+        """Republishing while searches are in flight drops nothing:
+        every request completes, answered wholly by the old or wholly by
+        the new generation, and the fleet serves the new one after."""
+        import threading
+
+        index = build_index()
+        queries = make_queries(2)
+        before = index.search(queries, k=3)
+        with ProcReplicaPool(index, n_workers=3) as pool:
+            outcomes = []
+            errors = []
+
+            def hammer():
+                try:
+                    for _ in range(20):
+                        outcomes.append(pool.search(queries, k=3))
+                except Exception as exc:  # pragma: no cover
+                    errors.append(exc)
+
+            threads = [
+                threading.Thread(target=hammer) for _ in range(3)
+            ]
+            for thread in threads:
+                thread.start()
+            index.add(queries[:4])
+            after = index.search(queries, k=3)
+            pool.republish()
+            for thread in threads:
+                thread.join()
+            assert errors == []
+            assert len(outcomes) == 60  # nothing dropped
+            assert not np.array_equal(before.ids, after.ids)
+            for outcome in outcomes:
+                same_as_before = np.array_equal(outcome.ids, before.ids)
+                assert_outcomes_equal(
+                    outcome, before if same_as_before else after
+                )
+            for _ in range(2 * pool.n_workers):
+                assert_outcomes_equal(pool.search(queries, k=3), after)
+
+    def test_republish_interleaves_add_and_remove(self):
+        """add -> republish -> remove -> republish: every step leaves a
+        fleet that answers identically to the primary."""
+        index = build_index()
+        rng = np.random.default_rng(99)
+        queries = make_queries(2)
+        with ProcReplicaPool(index, n_workers=2) as pool:
+            index.add(rng.integers(0, 4, size=(4, DIMS)))
+            pool.republish()
+            for _ in range(2 * pool.n_workers):
+                assert_outcomes_equal(
+                    pool.search(queries, k=3), index.search(queries, k=3)
+                )
+            index.remove(index.search(queries[:1], k=1).ids[0].tolist())
+            pool.republish()
+            for _ in range(2 * pool.n_workers):
+                assert_outcomes_equal(
+                    pool.search(queries, k=3), index.search(queries, k=3)
+                )
+
+    def test_closed_pool_refuses_republish(self):
+        index = build_index(rows=8)
+        pool = ProcReplicaPool(index, n_workers=1)
+        pool.close()
+        with pytest.raises(RuntimeError, match="closed"):
+            pool.republish()
+        assert pool.generation == -1

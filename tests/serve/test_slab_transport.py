@@ -178,6 +178,20 @@ class TestSlabLifecycle:
             )
             assert pool.snapshot()["respawns"] == 0
 
+    def test_multi_worker_fleet_rides_the_slabs(self):
+        """Every worker of a three-worker fleet dispatches over its own
+        slab pair and answers bit-identically."""
+        index = build_index()
+        queries = make_queries(2)
+        direct = index.search(queries, k=3)
+        with ProcReplicaPool(index, n_workers=3) as pool:
+            for _ in range(2 * pool.n_workers):
+                assert_outcomes_equal(pool.search(queries, k=3), direct)
+            snap = pool.snapshot()
+            assert snap["n_pickle_fallbacks"] == 0
+            assert snap["n_slab_dispatches"] == 2 * pool.n_workers
+            assert all(served > 0 for served in snap["served_per_worker"])
+
     def test_crash_respawn_recreates_slabs(self):
         """Killing the whole fleet mid-stream still answers: respawned
         workers come up with fresh slabs."""
