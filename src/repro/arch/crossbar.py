@@ -218,8 +218,8 @@ class BatchSearchKResult(_BatchOutcome):
         ``take_along_axis(row_units, winners)`` bit for bit, without
         converting the rows that lost."""
         readings = self._readings
-        raw = np.take_along_axis(readings.raw, self.winners, axis=1)
-        return readings.units(raw)
+        rows = np.arange(len(self.winners))[:, None]
+        return readings.units(readings.raw[rows, self.winners])
 
     def nearest(self) -> BatchSearchResult:
         """The ``k = 1`` view: each query's first winner."""
@@ -865,22 +865,13 @@ class FeReXArray:
                 f"expected (n, {self.cells}) per-cell value index, got "
                 f"{value_index.shape}"
             )
-        n_values = sl_values.shape[0]
-        if value_index.size and (
-            value_index.min() < 0 or value_index.max() >= n_values
-        ):
-            raise ValueError(
-                f"value index outside [0, {n_values}) bias alphabet"
-            )
         return sl_values, dl_values, value_index
 
     def _first_query_dl(
         self, dl_values: np.ndarray, value_index: np.ndarray
-    ) -> Optional[np.ndarray]:
+    ) -> np.ndarray:
         """(physical_cols,) drain levels of the first query, for the
-        nominal-activity energy estimate; ``None`` on empty batches."""
-        if not len(value_index):
-            return None
+        nominal-activity energy estimate."""
         per_col = np.repeat(value_index[0], self.cell_fanout)
         return dl_values[per_col, np.arange(self.physical_cols)]
 
@@ -957,7 +948,15 @@ class FeReXArray:
         """
         kernel = self._kernel_for(sl_values, dl_values)
         if kernel is not None:
+            # The kernel range-checks the value index itself.
             return kernel.row_scores(value_index), kernel.quantum
+        n_values = sl_values.shape[0]
+        if value_index.size and (
+            value_index.min() < 0 or value_index.max() >= n_values
+        ):
+            raise ValueError(
+                f"value index outside [0, {n_values}) bias alphabet"
+            )
         table = self._bias_current_table(sl_values, dl_values)
         row_currents = np.empty((len(value_index), self.rows))
         for block in self._blocks(len(value_index)):
@@ -1002,7 +1001,7 @@ class FeReXArray:
         self,
         raw: np.ndarray,
         quantum: float,
-        dl_first: Optional[np.ndarray],
+        dl_first: Callable[[], np.ndarray],
         active: Optional[np.ndarray],
         k: int,
     ) -> BatchSearchKResult:
@@ -1014,20 +1013,22 @@ class FeReXArray:
         (:func:`integer_top_k`): the kernel compiles only where every
         comparator offset is zero, so their stable order is the LTA's.
         Float currents take the offset-adjusted :meth:`_select`.
-        Readings and energy are evaluated when (and if) they are read;
-        only the first query's activity is kept for the energy model.
+        Readings and energy are evaluated when (and if) they are read:
+        only then does ``dl_first`` return the first query's drain
+        levels.
         """
         if raw.dtype.kind == "i":
             winners = integer_top_k(raw, k, active)
         else:
             winners = self._select(raw, active, k)
-        energy = functools.partial(
-            self._nominal_energy,
-            raw[0] * quantum if len(raw) else np.zeros(self.rows),
-            dl_first.copy()
-            if dl_first is not None
-            else np.zeros(self.physical_cols, int),
-        )
+
+        def energy() -> EnergyBreakdown:
+            if not len(raw):  # no query: zero activity
+                return self._nominal_energy(
+                    np.zeros(self.rows), np.zeros(self.physical_cols, int)
+                )
+            return self._nominal_energy(raw[0] * quantum, dl_first())
+
         return BatchSearchKResult(
             winners=winners,
             timing_per_query=self._nominal_timing,
@@ -1086,9 +1087,10 @@ class FeReXArray:
             sl_matrix, dl_matrix
         )
         active = self._validate_competition(active_rows, k)
+        first = dl_matrix[:1].copy()
         return self._finish(
             *self._score_bias(sl_matrix, dl_matrix),
-            dl_matrix[0] if len(dl_matrix) else None,
+            lambda: first[0],
             active,
             k,
         )
@@ -1132,7 +1134,9 @@ class FeReXArray:
         active = self._validate_competition(active_rows, k)
         return self._finish(
             *self._score_values(sl_values, dl_values, value_index),
-            self._first_query_dl(dl_values, value_index),
+            functools.partial(
+                self._first_query_dl, dl_values, value_index[:1].copy()
+            ),
             active,
             k,
         )

@@ -116,12 +116,14 @@ def integer_top_k(
     if active is not None and not active.all():
         dead = np.where(active, _KEY_MIN, _KEY_MAX)
         np.maximum(key[:, :m], dead, out=key[:, :m])
+    # ``key`` is scratch: partition it in place, not a copy.
     if blocks == 1:
-        top = np.sort(np.partition(key, k - 1, axis=1)[:, :k], axis=1)
-        return top & low
+        key.partition(k - 1, axis=1)
+        return np.sort(key[:, :k], axis=1) & low
     take = min(k, width)
     if take < width:
-        nominees = np.partition(nominees, take - 1, axis=2)[:, :, :take]
+        nominees.partition(take - 1, axis=2)
+        nominees = nominees[:, :, :take]
     shape = (n, blocks * take)
     columns = (nominees & low) + width * np.arange(blocks)[:, None]
     columns = columns.reshape(shape)

@@ -1,21 +1,25 @@
-"""One BLAS thread for a served read.
+"""One BLAS thread for an index search.
 
-A served read multiplies small matrices: a routed cluster's kernel, a
-bank's plane.  OpenBLAS hands each product to a helper thread that then
-spin-waits for the next one, so on a small box most of a served query's
-CPU is that spin, for no wall-clock gain.  :func:`one_thread` caps
-OpenBLAS at one thread for the duration of a ``with`` block, through
-``openblas_set_num_threads_local`` (OpenBLAS >= 0.3.27; numpy's bundled
-build exports it), found among the process's loaded libraries with
-``ctypes``.  Where no loaded library exports it, the cap does nothing.
+A search multiplies small matrices: a routed cluster's kernel, a bank's
+plane.  OpenBLAS hands each product to a helper thread that then
+spin-waits for the next one, so on a small box most of a query's CPU is
+that spin, for little wall-clock gain.  Every index search — flat
+(:meth:`repro.index.backends.FerexBackend.search`), routed and tiered
+— and every served read run under :func:`one_thread`, which caps
+OpenBLAS at one thread for the duration of a ``with`` block (or of a
+call it decorates), through ``openblas_set_num_threads_local``
+(OpenBLAS >= 0.3.27; numpy's bundled build exports it), found among
+the process's loaded libraries with ``ctypes``.  Where no loaded
+library exports it, the cap does nothing.
 
 OpenBLAS's pthreads build — numpy's wheels — keeps one thread count
 per process despite the function's name: while any caller holds the
 cap, every product in the process runs on one thread.  The cap is
 therefore counted across threads: the first holder saves the count and
 sets one, the last one out restores it, so nested and concurrent use
-always leave the caller's setting behind.  Offline search outside a
-served read keeps OpenBLAS's own threading.
+always leave the caller's setting behind.  Work outside a search —
+routing's centroid training, a caller's own products — keeps OpenBLAS's
+own threading.
 
 Kernel arithmetic is exact (:mod:`repro.core.kernel`), so scores do not
 depend on the thread count.

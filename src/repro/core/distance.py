@@ -26,6 +26,7 @@ index backends, the HDC software path and
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, Dict, Iterable, Tuple
 
 import numpy as np
@@ -228,6 +229,23 @@ class DistanceMetric:
             d = q - s
             return (d * d).sum(axis=-1, dtype=np.int64)
         return None
+
+
+@lru_cache(maxsize=8)
+def metric_element_lut(metric: DistanceMetric, bits: int) -> np.ndarray:
+    """(n_values, n_values) per-element distance table of ``metric``:
+    entry ``[q, s]`` is ``metric.element(q, s, bits)``.  The values of a
+    :meth:`repro.core.DistanceMatrix.from_metric` DM and the LUT the
+    routing centroid kernel gathers from.  ``4**bits`` Python calls, so
+    it is read-only and built once per ``(metric, bits)`` (the 8 most
+    recent pairs are kept: at 10 bits a table is 8 MiB)."""
+    values = range(1 << bits)
+    table = np.array(
+        [[metric.element(q, s, bits) for s in values] for q in values],
+        dtype=np.int64,
+    )
+    table.flags.writeable = False
+    return table
 
 
 def _codes(values: np.ndarray, bits: int, what: str) -> np.ndarray:

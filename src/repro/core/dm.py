@@ -16,7 +16,7 @@ from typing import List, Sequence
 
 import numpy as np
 
-from .distance import DistanceMetric, get_metric
+from .distance import DistanceMetric, get_metric, metric_element_lut
 
 
 @dataclass(frozen=True)
@@ -55,18 +55,16 @@ class DistanceMatrix:
         metric: "str | DistanceMetric",
         bits: int,
     ) -> "DistanceMatrix":
-        """Build the 2^bits x 2^bits DM of a registered metric."""
+        """Build the 2^bits x 2^bits DM of a registered metric.  Its
+        values are the metric's cached, read-only element table
+        (:func:`repro.core.distance.metric_element_lut`)."""
         if isinstance(metric, str):
             metric = get_metric(metric)
-        n = 1 << bits
-        values = np.array(
-            [
-                [metric.element(sch, sto, bits) for sto in range(n)]
-                for sch in range(n)
-            ],
-            dtype=np.int64,
+        return cls(
+            values=metric_element_lut(metric, bits),
+            bits=bits,
+            metric_name=metric.name,
         )
-        return cls(values=values, bits=bits, metric_name=metric.name)
 
     @classmethod
     def from_table(cls, table: Sequence[Sequence[int]]) -> "DistanceMatrix":

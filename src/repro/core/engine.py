@@ -529,8 +529,10 @@ class FeReX:
         )
 
     def _batch_bias(self, queries: np.ndarray) -> tuple:
-        """``(sl alphabet, dl alphabet, value index)`` — a validated
-        (n, dims) query batch in the array's bias-alphabet form."""
+        """``(sl alphabet, dl alphabet, value index)`` — an (n, dims)
+        query batch in the array's bias-alphabet form.  The shape is
+        checked here; the values once, by the scorer the array picks
+        (a value outside the ``n_values`` alphabet raises there)."""
         if self.array is None:
             raise NotProgrammedError(_NOT_PROGRAMMED)
         queries = np.asarray(queries, dtype=int)
@@ -538,10 +540,6 @@ class FeReX:
             raise ValueError(
                 f"expected (n, {self.dims}) queries, got {queries.shape}"
             )
-        if queries.size and (
-            queries.min() < 0 or queries.max() >= self.n_values
-        ):
-            raise ValueError(f"query values outside [0, {self.n_values})")
         return self._sl_value_table, self._dl_value_table, queries
 
     def search_k_batch(

@@ -14,7 +14,7 @@ decomposes into
 
 A compiled :class:`LUTKernel` also grows row by row, as the array is
 written: :meth:`LUTKernel.append` compiles only the new rows' codes,
-base entries and plane columns.  A fresh compile fits its rows exactly;
+base entries and plane entries.  A fresh compile fits its rows exactly;
 an append that outgrows the buffers regrows them to
 :func:`headroom` rows, ``n + n // 8``, so a stream of small appends
 costs amortised work in proportion to the rows written while the idle
@@ -24,8 +24,15 @@ plane are row blocks of one C-ordered ``(1 + planes x cells,
 capacity)`` *wide matrix*, so a search multiplies one ``[1 | one-hot]``
 operand by its ``[:, :rows]`` view once — one BLAS product per kernel,
 however many rows it holds — and only gcd-scaled float32 planes take a
-product of their own.  A served read runs that product on one BLAS
-thread (:mod:`repro.core.blas`); a second one would only spin.
+product of their own.  A float32 plane is row-major, ``(capacity,
+cells)``: its product runs as ``plane @ mask.T`` when the kernel holds
+at least as many rows as the batch (a bank or a cluster: OpenBLAS's
+fast orientation for a short mask, 420 against 690 µs for a 1024 x 512
+plane and 32 queries on one thread of a 2-vCPU Xeon), and as
+``mask @ plane.T`` otherwise (the routing centroid kernel against a
+training set, where that orientation is the faster one).  Every index
+search and served read runs its products on one BLAS thread
+(:mod:`repro.core.blas`); a second one would only spin.
 
 This module implements both halves, device-agnostically.  One
 :class:`LUTKernel` over stored value codes and the configuration's value
@@ -204,16 +211,19 @@ class LUTKernel:
     regression test):
 
     * :meth:`scores` — the matmul formulation
-      ``base[r] + sum_v g_v * (Q_v @ P_v)`` with ``Q_v`` the one-hot
-      query mask for value ``v`` and the plane
-      ``P_v = small_v[codes].T``, where ``lut[v] - lut[0]`` is
+      ``base[r] + sum_v g_v * (Q_v @ P_v.T)`` with ``Q_v`` the one-hot
+      query mask for value ``v`` and the ``(rows, cells)`` plane
+      ``P_v = small_v[codes]``, where ``lut[v] - lut[0]`` is
       ``g_v * small_v`` with ``g_v`` the row's gcd.  A plane is float32
       when ``cells x max |small_v| < 2**24`` (at 1 bit every plane is
-      ``±1``: 4 B per cell), else the float64 delta with ``g_v = 1``;
-      the base and every float64 plane share one wide matrix and one
-      product.  Every partial sum is an exact integer, so BLAS
-      evaluates it exactly regardless of kernel/order — this is the
-      numpy hot path.
+      ``±1``: 4 B per cell) and stored row-major, its product oriented
+      by shape (``P_v @ Q_v.T`` when ``rows >= n``, else
+      ``Q_v @ P_v.T``); otherwise it is the float64 delta with
+      ``g_v = 1``, stored transposed as ``(cells, rows)`` rows of the
+      wide matrix the base shares, all scored by one product.  Every
+      partial sum is an exact integer, so BLAS evaluates it exactly
+      regardless of kernel, order or orientation — this is the numpy
+      hot path.
     * :meth:`scores_gather` — the literal gather + blocked integer
       reduction in the accumulator dtype :func:`select_accumulator`
       picked.  The reference semantics, and the shape the kernel takes
@@ -243,9 +253,7 @@ class LUTKernel:
         max_entry = int(np.abs(self.lut).max()) if self.lut.size else 0
         #: Accumulator dtype certified by the overflow bound.
         self.accumulator = select_accumulator(self.cells, max_entry)
-        # One (g, small) per value v >= 1; its plane is gathered straight
-        # from the small LUT into a C-ordered (cells, rows) array (sgemm
-        # on the F-ordered gather is slower).
+        # One (g, small) per value v >= 1.
         self._small = []
         for delta in self.lut[1:] - self.lut[0]:
             g = int(np.gcd.reduce(delta)) or 1
@@ -257,11 +265,11 @@ class LUTKernel:
             self._small.append((g, small))
         wide = sum(small.dtype == np.float64 for _, small in self._small)
         self._wide = np.empty((1 + wide * self.cells, self.rows))
-        # A fresh float32 plane is its own gather, copied C-ordered: one
-        # allocated ahead of the gather left heap holes that cost an
-        # 8 x 1024 x 512 bank index 14 MiB of peak RSS.
+        # A fresh float32 plane is its own C-ordered (rows, cells)
+        # gather: one allocated ahead of the gather left heap holes that
+        # cost an 8 x 1024 x 512 bank index 14 MiB of peak RSS.
         self._layout(
-            np.ascontiguousarray(small[codes.T])
+            small[codes]
             for _, small in self._small
             if small.dtype == np.float32
         )
@@ -286,13 +294,14 @@ class LUTKernel:
         self, codes: np.ndarray, start: int, narrow: bool = True
     ) -> None:
         """Write ``codes``' base entries and float64 plane columns from
-        row ``start`` on, and their float32 plane columns if
-        ``narrow``."""
+        row ``start`` on, and their float32 plane rows if ``narrow``."""
         stop = start + len(codes)
         self._base[start:stop] = self.lut[0][codes].sum(axis=1)
         for (_, small), (_, plane) in zip(self._small, self._planes):
-            if narrow or small.dtype == np.float64:
+            if small.dtype == np.float64:
                 plane[:, start:stop] = small[codes.T]
+            elif narrow:
+                plane[start:stop] = small[codes]
 
     @property
     def codes(self) -> np.ndarray:
@@ -316,7 +325,7 @@ class LUTKernel:
     def append(self, codes: np.ndarray) -> None:
         """Compile (n, cells) more ``codes`` after the last row.
 
-        Only the new rows' codes, base entries and plane columns are
+        Only the new rows' codes, base entries and plane entries are
         computed.  Buffers they would overflow regrow to
         :func:`headroom` rows first.  ``g``, ``small`` and every dtype
         depend on the LUT alone, so the result equals one kernel over
@@ -329,7 +338,7 @@ class LUTKernel:
             self._codes = regrown(self._codes[:start], size)
             self._wide = regrown(self._wide[:, :start], size, axis=1)
             self._layout(
-                regrown(plane[:, :start], size, axis=1)
+                regrown(plane[:start], size)
                 for _, plane in self._planes
                 if plane.dtype == np.float32
             )
@@ -359,12 +368,13 @@ class LUTKernel:
         the wide matrix sums each row's base and float64 deltas: every
         partial sum is the base plus at most ``cells`` deltas, the terms
         :func:`accumulator_bound` certifies.  A float32 plane's product
-        is exact below ``2**24``; scaling it by ``g`` and adding it to
-        the float64 total stay exact below ``2**53`` (``np.multiply``
-        with ``dtype=float64``: a float32 array times a Python int would
-        stay float32).  Without float64 planes the first scaled product
-        becomes the total and the base is added to it (a one-column
-        product costs several times a broadcast)."""
+        is exact below ``2**24`` in either orientation; scaling it by
+        ``g`` and adding it to the float64 total stay exact below
+        ``2**53`` (``np.multiply`` with ``dtype=float64``: a float32
+        array times a Python int would stay float32).  Without float64
+        planes the first scaled product is written into a C-ordered
+        total and the base is added to it (a one-column product costs
+        several times a broadcast)."""
         value_index = self._validate_index(value_index)
         n = value_index.shape[0]
         rows, wide, planes = self.rows, self._wide, self._planes
@@ -383,16 +393,18 @@ class LUTKernel:
             mask = value_index == v
             if not mask.any():
                 continue
-            part = np.multiply(
-                mask.astype(np.float32) @ plane[:, :rows],
-                g,
-                dtype=np.float64,
-            )
+            mask = mask.astype(np.float32)
+            if rows >= n:
+                product = (plane[:rows] @ mask.T).T
+            else:
+                product = mask @ plane[:rows].T
             if out is None:
-                out = part
+                out = np.multiply(
+                    product, g, out=np.empty((n, rows)), dtype=np.float64
+                )
                 out += wide[0, :rows]
             else:
-                out += part
+                out += np.multiply(product, g, dtype=np.float64)
         if out is None:
             out = np.empty((n, rows))
             out[:] = wide[0, :rows]

@@ -93,6 +93,7 @@ from typing import List, Optional, Protocol, Tuple, runtime_checkable
 import numpy as np
 
 from ..circuits.lta import stable_top_k
+from ..core.blas import one_thread
 from ..core.config import BankConfig, code_dtype, quantize_codes
 from ..core.engine import FeReX
 from ..core.kernel import headroom, regrown
@@ -621,6 +622,7 @@ class FerexBackend:
     # ------------------------------------------------------------------
     # Search
     # ------------------------------------------------------------------
+    @one_thread()
     def search(
         self, queries: np.ndarray, k: int
     ) -> Tuple[np.ndarray, np.ndarray]:
@@ -630,10 +632,13 @@ class FerexBackend:
         query from one :meth:`FeReX.search_k_batch` call (unwritten and
         tombstoned rows masked out of the LTA); candidates merge on
         (analog distance, global position) through
-        :func:`merge_top_k`.  Queries re-quantise per bank, so a
-        heterogeneous fleet competes each bank at its own precision
+        :func:`merge_top_k`.  Queries re-quantise per bank (the
+        identity at the backend's own width), so a heterogeneous fleet
+        competes each bank at its own precision
         (distances from narrower banks are coarse by construction —
         the tiered search's rescore is what restores full precision).
+        The whole search runs on one BLAS thread: a bank's products are
+        small, and a second OpenBLAS thread only spins between them.
         """
         bank_idx: List[np.ndarray] = []
         bank_dist: List[np.ndarray] = []

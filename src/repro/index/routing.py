@@ -102,7 +102,7 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
-from functools import lru_cache, partialmethod
+from functools import partialmethod
 from typing import List, Optional, Tuple
 
 import numpy as np
@@ -110,7 +110,7 @@ import numpy as np
 from ..circuits.lta import integer_top_k
 from ..core.blas import one_thread
 from ..core.config import BankConfig, quantize_codes
-from ..core.distance import DistanceMetric
+from ..core.distance import metric_element_lut
 from ..core.engine import FeReX
 from ..core.kernel import KernelOverflowError, LUTKernel, select_accumulator
 from .backends import (
@@ -124,7 +124,8 @@ from .backends import (
 )
 
 #: Widest code a multi-cluster routed index accepts.  Its centroid
-#: kernel needs the ``4**bits``-entry :func:`metric_element_lut`, built
+#: kernel needs the ``4**bits``-entry element table
+#: (:func:`repro.core.distance.metric_element_lut`), built
 #: one ``metric.element`` call at a time: 0.5-0.9 s at 10 bits and
 #: 2.5-4.5 s at 11 on one Xeon core, about 4x per bit beyond (16 bits
 #: would be ~4.3e9 calls and a 32 GiB table).  One cluster needs no
@@ -205,27 +206,6 @@ def assign_codes(
         np.asarray(vectors, dtype=np.int64)
     )
     return np.argmin(table, axis=1)
-
-
-@lru_cache(maxsize=8)
-def metric_element_lut(metric: DistanceMetric, bits: int) -> np.ndarray:
-    """(n_values, n_values) per-element metric distance table — the
-    LUT the centroid kernel gathers from (stored codes are their own
-    symbol indices).  ``4**bits`` entries, which is why a multi-cluster
-    routed index stops at :data:`MAX_ROUTED_BITS`.  Read-only, built
-    once per ``(metric, bits)`` and shared by every Lloyd iteration,
-    assignment and router of it (the 8 most recent pairs are kept: at
-    10 bits a table is 8 MiB)."""
-    n_values = 1 << bits
-    table = np.array(
-        [
-            [metric.element(q, s, bits) for s in range(n_values)]
-            for q in range(n_values)
-        ],
-        dtype=np.int64,
-    )
-    table.flags.writeable = False
-    return table
 
 
 def _routing_kernel(centroids: np.ndarray, config: BankConfig) -> LUTKernel:

@@ -4,8 +4,9 @@ an answer.
 :func:`repro.core.blas.one_thread` sets OpenBLAS's thread count to one
 for a ``with`` block and restores the previous count when the last
 concurrent holder leaves.  Where no loaded library exports the setter,
-it does nothing.  Kernel arithmetic is exact, so routed, tiered and
-flat searches answer the same with the cap active and without it.
+it does nothing.  Every index search path — flat, routed and tiered —
+takes the cap once.  Kernel arithmetic is exact, so they answer the
+same with the cap active and without it.
 """
 
 import threading
@@ -116,26 +117,48 @@ def test_the_loaded_openblas_gets_its_count_back():
     assert _count(setter) == before
 
 
-@pytest.mark.parametrize(
-    "backend, options",
-    [
-        ("routed", {"n_clusters": 6, "top_p": 2, "routing_seed": 3}),
-        ("tiered", None),
-        ("ferex", None),
-    ],
-)
-def test_answers_do_not_depend_on_the_cap(monkeypatch, backend, options):
+BACKENDS = [
+    ("routed", {"n_clusters": 6, "top_p": 2, "routing_seed": 3}),
+    ("tiered", None),
+    ("ferex", None),
+]
+
+
+def _index(backend, options, metric="manhattan", bits=2):
+    """A 3000-row index with every seventh row removed, and 48
+    queries."""
     rng = np.random.default_rng(7)
     index = FerexIndex(
         dims=32,
-        metric="manhattan",
-        bits=2,
+        metric=metric,
+        bits=bits,
         backend=backend,
         backend_options=options,
     )
-    index.add(rng.integers(0, 4, size=(3000, 32)))
+    index.add(rng.integers(0, 1 << bits, size=(3000, 32)))
     index.remove(np.arange(0, 3000, 7))
-    queries = rng.integers(0, 4, size=(48, 32))
+    return index, rng.integers(0, 1 << bits, size=(48, 32))
+
+
+@pytest.mark.parametrize("backend, options", BACKENDS)
+def test_every_search_path_takes_the_cap(fake, backend, options):
+    index, queries = _index(backend, options)
+    index.search(queries, k=10)
+    assert fake.calls == [1, 4]
+    assert fake.count == 4
+
+
+ANSWER_CASES = [(*case, "manhattan", 2) for case in BACKENDS] + [
+    # 1 bit: the bank kernel's one plane is float32.
+    ("ferex", None, "hamming", 1),
+]
+
+
+@pytest.mark.parametrize("backend, options, metric, bits", ANSWER_CASES)
+def test_answers_do_not_depend_on_the_cap(
+    monkeypatch, backend, options, metric, bits
+):
+    index, queries = _index(backend, options, metric, bits)
     with blas.one_thread():
         capped = index.search(queries, k=10)
     monkeypatch.setattr(blas, "_resolve", lambda: None)

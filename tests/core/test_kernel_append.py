@@ -8,7 +8,8 @@ leave a kernel whose ``scores``, ``scores_gather``, plane dtypes and
 steps, accumulator and codes equal those of one ``LUTKernel`` over the
 concatenated codes, bit for bit, for float32 and float64 planes alike
 and for mixed sets of both.  The base and every float64 plane stay row
-blocks of one wide matrix through every regrowth.
+blocks of one wide matrix through every regrowth, and every float32
+plane stays a row-major ``(capacity, cells)`` buffer.
 """
 
 import sys
@@ -37,12 +38,18 @@ def _lut(rng, n_values, n_symbols, wide=()):
 
 
 def _assert_one_wide_matrix(kernel):
-    """The base and every float64 plane are views of one buffer; no
-    float32 plane is."""
+    """The base and every float64 plane are views of one buffer, each
+    float64 plane ``(cells, capacity)``; every float32 plane is its own
+    row-major ``(capacity, cells)`` buffer."""
     owner = kernel._base.base
     assert owner is not None
+    capacity = len(kernel._base)
     for _, plane in kernel._planes:
-        assert plane.shape == (kernel.cells, len(kernel._base))
+        if plane.dtype == F64:
+            assert plane.shape == (kernel.cells, capacity)
+        else:
+            assert plane.shape == (capacity, kernel.cells)
+            assert plane.flags.c_contiguous
         assert (plane.base is owner) == (plane.dtype == F64)
         if plane.size and plane.dtype == F64:
             assert np.shares_memory(owner, plane)

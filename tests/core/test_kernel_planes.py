@@ -5,7 +5,9 @@
 gcd ``g_v`` times small integers in float32 while
 ``cells x max|small_v| < 2**24``, and the float64 delta itself
 otherwise.  The base and the float64 planes are row blocks of one
-wide matrix, scored by one product; float32 planes keep their own.
+``(1 + planes x cells, rows)`` wide matrix, scored by one product;
+each float32 plane is its own row-major ``(rows, cells)`` gather
+``small_v[codes]`` with a product of its own.
 ``scores`` must equal ``scores_gather`` and the float64 formula it
 replaced, ``base + sum_v mask_v @ (lut[v] - lut[0])[codes].T``, bit for
 bit, whatever mix of the two plane kinds a LUT compiles to.
@@ -113,7 +115,7 @@ def test_each_plane_is_gcd_times_small_integers():
         assert plane_g == step
         assert plane.dtype == np.float32
         assert plane.flags.c_contiguous
-        assert np.array_equal(plane, row[codes].T)
+        assert np.array_equal(plane, row[codes])
 
 
 def test_all_zero_plane_has_unit_gcd():

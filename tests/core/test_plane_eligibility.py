@@ -3,7 +3,8 @@ cost.
 
 A compiled crossbar kernel stores one plane per query value; a plane is
 float32 exactly when its LUT delta row factors as a gcd times integers
-small enough for exact sgemm partial sums.  The table below pins that
+small enough for exact sgemm partial sums, and a float32 plane is
+row-major, ``(rows, cells)``: 4 B per cell at 1 bit.  The table below pins that
 outcome per (metric, bits, encoder), so a device-LUT change that
 silently falls back to float64 fails here instead of only running
 slower.
@@ -54,7 +55,7 @@ def test_plane_dtypes_per_shipped_config(metric, bits, encoder, dims):
 def test_one_bit_hamming_planes_take_four_bytes_per_cell():
     kernel = _kernel("hamming", 1, dims=96, rows=200)
     [(_, plane)] = kernel._planes
-    assert plane.shape == (kernel.cells, kernel.rows)
+    assert plane.shape == (kernel.rows, kernel.cells)
     assert plane.flags.c_contiguous
     assert plane.nbytes == 4 * kernel.rows * kernel.cells
 
