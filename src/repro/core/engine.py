@@ -5,9 +5,13 @@ This is the library's main entry point, tying together the whole stack:
 1. **configure** — derive the voltage encoding for the requested distance
    function, either through the paper's CSP pipeline (Alg. 1 + Fig. 5
    post-processing) or the closed-form constructive encoder for wide
-   alphabets.  The solve runs once per configuration per process:
-   every later engine of that configuration (each index bank, replica
-   or reconfigure) reuses the frozen :class:`CellEncoding`;
+   alphabets.  The solve runs once per configuration per process, and
+   so does everything derived from it at one row width and technology:
+   the specialised tech, the store / search tables, the bias alphabet
+   and the kernel's value table, held by one read-only
+   :class:`repro.core.cell_config.CellConfiguration`.  Every later
+   engine of that configuration (each index bank, replica or
+   reconfigure) shares it and holds only its array and rows;
 2. **program** — map stored vectors onto the 1FeFET1R crossbar (each
    element fans out to the cell's K FeFETs);
 3. **search** — drive the query's search/drain voltages, aggregate row
@@ -48,25 +52,23 @@ Example
 
 from __future__ import annotations
 
-import dataclasses
-import functools
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from . import kernel
-from ..arch.crossbar import FeReXArray, SearchResult, vth_ladder
-from ..devices.cell import compile_current_lut
+from ..arch.crossbar import FeReXArray, SearchResult
 from ..devices.tech import TechConfig, DEFAULT_TECH
 from ..devices.variation import ArrayVariation, VariationSampler
+from .cell_config import CellConfiguration
 from .config import BankConfig, code_dtype
 from .constructive import constructive_cell, has_constructive
 from .dm import DistanceMatrix
 from .distance import DistanceMetric
 from .encoding import CellEncoding, best_encoding, encode_cell
 from .feasibility import find_min_cell
-from .kernel import KernelOverflowError, QuantizedKernel, select_quantum
+from .kernel import KernelOverflowError, QuantizedKernel
 
 
 class ConfigurationError(RuntimeError):
@@ -78,6 +80,12 @@ class ConfigurationError(RuntimeError):
 #: values, ``max_k``, resolved current range).  A :class:`CellEncoding`
 #: is frozen, so every engine of a configuration shares one.
 _SOLVED_CELLS: Dict[tuple, CellEncoding] = {}
+
+#: Cell configurations, one per (solved encoding, dims, unspecialised
+#: tech) per process.  Keyed by the encoding's ``id``: the entry holds
+#: the encoding, so the id names that object while the entry lives, and
+#: a fresh solve of an equal cell gets a fresh configuration.
+_CONFIGURATIONS: Dict[tuple, CellConfiguration] = {}
 
 
 class NotProgrammedError(RuntimeError):
@@ -144,8 +152,9 @@ class FeReX:
         ranges trade drain rails for smaller cells — see the Vds-levels
         ablation bench.
     tech:
-        Technology configuration; the engine specialises the FeFET ladder
-        and drain-selector range to what the chosen encoding needs.
+        Technology configuration; the shared cell configuration
+        specialises the FeFET ladder and drain-selector range to what
+        the chosen encoding needs (:attr:`tech` is that copy).
     variation / seed:
         Optional explicit :class:`ArrayVariation` or a seed from which the
         engine samples variation at ``program`` time.  Default: ideal
@@ -180,9 +189,18 @@ class FeReX:
         self.metric = self.config.resolved
         self.bits = self.config.bits
         self.dims = dims
+        # The solve reads this DM; the engine then keeps the
+        # configuration's equal one.
         self.dm = DistanceMatrix.from_metric(self.metric, self.bits)
-        self.encoding = self._configure(encoder, max_k, current_range)
-        self.tech = self._specialise_tech(tech or DEFAULT_TECH)
+        #: The shared :class:`CellConfiguration`; the attributes below
+        #: are references into it.
+        self.cell = cell = self._configure(
+            encoder, max_k, current_range, tech or DEFAULT_TECH
+        )
+        self.encoding, self.tech, self.dm = cell.encoding, cell.tech, cell.dm
+        self._store_lut = cell.store_lut
+        self._search_volt_lut = cell.search_volt_lut
+        self._search_mult_lut = cell.search_mult_lut
         self._variation = variation
         self._seed = seed
         self.array: Optional[FeReXArray] = None
@@ -194,28 +212,6 @@ class FeReX:
         #: write: ``stored`` describes the array only while they agree.
         self._written_generation = -1
 
-        # Precomputed per-value lookup tables for fast vector mapping.
-        n_values = self.dm.n_stored
-        k = self.encoding.k
-        self._store_lut = np.array(
-            [self.encoding.store_levels_for(v) for v in range(n_values)],
-            dtype=int,
-        )
-        fefet = self.tech.fefet
-        volts = np.empty((self.dm.n_search, k))
-        mults = np.empty((self.dm.n_search, k), dtype=int)
-        for v in range(self.dm.n_search):
-            vv, mm = self.encoding.search_voltages_for(v, fefet)
-            volts[v] = vv
-            mults[v] = mm
-        self._search_volt_lut = volts
-        self._search_mult_lut = mults
-        # Full-width bias alphabet for the batched value-select fast
-        # path: row v holds the column biases a query of all-v elements
-        # would apply (column c uses FeFET slot c % k of the cell).
-        self._sl_value_table = np.tile(volts, self.dims)
-        self._dl_value_table = np.tile(mults, self.dims)
-
     # ------------------------------------------------------------------
     # Configuration
     # ------------------------------------------------------------------
@@ -224,7 +220,8 @@ class FeReX:
         encoder: str,
         max_k: int,
         current_range: Optional[Sequence[int]],
-    ) -> CellEncoding:
+        tech: TechConfig,
+    ) -> CellConfiguration:
         if encoder not in ("auto", "csp", "constructive"):
             raise ValueError(f"unknown encoder mode {encoder!r}")
         if encoder == "auto":
@@ -253,7 +250,12 @@ class FeReX:
             encoding = _SOLVED_CELLS.setdefault(
                 key, self._solve(encoder, max_k, current_range)
             )
-        return encoding
+        key = (id(encoding), self.dims, tech)
+        cell = _CONFIGURATIONS.get(key)
+        if cell is None:
+            built = CellConfiguration.build(encoding, self.dm, self.dims, tech)
+            cell = _CONFIGURATIONS.setdefault(key, built)
+        return cell
 
     def _solve(
         self, encoder: str, max_k: int, current_range: Tuple[int, ...]
@@ -285,20 +287,6 @@ class FeReX:
         if encoding is None:
             raise ConfigurationError("feasible region vanished on re-walk")
         return encoding
-
-    def _specialise_tech(self, tech: TechConfig) -> TechConfig:
-        """Give the device ladder and drain selector exactly the depth the
-        encoding requires."""
-        fefet = dataclasses.replace(
-            tech.fefet, n_vth_levels=self.encoding.n_ladder_levels
-        )
-        cell = dataclasses.replace(
-            tech.cell,
-            max_vds_multiple=max(
-                self.encoding.max_vds_multiple, tech.cell.max_vds_multiple
-            ),
-        )
-        return dataclasses.replace(tech, fefet=fefet, cell=cell)
 
     # ------------------------------------------------------------------
     # Geometry
@@ -356,9 +344,7 @@ class FeReX:
         # (generic or values) can route through the quantized integer
         # kernel when the array is eligible, and the compile of that
         # kernel from the values this engine writes.
-        array.set_search_alphabet(
-            self._sl_value_table, self._dl_value_table
-        )
+        array.set_search_alphabet(self.cell.sl_alphabet, self.cell.dl_alphabet)
         array.set_kernel_compiler(self._compile_kernel)
         return array
 
@@ -369,16 +355,10 @@ class FeReX:
         ``[0, 2**bits)``.
         """
         vectors = self._validate_vectors(vectors)
-        rows = vectors.shape[0]
-        if rows < 1:
+        if vectors.shape[0] < 1:
             raise ValueError("need at least one stored vector")
-
-        self.array = self._build_array(rows, None)
-        levels = self._store_lut[vectors].reshape(rows, self.physical_cols)
-        self.array.program_matrix(levels)
-        self.stored = vectors.astype(code_dtype(self.bits))
-        self._row_written = np.ones(rows, dtype=bool)
-        self._written_generation = self.array.write_generation
+        self.allocate(vectors.shape[0])
+        self.write_rows(0, vectors)
 
     def allocate(
         self,
@@ -446,27 +426,6 @@ class FeReX:
             return None
         return self.array.quantized_kernel()
 
-    @functools.cached_property
-    def _value_table(self) -> Tuple[np.ndarray, float]:
-        """``(lut, quantum)`` over every stored value plus the erased
-        cell, its last column: the integer score of each (query value,
-        cell) pair at the power-of-two quantum their peak current
-        fixes.  Read-only, built once per configuration."""
-        erased = np.full((1, self.k), -1)
-        levels = np.concatenate([self._store_lut, erased])
-        raw = compile_current_lut(
-            self._search_volt_lut,
-            self._search_mult_lut,
-            vth_ladder(self.tech.fefet)[levels],
-            self.tech,
-        )
-        quantum = select_quantum(
-            float(np.abs(raw).max()), self.dims, self.tech.cell.unit_current
-        )
-        lut = np.rint(raw / quantum).astype(np.int64)
-        lut.flags.writeable = False
-        return lut, quantum
-
     def value_lut(self) -> Tuple[np.ndarray, float]:
         """``(lut, quantum)``: the integer score of every (query value,
         stored value) cell pair, at the quantum every ideal array of
@@ -475,9 +434,15 @@ class FeReX:
         over stored value codes gathers from it and scores exactly what
         the array's kernel scores.  Raises
         :class:`repro.core.kernel.KernelOverflowError` beyond the exact
-        integer bound."""
-        lut, quantum = self._value_table
-        return lut[:, :-1], quantum
+        integer bound.  Read-only, shared by every engine of the
+        configuration (:attr:`CellConfiguration.value_table`)."""
+        table = self.cell.value_table
+        if table is None:
+            raise KernelOverflowError(
+                f"no exact kernel for {self.metric.name}/{self.bits}-bit "
+                f"at {self.dims} cells"
+            )
+        return table[0][:, :-1], table[1]
 
     def _compile_kernel(self) -> Optional[QuantizedKernel]:
         """The array's kernel, from the values this engine wrote: a
@@ -487,21 +452,20 @@ class FeReX:
         written past this engine (``stored`` is stale) or beyond the
         exact-integer bound.  The array calls it behind its eligibility
         gate (:meth:`FeReXArray.set_kernel_compiler`)."""
-        if self.array.write_generation != self._written_generation:
+        table = self.cell.value_table
+        stale = self.array.write_generation != self._written_generation
+        if table is None or stale:
             return None
+        lut, quantum = table
         written = self._row_written
         last = np.flatnonzero(written)
         prefix = int(last[-1]) + 1 if len(last) else 0
-        try:
-            lut, quantum = self._value_table
-            erased = lut.shape[1] - 1
-            codes = np.where(
-                written[:prefix, None], self.stored[:prefix], np.int64(erased)
-            )
-            # Looked up at call time, so a substituted class is used.
-            compiled = kernel.LUTKernel(codes, lut)
-        except KernelOverflowError:
-            return None
+        erased = lut.shape[1] - 1
+        codes = np.where(
+            written[:prefix, None], self.stored[:prefix], np.int64(erased)
+        )
+        # Looked up at call time, so a substituted class is used.
+        compiled = kernel.LUTKernel(codes, lut)
         return QuantizedKernel(compiled, quantum, self.array.rows, erased)
 
     def _query_bias(self, query: Sequence[int]):
@@ -540,7 +504,7 @@ class FeReX:
             raise ValueError(
                 f"expected (n, {self.dims}) queries, got {queries.shape}"
             )
-        return self._sl_value_table, self._dl_value_table, queries
+        return self.cell.sl_alphabet, self.cell.dl_alphabet, queries
 
     def search_k_batch(
         self,

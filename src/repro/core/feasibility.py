@@ -332,33 +332,6 @@ def _search_mask_domains(
     return None
 
 
-def _build_row_csp(
-    dm: DistanceMatrix,
-    k: int,
-    cr: Tuple[int, ...],
-) -> Optional[CSP]:
-    """Variables = search rows, domains = row assignments, binary
-    constraints = pairwise FeFET nestedness."""
-    domains: Dict[int, List[RowAssignment]] = {}
-    for sch in range(dm.n_search):
-        assignments = enumerate_row_assignments(dm.row(sch), k, cr)
-        if not assignments:
-            return None
-        domains[sch] = assignments
-
-    variables = list(range(dm.n_search))
-    csp = CSP(variables=variables, domains=domains, constraints=[])
-    for a, b in itertools.combinations(variables, 2):
-        csp.add_constraint(
-            Constraint(
-                scope=(a, b),
-                predicate=rows_compatible,
-                name=f"nested[{a},{b}]",
-            )
-        )
-    return csp
-
-
 def check_feasibility(
     dm: DistanceMatrix,
     k: int,

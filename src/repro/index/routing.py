@@ -111,8 +111,7 @@ from ..circuits.lta import integer_top_k
 from ..core.blas import one_thread
 from ..core.config import BankConfig, quantize_codes
 from ..core.distance import metric_element_lut
-from ..core.engine import FeReX
-from ..core.kernel import KernelOverflowError, LUTKernel, select_accumulator
+from ..core.kernel import KernelOverflowError, LUTKernel
 from .backends import (
     BACKENDS,
     PAD_POSITION,
@@ -705,15 +704,17 @@ class RoutedBackend:
 
     def _value_lut(self) -> Optional[tuple]:
         """``(lut, quantum, unit current)`` of the cluster banks'
-        configuration (:meth:`FeReX.value_lut`), built once; ``None``
-        where no exact kernel exists, and the cluster banks answer."""
+        configuration, read once from any cluster bank
+        (:meth:`FeReX.value_lut`: every bank shares one
+        :class:`repro.core.cell_config.CellConfiguration`, so this builds
+        nothing); ``None`` where no exact kernel exists, and the cluster
+        banks answer.  Called only once some cluster holds rows."""
         if self._lut is None:
-            engine = FeReX(
-                dims=self.dims, encoder=self.encoder, config=self._sub_config()
+            engine = next(
+                c.sub.engines[0] for c in self._clusters if c.sub.n_banks
             )
             try:
                 lut, quantum = engine.value_lut()
-                select_accumulator(self.dims, int(np.abs(lut).max()))
                 self._lut = (lut, quantum, engine.tech.cell.unit_current)
             except KernelOverflowError:
                 self._lut = ()

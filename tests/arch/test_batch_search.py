@@ -90,8 +90,8 @@ class TestBatchValidation:
 
     def test_value_index_validated(self, engine):
         arr = engine.array
-        sl = engine._sl_value_table
-        dl = engine._dl_value_table
+        sl = engine.cell.sl_alphabet
+        dl = engine.cell.dl_alphabet
         with pytest.raises(ValueError):  # wrong width
             arr.search_batch_values(sl, dl, np.zeros((2, 3), dtype=int))
         with pytest.raises(ValueError):  # value outside the alphabet
