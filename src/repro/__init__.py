@@ -4,8 +4,8 @@ FeReX is a reconfigurable multi-bit ferroelectric compute-in-memory
 associative memory for nearest-neighbor search.  This package implements
 the full stack from the paper:
 
-* :mod:`repro.devices` — Preisach FeFET and 1FeFET1R device physics;
-* :mod:`repro.circuits` — clamp op-amp, loser-take-all, drivers;
+* :mod:`repro.devices` — FeFET I-V and 1FeFET1R device physics;
+* :mod:`repro.circuits` — clamp op-amp, loser-take-all, row interface;
 * :mod:`repro.arch` — crossbar array, parasitics, energy/timing macro
   models;
 * :mod:`repro.core` — the CSP encoding pipeline (Algorithm 1 + Fig. 5)

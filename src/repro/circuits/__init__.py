@@ -1,17 +1,10 @@
-"""Circuit-level substrate: ScL clamp op-amp, loser-take-all comparator,
-row interface multiplexing and peripheral drivers.
+"""Circuit-level substrate: ScL clamp op-amp, loser-take-all comparator
+and row interface multiplexing.
 
 Behavioural equivalents of the transistor-level blocks the paper simulates
 in Cadence (45 nm PTM + scaled two-stage op-amp + current-domain LTA).
 """
 
-from .drivers import (
-    DrainVoltageSelector,
-    DriveEvent,
-    RowDecoder,
-    SearchLineDriver,
-    WriteLevelShifter,
-)
 from .interface import RowBias, RowInterface, RowMode
 from .lta import BatchLTADecision, LoserTakeAll, LTADecision
 from .opamp import ClampOpAmp, SettlingReport
@@ -19,15 +12,10 @@ from .opamp import ClampOpAmp, SettlingReport
 __all__ = [
     "BatchLTADecision",
     "ClampOpAmp",
-    "DrainVoltageSelector",
-    "DriveEvent",
     "LoserTakeAll",
     "LTADecision",
     "RowBias",
-    "RowDecoder",
     "RowInterface",
     "RowMode",
-    "SearchLineDriver",
     "SettlingReport",
-    "WriteLevelShifter",
 ]

@@ -10,8 +10,8 @@ arguments, so it can be
 
 * validated eagerly (an unknown metric name fails at construction, not
   at the first search),
-* carried per *bank* (a sharded index may program different banks at
-  different precisions — the coarse tier of a tiered search),
+* carried per *bank* (a tiered search's coarse banks run at fewer
+  bits than the index they serve),
 * compared, hashed, and round-tripped through persistence metadata.
 
 Equality is semantic: two configs are equal iff they name the same

@@ -1,21 +1,13 @@
-"""Device-physics substrate: FeFET, ferroelectric hysteresis, 1FeFET1R cell,
-technology constants and process variation.
+"""Device-physics substrate: FeFET I-V, 1FeFET1R cell, technology
+constants and process variation.
 
 These models stand in for the Cadence Virtuoso + Preisach-SPICE stack the
-paper simulates with (see DESIGN.md section 4 for the substitution
-rationale).
+paper simulates with: a FeFET is its square-law I-V at one of the
+technology's threshold levels, not a hysteresis model.
 """
 
 from .cell import OneFeFETOneR
-from .fefet import FeFET, drain_current, is_on, saturation_current
-from .preisach import (
-    PreisachFerroelectric,
-    ascending_branch,
-    descending_branch,
-    polarization_to_vth,
-    program_pulse_for_vth,
-    vth_to_polarization,
-)
+from .fefet import drain_current
 from .tech import (
     DEFAULT_TECH,
     CellParams,
@@ -34,23 +26,14 @@ __all__ = [
     "CellParams",
     "DEFAULT_TECH",
     "DriverParams",
-    "FeFET",
     "FeFETParams",
     "LTAParams",
     "OneFeFETOneR",
     "OpAmpParams",
-    "PreisachFerroelectric",
     "TechConfig",
     "VariationParams",
     "VariationSampler",
     "WireParams",
-    "ascending_branch",
-    "descending_branch",
     "drain_current",
-    "is_on",
     "nominal_variation",
-    "polarization_to_vth",
-    "program_pulse_for_vth",
-    "saturation_current",
-    "vth_to_polarization",
 ]

@@ -1,9 +1,9 @@
 """Transistor-level I-V model of the multi-level FeFET.
 
 A FeFET is a MOSFET whose threshold voltage is set by the remanent
-polarization of the ferroelectric gate layer (see
-:mod:`repro.devices.preisach`).  For FeReX only three operating facts matter
-(paper Fig. 1):
+polarization of the ferroelectric gate layer; the array stores that
+threshold directly as one of the technology's levels.  For FeReX only
+three operating facts matter (paper Fig. 1):
 
 1. below threshold the device is effectively OFF (exponential subthreshold
    decay, nanoamp and below);
@@ -67,75 +67,3 @@ def drain_current(
             * (1.0 + params.channel_lambda * vds)
         )
     return min(ids, params.i_sat_max)
-
-
-def is_on(vgs: float, vth: float) -> bool:
-    """True when the FeFET conducts meaningfully (``vgs`` above ``vth``).
-
-    This is the digital abstraction the encoding algorithm reasons with; the
-    analog model above is used when simulating actual array currents.
-    """
-    return vgs > vth
-
-
-def saturation_current(vgs: float, vth: float, params: Optional[FeFETParams] = None) -> float:
-    """Saturation-region current for the given overdrive, amps."""
-    params = params or FeFETParams()
-    vov = vgs - vth
-    if vov <= 0:
-        return params.i_off_floor
-    return min(0.5 * params.k_factor * vov * vov, params.i_sat_max)
-
-
-class FeFET:
-    """A single multi-level FeFET with a programmable threshold.
-
-    Wraps the Preisach gate-stack model for programming and the square-law
-    I-V for read-out.  The threshold may also be forced directly (used by
-    the Monte Carlo harness to inject device-to-device variation sampled
-    once per physical device).
-    """
-
-    def __init__(self, params: Optional[FeFETParams] = None):
-        from .preisach import PreisachFerroelectric, polarization_to_vth
-
-        self.params = params or FeFETParams()
-        self._stack = PreisachFerroelectric(self.params)
-        self._stack.reset()
-        self._vth_offset = 0.0
-        self._polarization_to_vth = polarization_to_vth
-
-    @property
-    def vth(self) -> float:
-        """Present threshold voltage, including any injected offset."""
-        nominal = self._polarization_to_vth(
-            self._stack.polarization, self.params
-        )
-        return nominal + self._vth_offset
-
-    def set_vth_offset(self, offset: float) -> None:
-        """Inject a static threshold offset (device-to-device variation)."""
-        self._vth_offset = offset
-
-    def erase(self) -> None:
-        """Apply a strong negative pulse: polarization to -Pr, highest Vth."""
-        self._stack.reset()
-
-    def program_level(self, level: int, width: Optional[float] = None) -> float:
-        """Erase-then-program the device to MLC state ``level``.
-
-        Returns the resulting nominal threshold voltage.  Level 0 is the
-        lowest threshold, matching ``Vt0 < Vt1 < Vt2``.
-        """
-        from .preisach import program_pulse_for_vth
-
-        target = self.params.vth_level(level)
-        self._stack.reset()
-        if target < self.params.vth_low + self.params.memory_window - 1e-9:
-            amplitude = program_pulse_for_vth(target, self.params, width)
-            self._stack.apply_pulse(amplitude, width)
-        return self.vth
-
-    def current(self, vgs: float, vds: float) -> float:
-        """Read current at the given bias, amps (threshold includes offset)."""
-        return drain_current(vgs, vds, self.vth, self.params)

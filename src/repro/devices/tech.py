@@ -65,20 +65,8 @@ class FeFETParams:
     #: Intrinsic saturation current cap of the transistor itself, amps.
     i_sat_max: float = 50.0e-6
 
-    #: Remanent polarization of the ferroelectric layer (C / m^2).
-    remanent_polarization: float = 0.23
-    #: Saturation polarization (C / m^2).
-    saturation_polarization: float = 0.30
     #: Coercive voltage of the FE layer within the gate stack, volts.
     coercive_voltage: float = 1.2
-    #: Pulse-width sensitivity: decades of pulse width trade against this
-    #: many volts of effective programming amplitude (paper Sec. II-A:
-    #: "if the duration of a given positive voltage pulse increases, the
-    #: Vth will shift lower accordingly").
-    pulse_width_slope: float = 0.15
-    #: Reference programming pulse width (seconds) at which the nominal
-    #: programming curve is defined.
-    reference_pulse_width: float = 1.0e-6
 
     def vth_level(self, level: int) -> float:
         """Nominal threshold voltage of MLC state ``level``.

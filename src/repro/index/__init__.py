@@ -7,8 +7,9 @@
 coarse-to-fine, cluster-routed bank selection).  Configuration is
 first-class: every backend — and every ferex bank — carries a
 :class:`repro.core.BankConfig`, and :meth:`FerexIndex.reconfigure`
-re-voltages banks online (:meth:`FerexIndex.reconfigure_routing` moves
-the routed backend's probe width and cluster count the same way).
+re-voltages the whole index online
+(:meth:`FerexIndex.reconfigure_routing` moves the routed backend's probe
+width and cluster count the same way).
 """
 
 from ..core.config import BankConfig, quantize_codes

@@ -17,11 +17,9 @@ implementations ship here; the cluster-routed backend and tiered search
   capacity and tombstoned rows masked out of the LTA competition, and
   bank candidates merge through one vectorised lexsort on
   (analog distance, global position) — exactly how a multi-bank FeFET
-  CAM deployment composes its LTA outputs.  Banks may carry
-  *heterogeneous* configs: a bank re-voltaged at fewer bits stores the
-  top bits of the canonical codes (:func:`repro.core.quantize_codes`)
-  and quantises queries the same way, which is how a coarse
-  low-precision tier shares the fleet with full-precision banks.
+  CAM deployment composes its LTA outputs.  Every bank is voltaged at
+  the backend's config; a whole-index re-voltage builds a new backend
+  (:meth:`repro.index.FerexIndex.reconfigure`).
 * :class:`ExactBackend` — the exact software reference
   (:meth:`DistanceMetric.pairwise`, the one exact software scorer), the
   baseline hardware winners are validated against.
@@ -47,8 +45,8 @@ Who holds the stored codes, per element, on ideal devices:
   width is a format decision, not a footprint one.
 * each bank's ``vectors`` mirror and its engine's ``stored`` mirror —
   :func:`repro.core.code_dtype`, 1 B up to 3-bit codes.  They keep the
-  backend protocol free of callbacks into the index and let a bank
-  re-voltage without the index's help.
+  backend protocol free of callbacks into the index: a bank that grows
+  re-programs its written rows from its own mirror.
 * the crossbar's ``levels`` — 1 B per FeFET, K per element; everything
   else the device model needs is derived from it on read (see
   :class:`repro.arch.crossbar.FeReXArray`).
@@ -78,11 +76,10 @@ Under a seed, bank ``b`` samples its full-capacity variation once
 every allocation slices a prefix of that sample.  Row ``r`` of a bank
 therefore carries the same device instance no matter how the bank grew,
 which is what makes incremental ``add`` bit-identical to one-shot
-programming and ``save``/``load`` round trips exact.  Re-voltaging a
-bank (:meth:`FerexBackend.reconfigure_banks`) re-samples at the new
-cell geometry with the *same* per-bank seed — exactly what a fresh
-index built at the target config would draw — so reconfigure keeps the
-bit-identity guarantee too.
+programming and ``save``/``load`` round trips exact.  A whole-index
+reconfigure builds a fresh backend at the target config, which
+re-samples at the new cell geometry with the *same* per-bank seeds, so
+it keeps the bit-identity guarantee too.
 """
 
 from __future__ import annotations
@@ -94,7 +91,7 @@ import numpy as np
 
 from ..circuits.lta import stable_top_k
 from ..core.blas import one_thread
-from ..core.config import BankConfig, code_dtype, quantize_codes
+from ..core.config import BankConfig, code_dtype
 from ..core.engine import FeReX
 from ..core.kernel import headroom, regrown
 from ..devices.variation import ArrayVariation, VariationSampler
@@ -328,18 +325,15 @@ class _Bank:
     """One physical shard: a FeReX engine plus its occupancy state."""
 
     engine: FeReX
-    #: The (metric, bits) this bank is currently voltaged for.  Codes
-    #: and queries are quantised from the backend alphabet to this one
-    #: on the way into the engine.
+    #: The (metric, bits) this bank is voltaged for: always the
+    #: backend's config.
     config: BankConfig
     #: Maximum rows this bank ever holds (the shard height).
     capacity: int
     #: Global position of this bank's row 0.
     start: int
     #: Vectors physically written, in row order (tombstones included),
-    #: kept at the *backend* alphabet (a :func:`code_store`) — the bank
-    #: re-quantises on write, so re-voltaging the bank never needs the
-    #: index's help.
+    #: as a :func:`code_store`; a re-allocation re-programs from it.
     vectors: np.ndarray
     #: Per written row: does it still compete?
     alive: np.ndarray = field(default_factory=lambda: np.empty(0, bool))
@@ -436,33 +430,29 @@ class FerexBackend:
 
     @property
     def bank_configs(self) -> Tuple[BankConfig, ...]:
-        """Each bank's current (metric, bits) voltage configuration."""
+        """Each bank's (metric, bits) voltage configuration: the
+        backend's config, once per bank."""
         return tuple(bank.config for bank in self._banks)
 
     # ------------------------------------------------------------------
     # Mutation
     # ------------------------------------------------------------------
-    def _bank_engine(
-        self, ordinal: int, config: BankConfig
-    ) -> Tuple[FeReX, Optional[ArrayVariation]]:
-        """Build bank ``ordinal``'s engine + full-capacity variation
-        sample for ``config`` — the same draw a fresh index built at
-        that config would make (seed depends only on the bank ordinal;
-        the sample geometry follows the config's cell size)."""
-        engine = FeReX(dims=self.dims, encoder=self.encoder, config=config)
+    def _open_bank(self) -> _Bank:
+        """Open the next bank: its engine and full-capacity variation
+        sample (seed ``seed + index``; the sample geometry follows the
+        config's cell size)."""
+        index = len(self._banks)
+        engine = FeReX(
+            dims=self.dims, encoder=self.encoder, config=self.config
+        )
         variation = None
         if self.seed is not None:
             sampler = VariationSampler(
-                engine.tech.variation, seed=self.seed + ordinal
+                engine.tech.variation, seed=self.seed + index
             )
             variation = sampler.sample_array(
                 self.bank_rows, engine.physical_cols
             )
-        return engine, variation
-
-    def _open_bank(self) -> _Bank:
-        index = len(self._banks)
-        engine, variation = self._bank_engine(index, self.config)
         bank = _Bank(
             engine=engine,
             config=self.config,
@@ -484,8 +474,6 @@ class FerexBackend:
         the bank capacity) with the *same* sliced variation sample and
         every written row re-programmed — results are identical either
         way because each row's device instance is fixed by its position.
-        Codes are re-quantised to the bank's alphabet on the way in;
-        ``bank.vectors`` keeps the full-precision originals.
         """
         old = bank.written
         total = old + len(vectors)
@@ -501,10 +489,7 @@ class FerexBackend:
             start, written = 0, np.concatenate([bank.vectors, vectors])
         else:
             start, written = old, vectors
-        bank.engine.write_rows(
-            start,
-            quantize_codes(written, self.config.bits, bank.config.bits),
-        )
+        bank.engine.write_rows(start, written)
         bank.append(vectors)
 
     def add(self, vectors: np.ndarray) -> None:
@@ -528,98 +513,6 @@ class FerexBackend:
             self.add(np.asarray(vectors, dtype=int))
 
     # ------------------------------------------------------------------
-    # Reconfiguration
-    # ------------------------------------------------------------------
-    def _rebuilt_bank(self, ordinal: int, config: BankConfig) -> _Bank:
-        """A replacement for bank ``ordinal`` re-voltaged at ``config``,
-        re-programmed from the retained codes (tombstones keep their
-        rows, so positions — and the parity guarantees hanging off
-        them — survive the re-voltage)."""
-        old = self._banks[ordinal]
-        engine, variation = self._bank_engine(ordinal, config)
-        bank = _Bank(
-            engine=engine,
-            config=config,
-            capacity=old.capacity,
-            start=old.start,
-            vectors=code_store(self.dims, self.config.bits),
-            alive=np.empty(0, dtype=bool),
-            variation=variation,
-        )
-        if old.written:
-            self._write(bank, old.vectors)
-            bank.alive[:] = old.alive
-        return bank
-
-    def reconfigure_banks(
-        self, config: BankConfig, ordinals: "Optional[List[int]]" = None
-    ) -> None:
-        """Re-voltage banks at ``config``, re-programming each from its
-        retained stored codes.
-
-        ``ordinals`` selects a subset (heterogeneous fleets — e.g. a
-        low-bit coarse tier next to full-precision banks); ``None``
-        re-voltages every bank *and* moves the backend-level config, so
-        banks opened later match.  All replacement engines are built
-        before any bank is swapped: a config with no feasible cell
-        encoding raises without mutating anything.
-
-        The whole-backend form (``ordinals=None``) moves the *storage*
-        alphabet, so the retained codes must fit the target width —
-        the same constraint a fresh build at ``config`` would enforce
-        (a subset re-voltage quantises instead, because the backend
-        alphabet stays put).
-        """
-        if ordinals is None:
-            if config.bits < self.config.bits and any(
-                bank.written and int(bank.vectors.max()) >= config.n_values
-                for bank in self._banks
-            ):
-                raise ValueError(
-                    f"stored codes exceed the {config.bits}-bit "
-                    "alphabet; re-voltage a subset via ordinals=[...] "
-                    "to quantise instead"
-                )
-            targets = list(range(len(self._banks)))
-            # The storage alphabet moves with the fleet: swap it first
-            # (restored on failure) so the re-programs — and every
-            # later incremental write — re-quantise from the new
-            # width, i.e. not at all.
-            previous = self.config
-            self.config = config
-            try:
-                rebuilt = {
-                    o: self._rebuilt_bank(o, config) for o in targets
-                }
-            except Exception:
-                self.config = previous
-                raise
-        else:
-            targets = [int(o) for o in ordinals]
-            if len(set(targets)) != len(targets):
-                raise ValueError("duplicate bank ordinals")
-            for o in targets:
-                if not 0 <= o < len(self._banks):
-                    raise ValueError(
-                        f"bank ordinal {o} outside [0, {len(self._banks)})"
-                    )
-            rebuilt = {o: self._rebuilt_bank(o, config) for o in targets}
-        for o, bank in rebuilt.items():
-            self._banks[o] = bank
-
-    def apply_bank_configs(self, configs: "List[BankConfig]") -> None:
-        """Replay persisted per-bank configs (the ``from_state`` path):
-        re-voltage every bank whose config differs from the record."""
-        if len(configs) != len(self._banks):
-            raise ValueError(
-                f"got {len(configs)} bank configs for "
-                f"{len(self._banks)} banks"
-            )
-        for ordinal, config in enumerate(configs):
-            if config != self._banks[ordinal].config:
-                self._banks[ordinal] = self._rebuilt_bank(ordinal, config)
-
-    # ------------------------------------------------------------------
     # Search
     # ------------------------------------------------------------------
     @one_thread()
@@ -632,13 +525,9 @@ class FerexBackend:
         query from one :meth:`FeReX.search_k_batch` call (unwritten and
         tombstoned rows masked out of the LTA); candidates merge on
         (analog distance, global position) through
-        :func:`merge_top_k`.  Queries re-quantise per bank (the
-        identity at the backend's own width), so a heterogeneous fleet
-        competes each bank at its own precision
-        (distances from narrower banks are coarse by construction —
-        the tiered search's rescore is what restores full precision).
-        The whole search runs on one BLAS thread: a bank's products are
-        small, and a second OpenBLAS thread only spins between them.
+        :func:`merge_top_k`.  The whole search runs on one BLAS thread:
+        a bank's products are small, and a second OpenBLAS thread only
+        spins between them.
         """
         bank_idx: List[np.ndarray] = []
         bank_dist: List[np.ndarray] = []
@@ -648,11 +537,7 @@ class FerexBackend:
             if n_live == 0:
                 continue
             result = bank.engine.search_k_batch(
-                quantize_codes(
-                    queries, self.config.bits, bank.config.bits
-                ),
-                min(k, n_live),
-                active_rows=active,
+                queries, min(k, n_live), active_rows=active
             )
             bank_idx.append(bank.start + result.winners)
             bank_dist.append(result.winner_units)
@@ -692,14 +577,7 @@ class FerexBackend:
             if live == 0:
                 continue
             n_live += live
-            readout = np.array(
-                bank.engine.readout_batch(
-                    quantize_codes(
-                        queries, self.config.bits, bank.config.bits
-                    )
-                ),
-                dtype=float,
-            )
+            readout = np.array(bank.engine.readout_batch(queries), dtype=float)
             readout[:, ~active] = np.inf
             units.append(readout)
             positions.append(

@@ -32,8 +32,8 @@ source index — the foundation of the multi-process replica pool
 (:class:`repro.serve.ProcReplicaPool`).
 
 Reconfigurability — the paper's "R" — is first-class: the index carries
-a :class:`repro.core.BankConfig` (metric + bits), banks may be
-re-voltaged *online* at a new config via :meth:`reconfigure`
+a :class:`repro.core.BankConfig` (metric + bits), the whole index may
+be re-voltaged *online* at a new config via :meth:`reconfigure`
 (re-programmed from the retained stored codes, bit-identical to a fresh
 index built at the target config), and ``backend="tiered"`` (or
 ``backend="routed"`` with ``inner="tiered"``) runs a cheap low-bit
@@ -59,12 +59,15 @@ import numpy as np
 from ..core.config import BankConfig
 from ..core.distance import DistanceMetric
 from ..core.engine import NotProgrammedError
-from .backends import BACKENDS, FerexBackend, RowStore, SearchBackend
+from .backends import BACKENDS, RowStore, SearchBackend
 from .routing import RoutedBackend
 
 #: Bumped when the on-disk layout changes.  Version 2 added
-#: ``bank_configs`` (heterogeneous per-bank voltage configurations) and
-#: ``backend_options``; both are optional, so version-1 files load.
+#: ``bank_configs`` and ``backend_options``; both are optional, so
+#: version-1 files load.  ``bank_configs`` is always ``None`` now that
+#: every bank runs at the index config: it stays in the record so the
+#: persisted meta and both fingerprints keep their version-2 bytes, and
+#: a state that records per-bank configs is refused on load.
 _FORMAT_VERSION = 2
 
 
@@ -260,8 +263,7 @@ class FerexIndex:
     @property
     def config(self) -> BankConfig:
         """The index-level :class:`BankConfig` (storage alphabet +
-        metric).  Individual banks may be re-voltaged away from it —
-        see :attr:`bank_configs`."""
+        metric); every bank is voltaged at it."""
         return self._config
 
     @property
@@ -276,8 +278,8 @@ class FerexIndex:
 
     @property
     def bank_configs(self) -> "tuple[BankConfig, ...]":
-        """Per-bank voltage configurations (empty for unbanked
-        backends); heterogeneous after a partial :meth:`reconfigure`."""
+        """Per-bank voltage configurations, each equal to
+        :attr:`config` (empty for unbanked backends)."""
         return getattr(self._backend, "bank_configs", ())
 
     @property
@@ -316,20 +318,11 @@ class FerexIndex:
         """
         return self._write_generation
 
-    def _bank_config_records(self) -> "Optional[list]":
-        """Per-bank config dicts when any bank diverges from the
-        index-level config; ``None`` for a homogeneous fleet (the
-        common case, and the version-1 metadata shape)."""
-        configs = self.bank_configs
-        if not configs or all(c == self._config for c in configs):
-            return None
-        return [c.as_dict() for c in configs]
-
     def fingerprint(self) -> str:
         """Cheap stable digest of configuration + mutation history.
 
         The digest folds in the index configuration (dims, metric, bits,
-        backend kind, per-bank configs, bank geometry, seed) and a
+        backend kind, bank geometry, seed) and a
         rolling hash of every mutation applied (op tag + ids + vector
         payload), so it is O(1) to read and O(delta) to maintain — no
         re-hash of the stored set.
@@ -350,7 +343,7 @@ class FerexIndex:
                 "backend": self._backend_kind
                 or type(self._backend).__name__,
                 "bank_rows": self.bank_rows,
-                "bank_configs": self._bank_config_records(),
+                "bank_configs": None,
                 "backend_options": self._backend_options,
                 "encoder": self.encoder,
                 "seed": self.seed,
@@ -494,14 +487,7 @@ class FerexIndex:
     def compact(self) -> None:
         """Physically re-program the live set, reclaiming tombstoned
         rows.  Ids survive; positions (and therefore per-row variation
-        instances) are reassigned.
-
-        A compaction is a fresh build of the live set, so any
-        heterogeneous per-bank configs (:meth:`reconfigure` with
-        ``banks=``) are re-voltaged back to the homogeneous index-level
-        config — the positional tiers they described no longer exist
-        once rows move banks.  Re-apply the partial reconfigure after
-        compacting if the fleet should stay mixed."""
+        instances) are reassigned."""
         self._check_writable()
         live = np.flatnonzero(self._alive)
         self._hold(
@@ -522,87 +508,62 @@ class FerexIndex:
         self,
         bits: Optional[int] = None,
         metric: "str | DistanceMetric | None" = None,
-        banks: Optional[Sequence[int]] = None,
     ) -> BankConfig:
-        """Re-voltage the index (or a subset of banks) at a new
-        (metric, bits) configuration, online, from the retained stored
-        codes.  Returns the target :class:`BankConfig`.
+        """Re-voltage the whole index at a new (metric, bits)
+        configuration, online, from the retained stored codes.  Returns
+        the target :class:`BankConfig`.
 
-        With ``banks=None`` (the default) the whole index moves: the
-        backend is rebuilt at the target config through the same
+        The backend is rebuilt at the target config through the same
         deterministic write path ``from_state`` replays, so the result
         is **bit-identical to a fresh index built at the target config**
         from the same vectors (ids, tombstones, per-row variation draws
         and all).  Stored codes must fit the target alphabet — exactly
         the constraint a fresh build would enforce.
 
-        With ``banks=[...]`` (ferex backend only) just those banks are
-        re-voltaged, yielding a *heterogeneous* fleet: narrower banks
-        store the top bits of the same codes
-        (:func:`repro.core.quantize_codes`) and answer searches at
-        coarse precision — the building block of a coarse tier — while
-        the index-level config (and the add/search validation alphabet)
-        stays put.  Distances merged from mixed-precision banks mix
-        scales by construction; rescore the shortlist yourself, or use
-        ``backend="tiered"`` for a managed coarse tier.
-
-        Either form is atomic (a config with no feasible cell encoding
-        raises without mutating anything), bumps the write generation —
-        invalidating every serving-layer cache entry — and flows
-        through the single-writer + pool-republish path when driven via
-        :meth:`repro.serve.FerexServer.reconfigure`, so it is safe
-        under live traffic.
+        The re-voltage is atomic (a config with no feasible cell
+        encoding raises without mutating anything), bumps the write
+        generation — invalidating every serving-layer cache entry — and
+        flows through the single-writer + pool-republish path when
+        driven via :meth:`repro.serve.FerexServer.reconfigure`, so it is
+        safe under live traffic.  A coarse low-bit tier is
+        ``backend="tiered"``, not a subset of re-voltaged banks.
         """
         self._check_writable()
         config = BankConfig(
             metric=self._config.metric if metric is None else metric,
             bits=self.bits if bits is None else bits,
         )
-        if banks is not None:
-            if not isinstance(self._backend, FerexBackend):
-                raise ValueError(
-                    "per-bank reconfigure needs the sharded ferex "
-                    f"backend, not {type(self._backend).__name__}"
-                )
-            self._backend.reconfigure_banks(config, list(banks))
-        else:
-            if self._backend_kind is None:
-                raise ValueError(
-                    "only index-constructed backends (a registry kind) "
-                    "can be reconfigured; this index wraps a "
-                    f"caller-supplied {type(self._backend).__name__} "
-                    "instance the index cannot rebuild"
-                )
-            if len(self._vectors) and int(
-                self._vectors.max()
-            ) >= config.n_values:
-                raise ValueError(
-                    f"stored codes exceed the {config.bits}-bit "
-                    "alphabet; reconfigure to a wider width, or quantise "
-                    "a subset via banks=[...]"
-                )
-            previous = self._config
-            self._config = config
-            try:
-                backend = self._make_backend(self._backend_kind)
-                if len(self._vectors):
-                    backend.add(self._vectors)
-                    dead = np.flatnonzero(~self._alive)
-                    if len(dead):
-                        backend.deactivate(dead)
-            except Exception:
-                self._config = previous
-                raise
-            self._backend = backend
+        if self._backend_kind is None:
+            raise ValueError(
+                "only index-constructed backends (a registry kind) "
+                "can be reconfigured; this index wraps a "
+                f"caller-supplied {type(self._backend).__name__} "
+                "instance the index cannot rebuild"
+            )
+        if len(self._vectors) and int(self._vectors.max()) >= config.n_values:
+            raise ValueError(
+                f"stored codes exceed the {config.bits}-bit "
+                "alphabet; reconfigure to a wider width"
+            )
+        previous = self._config
+        self._config = config
+        try:
+            backend = self._make_backend(self._backend_kind)
+            if len(self._vectors):
+                backend.add(self._vectors)
+                dead = np.flatnonzero(~self._alive)
+                if len(dead):
+                    backend.deactivate(dead)
+        except Exception:
+            self._config = previous
+            raise
+        self._backend = backend
+        # "banks": None keeps the mutation record, and with it every
+        # later fingerprint, byte-identical to format-2 history.
         self._note_mutation(
             b"reconfigure",
             json.dumps(
-                {
-                    "config": config.as_dict(),
-                    "banks": None if banks is None else sorted(
-                        int(b) for b in banks
-                    ),
-                },
+                {"config": config.as_dict(), "banks": None},
                 sort_keys=True,
             ).encode(),
         )
@@ -729,7 +690,7 @@ class FerexIndex:
             "bits": self.bits,
             "backend": self._backend_kind,
             "bank_rows": self.bank_rows,
-            "bank_configs": self._bank_config_records(),
+            "bank_configs": None,
             "backend_options": options,
             "encoder": self.encoder,
             "seed": self.seed,
@@ -768,9 +729,10 @@ class FerexIndex:
         """Rebuild an index from :meth:`export_state` output.
 
         Vectors re-program through the identical deterministic write
-        path (same positions, same per-bank variation seeds), and
-        persisted per-bank configs are re-applied, so search results
-        are bit-identical to the exporting index.
+        path (same positions, same per-bank variation seeds), so search
+        results are bit-identical to the exporting index.  A state that
+        records ``bank_configs`` (a heterogeneous fleet) raises
+        ``ValueError``: every bank runs at the index config.
 
         With ``read_only=True`` the arrays are adopted *without
         copying* — pass views over ``multiprocessing.shared_memory``
@@ -784,6 +746,14 @@ class FerexIndex:
             raise ValueError(
                 f"index state format {meta['format_version']} is newer "
                 f"than this library ({_FORMAT_VERSION})"
+            )
+        if meta.get("bank_configs"):
+            # Format 2 recorded per-bank configs only for a fleet whose
+            # banks diverged from the index config.
+            raise ValueError(
+                "index state has heterogeneous bank_configs "
+                f"{meta['bank_configs']}; every bank must run at the "
+                "index config"
             )
         index = cls(
             dims=meta["dims"],
@@ -815,11 +785,6 @@ class FerexIndex:
             dead = np.flatnonzero(~index._alive)
             if len(dead):
                 index._backend.deactivate(dead)
-        bank_configs = meta.get("bank_configs")
-        if bank_configs:
-            index._backend.apply_bank_configs(
-                [BankConfig.from_dict(record) for record in bank_configs]
-            )
         # State adoption replays as one bulk mutation: two rebuilds of
         # the same state report equal fingerprints and a fresh
         # (non-zero) write generation, so serving caches never bleed
@@ -839,9 +804,9 @@ class FerexIndex:
         Stored: every physically written vector (tombstones included, so
         bank layout — and with it each row's variation draw — survives),
         ids, liveness, and the full configuration (metric, bits,
-        per-bank configs, encoding mode, bank geometry, variation
-        seed).  Only backends the index constructed itself (a registry
-        kind: ferex/exact/gpu/tiered/routed) can be persisted — see
+        encoding mode, bank geometry, variation seed).  Only backends
+        the index constructed itself (a registry kind:
+        ferex/exact/gpu/tiered/routed) can be persisted — see
         :meth:`export_state`.
         """
         meta, arrays = self.export_state()

@@ -24,10 +24,11 @@ Endpoints
     ``{"id": ...}`` object per line) applied chunk-by-chunk as the
     body arrives — a bulk load larger than memory never buffers whole.
 ``POST /v1/compact`` / ``POST /v1/reconfigure``
-    Maintenance writes; reconfigure takes ``{"bits":, "metric":,
-    "banks":}`` and re-voltages online, under live wire traffic — or
+    Maintenance writes; reconfigure takes ``{"bits":, "metric":}`` and
+    re-voltages the whole index online, under live wire traffic — or
     ``{"top_p":, "n_clusters":}`` to move the routed backend's probe
-    width / cluster count (one kind per request).
+    width / cluster count (one kind per request).  Any other key is a
+    ``400`` before anything is written.
 ``GET /healthz``
     Liveness + pool integrity (``503`` once the process pool is
     broken).
@@ -93,6 +94,11 @@ from .protocol import (
 #: Retry-After attached to 503 shedding responses (deadline expiry,
 #: broken pool) when no admission controller supplies one.
 _DEFAULT_RETRY_AFTER_S = 0.05
+
+#: The keys a ``/v1/reconfigure`` body may carry.  Any other key is
+#: refused: ignoring it would apply the rest of the body as if the
+#: caller had not asked for more.
+_RECONFIGURE_KEYS = frozenset({"bits", "metric", "top_p", "n_clusters"})
 
 
 #: What every handler returns: ``(status, body, content_type)``.
@@ -607,23 +613,30 @@ class NetFrontend:
 
     async def _handle_reconfigure(self, request: Request, reader) -> Reply:
         payload = await self._read_json(request, reader)
+        unknown = sorted(set(payload) - _RECONFIGURE_KEYS)
+        if unknown:
+            raise HttpError(
+                400,
+                f"unknown reconfigure keys {unknown}; a reconfigure "
+                "takes bits/metric (whole-index voltage) or "
+                "top_p/n_clusters (routing)",
+            )
         bits = payload.get("bits")
         metric = payload.get("metric")
-        banks = payload.get("banks")
         top_p = payload.get("top_p")
         n_clusters = payload.get("n_clusters")
-        voltage = (bits, metric, banks) != (None, None, None)
+        voltage = (bits, metric) != (None, None)
         routing = (top_p, n_clusters) != (None, None)
         if not voltage and not routing:
             raise HttpError(
                 400,
-                "body must carry at least one of bits/metric/banks "
+                "body must carry at least one of bits/metric "
                 "(voltage) or top_p/n_clusters (routing)",
             )
         if voltage and routing:
             raise HttpError(
                 400,
-                "voltage (bits/metric/banks) and routing "
+                "voltage (bits/metric) and routing "
                 "(top_p/n_clusters) reconfigures are separate write "
                 "transactions; send two requests",
             )
@@ -632,9 +645,7 @@ class NetFrontend:
                 top_p=top_p, n_clusters=n_clusters
             )
         else:
-            await self._server.reconfigure(
-                bits=bits, metric=metric, banks=banks
-            )
+            await self._server.reconfigure(bits=bits, metric=metric)
         return _json(
             {
                 "ok": True,

@@ -497,12 +497,7 @@ class FerexServer:
         finally:
             self._cache.clear()
 
-    async def reconfigure(
-        self,
-        bits: Optional[int] = None,
-        metric=None,
-        banks: Optional[Sequence[int]] = None,
-    ):
+    async def reconfigure(self, bits: Optional[int] = None, metric=None):
         """Re-voltage the index at a new (metric, bits) — online, under
         live traffic.
 
@@ -518,9 +513,7 @@ class FerexServer:
         """
         try:
             result = await self._write(
-                lambda index: index.reconfigure(
-                    bits=bits, metric=metric, banks=banks
-                )
+                lambda index: index.reconfigure(bits=bits, metric=metric)
             )
         finally:
             self._cache.clear()

@@ -1,13 +1,8 @@
-"""FeFET I-V model: operating regions, programming, variation offsets."""
+"""FeFET I-V model: operating regions."""
 
 import pytest
 
-from repro.devices.fefet import (
-    FeFET,
-    drain_current,
-    is_on,
-    saturation_current,
-)
+from repro.devices.fefet import drain_current
 from repro.devices.tech import FeFETParams
 
 
@@ -67,72 +62,3 @@ class TestDrainCurrent:
         below = drain_current(vth - 1e-6, 0.3, vth, PARAMS)
         above = drain_current(vth + 1e-6, 0.3, vth, PARAMS)
         assert above / below < 1e3  # same order across the boundary
-
-
-class TestIsOn:
-    def test_simple_predicate(self):
-        assert is_on(1.0, 0.5)
-        assert not is_on(0.5, 0.5)
-        assert not is_on(0.2, 0.5)
-
-
-class TestSaturationCurrent:
-    def test_below_threshold_floor(self):
-        assert saturation_current(0.1, 0.5, PARAMS) == pytest.approx(
-            PARAMS.i_off_floor
-        )
-
-    def test_quadratic_in_overdrive(self):
-        # Overdrives small enough to stay below the i_sat_max cap.
-        i1 = saturation_current(0.4, 0.2, PARAMS)  # vov 0.2
-        i2 = saturation_current(0.6, 0.2, PARAMS)  # vov 0.4
-        assert i2 / i1 == pytest.approx(4.0, rel=0.01)
-
-    def test_cap_applies_at_large_overdrive(self):
-        assert saturation_current(1.2, 0.2, PARAMS) == pytest.approx(
-            PARAMS.i_sat_max
-        )
-
-
-class TestFeFETDevice:
-    def test_initial_state_is_erased_high_vth(self):
-        dev = FeFET(PARAMS)
-        assert dev.vth == pytest.approx(
-            PARAMS.vth_low + PARAMS.memory_window, abs=0.02
-        )
-
-    def test_program_levels_land_on_ladder(self):
-        dev = FeFET(PARAMS)
-        for level in range(PARAMS.n_vth_levels):
-            vth = dev.program_level(level)
-            assert vth == pytest.approx(PARAMS.vth_level(level), abs=0.02)
-
-    def test_reprogramming_is_idempotent_per_level(self):
-        dev = FeFET(PARAMS)
-        v1 = dev.program_level(1)
-        dev.program_level(2)
-        v2 = dev.program_level(1)
-        assert v2 == pytest.approx(v1, abs=1e-3)
-
-    def test_offset_shifts_threshold(self):
-        dev = FeFET(PARAMS)
-        dev.program_level(1)
-        base = dev.vth
-        dev.set_vth_offset(0.054)
-        assert dev.vth == pytest.approx(base + 0.054)
-
-    def test_erase_returns_to_highest_vth(self):
-        dev = FeFET(PARAMS)
-        dev.program_level(0)
-        dev.erase()
-        assert dev.vth == pytest.approx(
-            PARAMS.vth_low + PARAMS.memory_window, abs=0.02
-        )
-
-    def test_current_uses_programmed_vth(self):
-        dev = FeFET(PARAMS)
-        dev.program_level(0)  # lowest vth
-        on = dev.current(PARAMS.search_voltage(2), 0.1)
-        dev.program_level(2)  # highest vth
-        off = dev.current(PARAMS.search_voltage(2), 0.1)
-        assert on / off > 1e3

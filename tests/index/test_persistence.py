@@ -1,5 +1,7 @@
 """save/load round trips: configuration, ids, tombstones, bit-identity."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -125,3 +127,94 @@ class TestRoundTrip:
             index.add(stored)
             with pytest.raises(ValueError, match="caller-supplied"):
                 index.save(tmp_path / "index.npz")
+
+
+def v2_meta(**changes):
+    """A format-2 meta record as written by ``save`` for an 8-dim
+    Hamming 2-bit ferex index: ``bank_configs`` is ``None`` for a
+    homogeneous fleet."""
+    meta = {
+        "format_version": 2,
+        "dims": 8,
+        "metric": "hamming",
+        "bits": 2,
+        "backend": "ferex",
+        "bank_rows": 16,
+        "bank_configs": None,
+        "backend_options": {},
+        "encoder": "auto",
+        "seed": 11,
+        "next_id": 40,
+    }
+    meta.update(changes)
+    return meta
+
+
+def save_v2(path, meta, vectors, ids, alive):
+    """Write an ``.npz`` in the version-2 layout by hand."""
+    np.savez_compressed(
+        path,
+        meta=np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8),
+        vectors=vectors,
+        ids=ids,
+        alive=alive,
+    )
+
+
+class TestFormatVersion2:
+    def build(self):
+        index = FerexIndex(
+            dims=8, metric="hamming", bits=2, bank_rows=16, seed=11
+        )
+        index.add(np.random.default_rng(0).integers(0, 2, size=(40, 8)))
+        index.remove([3, 19])
+        return index
+
+    def test_meta_and_digests_keep_their_bytes(self):
+        """The persisted record and both fingerprints are the ones
+        format 2 has always produced, before and after a whole-index
+        reconfigure (pinned digests)."""
+        index = self.build()
+        meta, _ = index.export_state()
+        assert json.dumps(meta, sort_keys=True) == json.dumps(
+            v2_meta(), sort_keys=True
+        )
+        assert index.fingerprint() == "5e1bf9ba2b037ada04b06045553fbda8"
+        assert (
+            index.content_fingerprint() == "f52244fddce30895b054a20b367733b2"
+        )
+        index.reconfigure(metric="manhattan", bits=2)
+        assert index.export_state()[0] == v2_meta(metric="manhattan")
+        assert index.fingerprint() == "67cd5a2d95a0d46c0c0d78ac33d33e75"
+        assert (
+            index.content_fingerprint() == "7ecf7b72a9d64df24837c5c5d894f486"
+        )
+
+    def test_saved_v2_file_loads(self, queries, tmp_path):
+        index = self.build()
+        _, arrays = index.export_state()
+        path = tmp_path / "v2.npz"
+        save_v2(path, v2_meta(), **arrays)
+        loaded = FerexIndex.load(path)
+        assert loaded.content_fingerprint() == index.content_fingerprint()
+        before = index.search(queries, k=4)
+        after = loaded.search(queries, k=4)
+        assert np.array_equal(before.ids, after.ids)
+        assert np.array_equal(before.distances, after.distances)
+
+    def test_heterogeneous_bank_configs_refused(self, tmp_path):
+        """A fleet whose banks ran at different configs cannot be
+        rebuilt: every bank runs at the index config."""
+        _, arrays = self.build().export_state()
+        records = [
+            {"metric": "hamming", "bits": 2},
+            {"metric": "hamming", "bits": 1},
+            {"metric": "hamming", "bits": 2},
+        ]
+        meta = v2_meta(bank_configs=records)
+        with pytest.raises(ValueError, match="bank_configs"):
+            FerexIndex.from_state(meta, **arrays)
+        path = tmp_path / "mixed.npz"
+        save_v2(path, meta, **arrays)
+        with pytest.raises(ValueError, match="bank_configs"):
+            FerexIndex.load(path)

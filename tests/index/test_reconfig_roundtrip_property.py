@@ -6,7 +6,6 @@ reconfigure must move the fingerprints (the cache-invalidation
 contract)."""
 
 import numpy as np
-import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -30,20 +29,11 @@ def op_sequences(draw):
     n = draw(st.integers(min_value=2, max_value=MAX_ROWS))
     ops = [("add", n)]
     for _ in range(draw(st.integers(min_value=0, max_value=3))):
-        kind = draw(
-            st.sampled_from(["remove", "reconfigure", "reconfigure_bank"])
-        )
+        kind = draw(st.sampled_from(["remove", "reconfigure"]))
         if kind == "remove":
             ops.append(("remove", draw(st.integers(0, n - 1))))
-        elif kind == "reconfigure":
-            ops.append(
-                ("reconfigure", draw(metrics), draw(bits_values))
-            )
         else:
-            ops.append(
-                ("reconfigure_bank", draw(metrics), draw(bits_values),
-                 draw(st.integers(0, 63)))
-            )
+            ops.append(("reconfigure", draw(metrics), draw(bits_values)))
     return ops
 
 
@@ -58,12 +48,6 @@ def apply_ops(index, ops, rng):
                 index.remove([op[1]])
         elif op[0] == "reconfigure":
             index.reconfigure(metric=op[1], bits=op[2])
-        elif op[0] == "reconfigure_bank":
-            if index.n_banks:
-                index.reconfigure(
-                    metric=op[1], bits=op[2],
-                    banks=[op[3] % index.n_banks],
-                )
     return index
 
 
@@ -108,8 +92,7 @@ def test_heterogeneous_round_trip(tmp_path_factory, ops, data):
             )
 
 
-@pytest.mark.parametrize("banks", [None, [0]])
-def test_reconfigure_moves_fingerprints_and_cache_keys(banks):
+def test_reconfigure_moves_fingerprints_and_cache_keys():
     """The satellite contract: a reconfigure changes
     `content_fingerprint`, and its generation bump makes every old
     cache key unreachable."""
@@ -120,7 +103,7 @@ def test_reconfigure_moves_fingerprints_and_cache_keys(banks):
     before_rolling = index.fingerprint()
     before_key = QueryCache.key(query, 1, index.write_generation)
 
-    index.reconfigure(bits=1, banks=banks)
+    index.reconfigure(bits=1)
 
     assert index.content_fingerprint() != before_content
     assert index.fingerprint() != before_rolling

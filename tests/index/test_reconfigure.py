@@ -156,109 +156,13 @@ class TestReconfigureSemantics:
         fresh.add(vectors)
         assert_bit_identical(index, fresh, binary_queries())
 
-
-class TestPerBankReconfigure:
-    def test_subset_yields_heterogeneous_fleet(self):
-        index = build(bits=2)
-        index.add(np.random.default_rng(7).integers(0, 4, size=(24, DIMS)))
-        assert index.n_banks == 3
-        index.reconfigure(bits=1, banks=[1])
-        assert index.bank_configs == (
-            BankConfig("hamming", 2),
-            BankConfig("hamming", 1),
-            BankConfig("hamming", 2),
-        )
-        # Index-level alphabet (and validation) did not move.
-        assert index.config == BankConfig("hamming", 2)
-        result = index.search(
-            np.random.default_rng(8).integers(0, 4, size=(5, DIMS)), k=3
-        )
-        assert result.ids.shape == (5, 3)
-
-    def test_coarse_bank_serves_quantized_codes(self):
-        # A single bank re-voltaged at 1 bit answers exactly like a
-        # fresh 1-bit index holding the top-bit codes.
-        rng = np.random.default_rng(9)
-        vectors = rng.integers(0, 4, size=(10, DIMS))
-        queries = rng.integers(0, 4, size=(6, DIMS))
-        index = FerexIndex(
-            dims=DIMS, bits=2, bank_rows=16, seed=SEED
-        )
-        index.add(vectors)
-        index.reconfigure(bits=1, banks=[0])
-
-        coarse = FerexIndex(dims=DIMS, bits=1, bank_rows=16, seed=SEED)
-        coarse.add(vectors >> 1)
-        expected = coarse.search(queries >> 1, k=3)
-        actual = index.search(queries, k=3)
-        np.testing.assert_array_equal(actual.ids, expected.ids)
-        np.testing.assert_array_equal(actual.distances, expected.distances)
-
-    def test_bad_ordinals_rejected(self):
+    def test_banks_argument_is_gone(self):
+        """Reconfigure moves the whole index; a bank subset is an
+        unknown argument, refused before anything mutates."""
         index = build()
         index.add(binary_vectors())
-        with pytest.raises(ValueError, match="outside"):
-            index.reconfigure(bits=1, banks=[99])
-        with pytest.raises(ValueError, match="duplicate"):
-            index.reconfigure(bits=1, banks=[0, 0])
-
-    def test_backend_level_full_revoltage_survives_later_adds(self):
-        """Regression: a whole-backend `reconfigure_banks` moves the
-        storage alphabet, so retained codes must stay interpretable —
-        a later add that re-allocates the bank must not re-quantise
-        them a second time."""
-        from repro.index import FerexBackend
-
-        rng = np.random.default_rng(13)
-        backend = FerexBackend(BankConfig("manhattan", 3), DIMS, bank_rows=16)
-        backend.add(rng.integers(0, 2, size=(4, DIMS)))
-        backend.reconfigure_banks(BankConfig("manhattan", 1))
-        assert backend.config == BankConfig("manhattan", 1)
-        # Triggers the geometric re-allocation branch (re-writes the
-        # retained vectors through the new alphabet).
-        backend.add(rng.integers(0, 2, size=(8, DIMS)))
-        positions, _ = backend.search(
-            rng.integers(0, 2, size=(3, DIMS)), k=2
-        )
-        assert positions.shape == (3, 2)
-
-    def test_backend_level_narrowing_checks_codes(self):
-        from repro.index import FerexBackend
-
-        backend = FerexBackend(BankConfig("manhattan", 3), DIMS, bank_rows=16)
-        backend.add(np.full((4, DIMS), 7, dtype=int))
-        with pytest.raises(ValueError, match="exceed"):
-            backend.reconfigure_banks(BankConfig("manhattan", 1))
-        # Atomic: nothing moved.
-        assert backend.config == BankConfig("manhattan", 3)
-
-    def test_non_ferex_backend_rejected(self):
-        index = build(backend="exact")
-        index.add(binary_vectors())
-        with pytest.raises(ValueError, match="per-bank"):
+        generation = index.write_generation
+        with pytest.raises(TypeError, match="banks"):
             index.reconfigure(bits=1, banks=[0])
-
-    def test_compact_revoltages_to_homogeneous(self):
-        """Documented semantics: compaction is a fresh build of the
-        live set, so positional per-bank tiers reset to the index-level
-        config (re-apply the partial reconfigure afterwards to keep a
-        mixed fleet)."""
-        index = build(bits=2)
-        index.add(np.random.default_rng(6).integers(0, 4, size=(24, DIMS)))
-        index.reconfigure(bits=1, banks=[0])
-        index.remove([5])
-        index.compact()
-        assert all(c == index.config for c in index.bank_configs)
-
-    def test_full_reconfigure_heals_heterogeneity(self):
-        vectors = binary_vectors()
-        index = build(bits=2)
-        index.add(vectors)
-        index.reconfigure(bits=1, banks=[0, 2])
-        index.reconfigure(bits=1)  # whole-index: homogeneous again
-        assert all(
-            c == BankConfig("hamming", 1) for c in index.bank_configs
-        )
-        fresh = build(bits=1)
-        fresh.add(vectors)
-        assert_bit_identical(index, fresh, binary_queries())
+        assert index.write_generation == generation
+        assert index.bank_configs == (BankConfig("hamming", 2),) * 3

@@ -362,3 +362,30 @@ def test_compact_endpoint(make_index):
                     assert index.write_generation == generation + 1
 
     run(main())
+
+
+def test_reconfigure_refuses_unknown_keys_before_writing(make_index):
+    """A body carrying a key reconfigure no longer reads (``banks``, a
+    bank subset) is a 400 naming it, not a silent whole-index
+    re-voltage: the write generation and config stay put."""
+
+    async def main():
+        index = make_index()
+        async with FerexServer(index) as server:
+            async with NetFrontend(server) as frontend:
+                async with await HttpClient.connect(
+                    "127.0.0.1", frontend.bound_port
+                ) as client:
+                    generation = index.write_generation
+                    config = index.config
+                    response = await client.request(
+                        "POST",
+                        "/v1/reconfigure",
+                        json_body={"bits": 1, "banks": [0]},
+                    )
+                    assert response.status == 400
+                    assert "banks" in response.json()["message"]
+                    assert index.write_generation == generation
+                    assert index.config == config
+
+    run(main())
