@@ -190,11 +190,16 @@ class TestFormatVersion2:
             index.content_fingerprint() == "7ecf7b72a9d64df24837c5c5d894f486"
         )
 
-    def test_saved_v2_file_loads(self, queries, tmp_path):
+    @pytest.mark.parametrize(
+        "metric,bits",
+        [("hamming", 2), ("manhattan", 2), ("euclidean", 2), ("hamming", 3)],
+    )
+    def test_saved_v2_file_loads(self, queries, tmp_path, metric, bits):
         index = self.build()
+        index.reconfigure(metric=metric, bits=bits)
         _, arrays = index.export_state()
         path = tmp_path / "v2.npz"
-        save_v2(path, v2_meta(), **arrays)
+        save_v2(path, v2_meta(metric=metric, bits=bits), **arrays)
         loaded = FerexIndex.load(path)
         assert loaded.content_fingerprint() == index.content_fingerprint()
         before = index.search(queries, k=4)
@@ -202,15 +207,21 @@ class TestFormatVersion2:
         assert np.array_equal(before.ids, after.ids)
         assert np.array_equal(before.distances, after.distances)
 
-    def test_heterogeneous_bank_configs_refused(self, tmp_path):
-        """A fleet whose banks ran at different configs cannot be
-        rebuilt: every bank runs at the index config."""
+    @pytest.mark.parametrize(
+        "configs",
+        [
+            [("hamming", 2), ("hamming", 1), ("hamming", 2)],
+            [("hamming", 2), ("hamming", 2), ("manhattan", 2)],
+            [("euclidean", 1), ("hamming", 2), ("manhattan", 2)],
+            # Every bank agrees, but not with the index config.
+            [("hamming", 1)] * 3,
+        ],
+    )
+    def test_heterogeneous_bank_configs_refused(self, tmp_path, configs):
+        """A fleet whose banks ran at other configs than the index
+        cannot be rebuilt: every bank runs at the index config."""
         _, arrays = self.build().export_state()
-        records = [
-            {"metric": "hamming", "bits": 2},
-            {"metric": "hamming", "bits": 1},
-            {"metric": "hamming", "bits": 2},
-        ]
+        records = [{"metric": m, "bits": b} for m, b in configs]
         meta = v2_meta(bank_configs=records)
         with pytest.raises(ValueError, match="bank_configs"):
             FerexIndex.from_state(meta, **arrays)
@@ -218,3 +229,21 @@ class TestFormatVersion2:
         save_v2(path, meta, **arrays)
         with pytest.raises(ValueError, match="bank_configs"):
             FerexIndex.load(path)
+
+    @pytest.mark.parametrize("backend", ["ferex", "exact", "tiered"])
+    def test_meta_records_no_bank_configs(self, backend):
+        """Every bank runs at the index config, so no backend records
+        per-bank configs, before or after a reconfigure and compact."""
+        index = FerexIndex(
+            dims=8, metric="hamming", bits=2, backend=backend, bank_rows=16
+        )
+        index.add(np.random.default_rng(0).integers(0, 2, size=(40, 8)))
+        assert index.export_state()[0]["bank_configs"] is None
+        index.remove([1, 30])
+        index.reconfigure(metric="euclidean", bits=1)
+        index.compact()
+        meta, arrays = index.export_state()
+        assert meta["bank_configs"] is None
+        loaded = FerexIndex.from_state(meta, **arrays)
+        assert loaded.config == index.config
+        assert loaded.content_fingerprint() == index.content_fingerprint()

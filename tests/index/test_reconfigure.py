@@ -156,13 +156,30 @@ class TestReconfigureSemantics:
         fresh.add(vectors)
         assert_bit_identical(index, fresh, binary_queries())
 
-    def test_banks_argument_is_gone(self):
+    @pytest.mark.parametrize("backend", ["ferex", "exact", "tiered"])
+    def test_banks_argument_is_gone(self, backend):
         """Reconfigure moves the whole index; a bank subset is an
         unknown argument, refused before anything mutates."""
-        index = build()
+        index = build(backend=backend)
         index.add(binary_vectors())
         generation = index.write_generation
+        content = index.content_fingerprint()
         with pytest.raises(TypeError, match="banks"):
             index.reconfigure(bits=1, banks=[0])
         assert index.write_generation == generation
-        assert index.bank_configs == (BankConfig("hamming", 2),) * 3
+        assert index.content_fingerprint() == content
+        assert index.config == BankConfig("hamming", 2)
+
+
+@pytest.mark.parametrize("metric,bits", TARGETS)
+def test_every_bank_runs_at_the_index_config(metric, bits):
+    """After a whole-index reconfigure, the rebuilt banks and the banks
+    later adds open all run at the index config."""
+    vectors = binary_vectors()
+    index = build()
+    index.add(vectors[:20])
+    index.reconfigure(bits=bits, metric=metric)
+    index.add(vectors[20:])
+    config = BankConfig(metric, bits)
+    assert index.bank_configs == (config,) * 3
+    assert [bank.config for bank in index.backend._banks] == [config] * 3

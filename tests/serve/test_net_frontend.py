@@ -5,6 +5,7 @@ import asyncio
 import json
 
 import numpy as np
+import pytest
 
 from repro.serve import FerexServer
 from repro.serve.net import AdmissionController, HttpClient, NetFrontend
@@ -364,10 +365,22 @@ def test_compact_endpoint(make_index):
     run(main())
 
 
-def test_reconfigure_refuses_unknown_keys_before_writing(make_index):
-    """A body carrying a key reconfigure no longer reads (``banks``, a
-    bank subset) is a 400 naming it, not a silent whole-index
-    re-voltage: the write generation and config stay put."""
+@pytest.mark.parametrize(
+    "body,key",
+    [
+        ({"bits": 1, "banks": [0]}, "banks"),
+        ({"metric": "manhattan", "banks": [0, 1]}, "banks"),
+        ({"banks": [1]}, "banks"),
+        ({"bits": 1, "bank": 0}, "bank"),
+        ({"top_p": 1, "rows": [0, 3]}, "rows"),
+    ],
+)
+def test_reconfigure_refuses_unknown_keys_before_writing(
+    make_index, body, key
+):
+    """A body carrying a key reconfigure does not read (``banks``, a
+    bank subset, or any other) is a 400 naming it, not a silent
+    whole-index re-voltage: the write generation and config stay put."""
 
     async def main():
         index = make_index()
@@ -381,10 +394,10 @@ def test_reconfigure_refuses_unknown_keys_before_writing(make_index):
                     response = await client.request(
                         "POST",
                         "/v1/reconfigure",
-                        json_body={"bits": 1, "banks": [0]},
+                        json_body=body,
                     )
                     assert response.status == 400
-                    assert "banks" in response.json()["message"]
+                    assert repr(key) in response.json()["message"]
                     assert index.write_generation == generation
                     assert index.config == config
 

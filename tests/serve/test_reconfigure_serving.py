@@ -6,6 +6,7 @@ reconfigure counters, coalescer queue-depth gauge)."""
 import asyncio
 
 import numpy as np
+import pytest
 
 from repro.index import FerexIndex
 from repro.serve import FerexServer, ProcReplicaPool
@@ -61,6 +62,23 @@ class TestServerReconfigure:
         snap = server.stats.snapshot()
         assert snap["n_reconfigures"] == 1
         assert server.stats.n_errors == 0
+
+    def test_banks_argument_is_gone(self):
+        """The server re-voltages the whole index only; a bank subset
+        is an unknown argument, refused before the write section."""
+        index = make_binary_index()
+        generation = index.write_generation
+
+        async def main():
+            server = FerexServer(index, max_wait_ms=0.2)
+            async with server:
+                with pytest.raises(TypeError, match="banks"):
+                    await server.reconfigure(bits=1, banks=[0])
+            return server
+
+        server = asyncio.run(main())
+        assert index.write_generation == generation
+        assert server.stats.n_reconfigures == 0
 
     def test_reconfigure_invalidates_cache(self):
         query = binary_queries(1)[0]
