@@ -300,6 +300,10 @@ class FeReXArray:
         #: Encoded elements per row.
         self.cells = physical_cols // cell_fanout
         self.tech = tech or DEFAULT_TECH
+        #: Every device exactly nominal?  Known for the nominal
+        #: constants built here; scanned on first use for a supplied
+        #: sample (see :meth:`_variation_is_ideal`).
+        self._ideal_variation = True if variation is None else None
         if variation is None:
             variation = nominal_variation(rows, physical_cols)
         if variation.shape != (rows, physical_cols):
@@ -359,7 +363,6 @@ class FeReXArray:
         self._alphabet: Optional[tuple] = None
         #: Weak reference to the registered kernel compile.
         self._compiler: Optional[weakref.WeakMethod] = None
-        self._ideal_variation: Optional[bool] = None
 
     # ------------------------------------------------------------------
     # Observable device state
@@ -753,7 +756,8 @@ class FeReXArray:
         """True when every sampled device/comparator variation is
         exactly nominal — the static half of the kernel's eligibility
         gate (a shared per-value LUT cannot model per-device spread).
-        Cached: the variation object is fixed at construction."""
+        A supplied sample is scanned once (the variation object is fixed
+        at construction); the nominal constants are ideal by build."""
         if self._ideal_variation is None:
             v = self.variation
             self._ideal_variation = bool(

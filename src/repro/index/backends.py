@@ -62,6 +62,12 @@ A seeded bank additionally holds its variation sample (two float64 per
 FeFET), once: every allocation slices it and the array adopts the
 slice uncopied.
 
+A routed or tiered index (:mod:`repro.index.routing`) holds no bank
+state at all: a cluster is its codes — rows of the routed backend's own
+:func:`code_store` — plus their compiled kernel, and one engine per
+backend supplies the value LUT.  Only where no exact kernel exists
+does a cluster program transient banks, dropped on its next write.
+
 The index's canonical arrays, the mirrors above and the routed
 backend's store and position maps all grow through one
 :class:`RowStore`: a bulk load fits exactly, and once appended to a

@@ -10,13 +10,13 @@ in.  :class:`RoutedBackend` reproduces that organisation in software:
    assignment step riding the crossbar's exact integer kernel
    (:class:`repro.core.kernel.LUTKernel` over the metric's per-element
    distance table);
-2. **pin** — each cluster owns its own sharded :class:`FerexBackend`,
-   so cluster membership *is* bank placement, decided at ``add`` /
-   ``compact`` time;
+2. **pin** — each row is pinned to its nearest centroid at ``add`` /
+   ``compact`` time; a cluster is the list of its rows' global
+   positions, so cluster membership *is* bank placement;
 3. **route** — a search first scores the query against the centroids
    (one tiny kernel evaluation) and only the ``top_p`` nearest
    clusters are scored.  The scan cost per query drops from O(all
-   banks) to O(top_p clusters' banks) — sublinear in the stored set
+   rows) to O(top_p clusters' rows) — sublinear in the stored set
    for a fixed cluster geometry.
 
 A probed cluster is scored as **one kernel**: its written codes, taken
@@ -28,22 +28,24 @@ touched cluster's compiled kernel (:meth:`LUTKernel.append`, equal to a
 recompile bit for bit), a tombstone only flips the cluster's alive
 mask, and only a compaction, ``rebuild`` or re-pin recompiles.
 Every bank of one configuration compiles at that same quantum, so the
-cluster kernel's scores are exactly the ones its banks' own kernels
+cluster kernel's scores are exactly the ones banks holding its rows
 would read; the kernel scores a whole cluster as one BLAS product, and
 a search runs its cluster loop on one BLAS thread
 (:func:`repro.core.blas.one_thread`), whose second one would only spin
 between clusters.  One :func:`repro.circuits.lta.integer_top_k` over the
 cluster's alive mask nominates, and only the winners convert to unit
-currents.  The cluster's :class:`FerexBackend` stays the write,
-device-model and capacity unit — and answers itself where no exact
-kernel exists — but its banks never compile a search kernel.  Two
-inner modes:
+currents.  A cluster is therefore its codes plus the one engine per
+backend that supplies the LUT: no write programs a bank.  Only where
+no exact kernel exists does a cluster program transient
+:class:`FerexBackend` banks from its codes to answer, kept until its
+next write.  :attr:`RoutedBackend.n_banks` counts the banks the
+clusters' written rows would fill.  Two inner modes:
 
 * ``inner="flat"`` (default) — each probed cluster nominates its
   ``k`` nearest rows by (row current, position) and candidates merge
   on (analog distance, global position), exactly like the flat
-  backend's bank merge.  With ``top_p >= n_clusters`` every bank is
-  probed and results are **bit-identical to flat search** (the
+  backend's bank merge.  With ``top_p >= n_clusters`` every cluster
+  is probed and results are **bit-identical to flat search** (the
   property test sweeps metrics x bits, including after remove /
   compact / reconfigure).
 * ``inner="tiered"`` — probed clusters are voltaged at ``coarse_bits``
@@ -54,7 +56,7 @@ inner modes:
 
 Tiered search (``backend="tiered"``, :class:`TieredBackend`) is this
 backend with one cluster probed in ``inner="tiered"`` mode: a coarse
-pass over every bank, then the rescore.  A one-centroid index skips the
+pass over every row, then the rescore.  A one-centroid index skips the
 centroid pass altogether — every row and query belongs to cluster 0 —
 so it never builds the ``4**bits`` routing table and has no width limit
 (:data:`MAX_ROUTED_BITS` bounds only multi-cluster indexes).
@@ -71,11 +73,11 @@ have answered.
 Streaming ingest at scale rides two maintenance behaviours:
 
 * **watermark compaction** — ``deactivate`` tracks each cluster's
-  tombstone ratio and re-programs any cluster crossing
+  tombstone ratio and compacts any cluster crossing
   ``compact_watermark`` in the background of the write (global
   positions are untouched; only cluster-local rows move), so a
-  long-lived index under churn never accumulates dead rows that banks
-  keep scanning;
+  long-lived index under churn never accumulates dead rows that
+  searches keep scanning;
 * **deterministic re-pinning** — ``rebuild`` (the index ``compact``)
   and :meth:`reconfigure_routing` re-train and re-pin from the live
   set.
@@ -93,15 +95,15 @@ centroid — the same rule every incremental ``add`` used, so replicas
 the publisher.
 
 Device variation note: per-row variation draws are keyed by physical
-placement, which routing reassigns on every re-pin; cluster banks
-therefore run ideal devices, keeping routed answers deterministic and
-the ``top_p = n_clusters`` flat parity exact.
+placement, which routing reassigns on every re-pin; clusters are
+therefore scored on ideal devices, keeping routed answers deterministic
+and the ``top_p = n_clusters`` flat parity exact.
 """
 
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass
+import weakref
 from functools import partialmethod
 from typing import List, Optional, Tuple
 
@@ -111,6 +113,7 @@ from ..circuits.lta import integer_top_k
 from ..core.blas import one_thread
 from ..core.config import BankConfig, quantize_codes
 from ..core.distance import metric_element_lut
+from ..core.engine import FeReX
 from ..core.kernel import KernelOverflowError, LUTKernel
 from .backends import (
     BACKENDS,
@@ -219,37 +222,55 @@ def _routing_kernel(centroids: np.ndarray, config: BankConfig) -> LUTKernel:
     )
 
 
-@dataclass
 class _Cluster:
-    """One routing cell: a sharded FeReX backend — the write,
-    device-model and capacity unit — plus the mapping from its local
-    rows back to global insertion positions and the kernel a search
-    scores the cluster with."""
+    """One routing cell: the global insertion positions of its local
+    rows, which of them still compete, and the kernel a search scores
+    them with.  The codes themselves are the routed backend's mirror
+    rows at those positions; the cluster stores none."""
 
-    sub: FerexBackend
-    #: The written codes compiled against the configuration's value
-    #: LUT; ``None`` until a search compiles it, and again after a
-    #: compaction moves the cluster's rows.  An append extends it
-    #: (:meth:`LUTKernel.append`); a tombstone only changes ``alive``.
-    kernel: Optional[LUTKernel] = None
-
-    def __post_init__(self) -> None:
+    def __init__(self, owner: RoutedBackend):
+        # Weak: a dropped backend's clusters and kernels go with it,
+        # not with the next cyclic collection.
+        self._owner = weakref.ref(owner)
         self.reset(np.empty(0, dtype=np.int64))
 
     def reset(self, globals_: np.ndarray) -> None:
-        """Hold the rows at ``globals_``, every one live."""
+        """Hold the rows at ``globals_``, every one live, uncompiled."""
         self._rows = RowStore(globals_, np.ones(len(globals_), dtype=bool))
         #: (written,) global position of each local row, strictly
         #: ascending — the invariant that makes local (current,
         #: position) tie-breaks equal global ones — and whether the
         #: local row still competes.
         self.globals_, self.alive = self._rows.columns
+        #: The written codes compiled against the configuration's value
+        #: LUT; ``None`` until a search compiles it.  An append extends
+        #: it (:meth:`LUTKernel.append`); a tombstone only changes
+        #: ``alive``.
+        self.kernel: Optional[LUTKernel] = None
+        self._sub: Optional[FerexBackend] = None
 
     def append(self, globals_: np.ndarray) -> None:
         """Hold new live rows at ``globals_`` (past every held one)."""
         self.globals_, self.alive = self._rows.append(
             globals_, np.ones(len(globals_), dtype=bool)
         )
+        self._sub = None
+
+    def kill(self, locals_: np.ndarray) -> None:
+        """Tombstone local rows."""
+        self.alive[locals_] = False
+        self._sub = None
+
+    @property
+    def sub(self) -> FerexBackend:
+        """Banks programmed from the cluster's codes, dead rows
+        deactivated — the answer where no exact kernel exists.  Built
+        on first use, kept until the cluster's next write."""
+        owner = self._owner()
+        with owner._compile_lock:
+            if self._sub is None:
+                self._sub = owner._banks(self)
+            return self._sub
 
     @property
     def written(self) -> int:
@@ -265,8 +286,8 @@ class _Cluster:
 
 
 class RoutedBackend:
-    """Cluster-routed sharded search: k-means routing over per-cluster
-    :class:`FerexBackend` banks.
+    """Cluster-routed search: k-means routing over clusters of stored
+    codes, each probed cluster scored as one kernel.
 
     Parameters beyond the common backend set
     ----------------------------------------
@@ -281,20 +302,20 @@ class RoutedBackend:
         k-means determinism knobs: RNG seed, Lloyd iterations, and the
         insertion-order prefix size training sees.
     compact_watermark:
-        Tombstone ratio beyond which ``deactivate`` re-programs a
-        cluster in the background of the write.
+        Tombstone ratio beyond which ``deactivate`` compacts a cluster
+        in the background of the write.
     inner:
-        ``"flat"`` (full-precision LTA within probed banks) or
-        ``"tiered"`` (coarse ``coarse_bits`` banks + exact rescore of
-        ``refine_factor * k`` nominees).
+        ``"flat"`` (full-precision LTA within probed clusters) or
+        ``"tiered"`` (coarse ``coarse_bits`` clusters + exact rescore
+        of ``refine_factor * k`` nominees).
     centroids:
         Trained centroids to adopt (the persistence path; see
         :meth:`export_options`).  Ignored when they do not fit the
         configured alphabet — e.g. after ``reconfigure`` to fewer
         bits — in which case training re-runs on the next ``add``.
     seed:
-        Accepted for registry-signature compatibility; cluster banks
-        run ideal devices regardless (see the module docstring).
+        Accepted for registry-signature compatibility; clusters are
+        scored on ideal devices regardless (see the module docstring).
     """
 
     name = "routed"
@@ -362,8 +383,8 @@ class RoutedBackend:
         self._centroids: Optional[np.ndarray] = None
         self._clusters: List[_Cluster] = []
         self._router: Optional[LUTKernel] = None
-        # The cluster banks' (lut, quantum, unit current), () where no
-        # exact kernel exists; see _value_lut.
+        # The clusters' (lut, quantum, unit current), () where no exact
+        # kernel exists; see _value_lut.
         self._lut: Optional[tuple] = None
         # Single flight: concurrent readers compile each cluster once;
         # an append extends a compiled kernel under the same lock.
@@ -384,8 +405,9 @@ class RoutedBackend:
     # ------------------------------------------------------------------
     @property
     def n_banks(self) -> int:
-        """Physical banks across every cluster."""
-        return sum(cluster.sub.n_banks for cluster in self._clusters)
+        """Banks the clusters' written rows (tombstones included) fill,
+        ``bank_rows`` to a bank."""
+        return sum(-(-c.written // self.bank_rows) for c in self._clusters)
 
     @property
     def n_trained_clusters(self) -> int:
@@ -436,33 +458,47 @@ class RoutedBackend:
             return BankConfig(self.config.metric, self.coarse_bits)
         return BankConfig(self.config.metric, self.config.bits)
 
-    def _sub_codes(self, vectors: np.ndarray) -> np.ndarray:
-        """Codes as a cluster bank stores them (quantised for the
-        tiered inner mode)."""
-        sub_bits = self._sub_config().bits
-        if sub_bits == self.config.bits:
-            return np.asarray(vectors, dtype=int)
-        return quantize_codes(
-            np.asarray(vectors, dtype=int), self.config.bits, sub_bits
-        )
+    def _sub_codes(self, codes: np.ndarray) -> np.ndarray:
+        """Codes as a cluster scores them (their top ``coarse_bits``
+        for the tiered inner mode)."""
+        return quantize_codes(codes, self.config.bits, self._sub_config().bits)
 
     def _install_centroids(self, centroids: np.ndarray) -> None:
-        """Adopt trained centroids: one empty cluster per centroid."""
+        """Adopt trained centroids: one empty cluster per centroid.  The
+        first install also reads the clusters' ``(lut, quantum, unit
+        current)`` from one engine (:meth:`FeReX.value_lut`), or ``()``
+        where no exact kernel exists and :attr:`_Cluster.sub` answers."""
         self._centroids = np.asarray(centroids, dtype=int)
         self._router = None
-        config = self._sub_config()
-        self._clusters = [
-            _Cluster(
-                sub=FerexBackend(
-                    config,
-                    dims=self.dims,
-                    bank_rows=self.bank_rows,
-                    encoder=self.encoder,
-                    seed=None,
-                )
+        self._clusters = [_Cluster(self) for _ in self._centroids]
+        if self._lut is None:
+            engine = FeReX(
+                dims=self.dims, encoder=self.encoder, config=self._sub_config()
             )
-            for _ in range(len(self._centroids))
-        ]
+            try:
+                lut, quantum = engine.value_lut()
+                self._lut = (lut, quantum, engine.tech.cell.unit_current)
+            except KernelOverflowError:
+                self._lut = ()
+
+    def _codes(self, cluster: _Cluster) -> np.ndarray:
+        """A cluster's written codes, from the narrow code mirror in
+        local-row order: what its kernel compiles and its banks hold."""
+        return quantize_codes(
+            self._vectors[cluster.globals_],
+            self.config.bits,
+            self._sub_config().bits,
+        )
+
+    def _banks(self, cluster: _Cluster) -> FerexBackend:
+        """Ideal-device banks holding a cluster's codes in local-row
+        order, its dead rows deactivated."""
+        banks = FerexBackend(
+            self._sub_config(), self.dims, self.bank_rows, self.encoder
+        )
+        banks.rebuild(self._codes(cluster))
+        banks.deactivate(np.flatnonzero(~cluster.alive))
+        return banks
 
     #: Rows per centroid-kernel evaluation during assignment: bounds
     #: the transient (chunk, n_clusters) score table so pinning a
@@ -497,11 +533,9 @@ class RoutedBackend:
             members = np.flatnonzero(assign == ci)
             cluster = self._clusters[ci]
             local_start = cluster.written
-            codes = self._sub_codes(vectors[members])
-            cluster.sub.add(codes)
             with self._compile_lock:
                 if cluster.kernel is not None:
-                    cluster.kernel.append(codes)
+                    cluster.kernel.append(self._sub_codes(vectors[members]))
             positions = globals_[members]
             cluster.append(positions)
             self._cluster_of[positions] = ci
@@ -559,42 +593,26 @@ class RoutedBackend:
     def deactivate(self, positions: np.ndarray) -> None:
         positions = np.asarray(positions, dtype=np.int64)
         self._alive[positions] = False
-        touched = {}
-        for position in positions:
-            ci = int(self._cluster_of[position])
-            touched.setdefault(ci, []).append(
-                int(self._local_of[position])
-            )
-        for ci, locals_ in touched.items():
+        owners = self._cluster_of[positions]
+        for ci in np.unique(owners):
             cluster = self._clusters[ci]
-            locals_ = np.asarray(locals_, dtype=np.int64)
-            cluster.alive[locals_] = False
-            cluster.sub.deactivate(locals_)
-            if (
-                cluster.written
-                and cluster.n_dead / cluster.written
-                >= self.compact_watermark
-            ):
+            cluster.kill(self._local_of[positions[owners == ci]])
+            if cluster.n_dead / cluster.written >= self.compact_watermark:
                 self._compact_cluster(ci)
 
     def _compact_cluster(self, ci: int) -> None:
-        """Re-program one tombstone-heavy cluster from its live rows.
+        """Drop one tombstone-heavy cluster's dead rows; its kernel
+        recompiles from the live ones on the next search.
 
         Global positions are untouched — only cluster-local rows move —
         so the index (and every position-keyed guarantee above it)
-        never notices; reclaimed tombstones simply stop occupying bank
+        never notices; reclaimed tombstones simply stop occupying kernel
         rows the search would otherwise mask per query.
         """
         cluster = self._clusters[ci]
-        keep = np.flatnonzero(cluster.alive)
-        dead = cluster.globals_[~cluster.alive]
-        live = cluster.globals_[keep]
-        self._local_of[dead] = -1
-        cluster.sub.rebuild(
-            self._sub_codes(self._vectors[live].astype(int))
-        )
+        self._local_of[cluster.globals_[~cluster.alive]] = -1
+        live = cluster.globals_[cluster.alive]
         cluster.reset(live)
-        cluster.kernel = None
         self._local_of[live] = np.arange(len(live), dtype=np.int64)
         self.n_auto_compactions += 1
 
@@ -703,21 +721,8 @@ class RoutedBackend:
         return member, live_counts
 
     def _value_lut(self) -> Optional[tuple]:
-        """``(lut, quantum, unit current)`` of the cluster banks'
-        configuration, read once from any cluster bank
-        (:meth:`FeReX.value_lut`: every bank shares one
-        :class:`repro.core.cell_config.CellConfiguration`, so this builds
-        nothing); ``None`` where no exact kernel exists, and the cluster
-        banks answer.  Called only once some cluster holds rows."""
-        if self._lut is None:
-            engine = next(
-                c.sub.engines[0] for c in self._clusters if c.sub.n_banks
-            )
-            try:
-                lut, quantum = engine.value_lut()
-                self._lut = (lut, quantum, engine.tech.cell.unit_current)
-            except KernelOverflowError:
-                self._lut = ()
+        """The clusters' ``(lut, quantum, unit current)``, read at the
+        first install; ``None`` where no exact kernel exists."""
         return self._lut or None
 
     def _kernel(self, cluster: _Cluster) -> LUTKernel:
@@ -728,12 +733,7 @@ class RoutedBackend:
         with self._compile_lock:
             if cluster.kernel is None:
                 cluster.kernel = LUTKernel(
-                    quantize_codes(
-                        self._vectors[cluster.globals_],
-                        self.config.bits,
-                        self._sub_config().bits,
-                    ),
-                    self._value_lut()[0],
+                    self._codes(cluster), self._value_lut()[0]
                 )
             return cluster.kernel
 
@@ -744,7 +744,7 @@ class RoutedBackend:
         local row) order, with their unit currents: the cluster's kernel
         scores every written row, one :func:`integer_top_k` selects over
         the alive mask, and only the winners convert to units.  Without
-        an exact kernel the cluster's banks answer instead."""
+        an exact kernel the cluster's transient banks answer instead."""
         lut = self._value_lut()
         if lut is None:
             if self.inner == "tiered":
@@ -798,7 +798,7 @@ class RoutedBackend:
         position).
 
         Each probed cluster is one kernel evaluation
-        (:meth:`_nominate`) — its banks' kernels are never compiled.
+        (:meth:`_nominate`).
         ``inner="flat"`` clusters nominate ``k`` rows each and
         distances are unit currents, bit-identical to what the flat
         backend reports; ``inner="tiered"`` clusters score at
@@ -830,12 +830,12 @@ class TieredBackend(RoutedBackend):
     full-precision rescore decides — a :class:`RoutedBackend` with one
     cluster, probed in ``inner="tiered"`` mode.
 
-    The cluster's banks are voltaged at ``coarse_bits`` (default 1)
-    and hold the top bits of every stored code; a search asks them for
-    the ``max(k * refine_factor, k)`` nearest rows per query by
-    row-current readout — a much cheaper array evaluation, since the
-    low-bit cell needs fewer FeFETs per element — then rescores only
-    those with exact full-precision distances (:func:`refine`).
+    The cluster is scored at ``coarse_bits`` (default 1), on the top
+    bits of every stored code: a search takes the
+    ``max(k * refine_factor, k)`` nearest rows per query by row-current
+    readout — a much cheaper array evaluation, since the low-bit cell
+    needs fewer FeFETs per element — then rescores only those with
+    exact full-precision distances (:func:`refine`).
     Returned distances are therefore exact integer distances (as
     floats), and results are approximate exactly insofar as the
     shortlist misses a true neighbor (``benchmarks/bench_reconfig.py``
@@ -845,8 +845,8 @@ class TieredBackend(RoutedBackend):
 
     Everything else is the routed backend's, by decision: tombstone
     watermark compaction (a cluster past ``compact_watermark`` dead
-    rows is re-programmed from its live rows — same answers, fewer rows
-    read, one coarse re-program per crossing), ``last_routing``
+    rows is recompiled from its live rows — same answers, fewer rows
+    read, one coarse recompile per crossing), ``last_routing``
     accounting, persisted options, and :meth:`reconfigure_routing`
     to more clusters.  Only the defaults differ: ``n_clusters=1``,
     ``top_p=1``, ``inner="tiered"``.

@@ -95,9 +95,13 @@ from .protocol import (
 #: broken pool) when no admission controller supplies one.
 _DEFAULT_RETRY_AFTER_S = 0.05
 
-#: The keys a ``/v1/reconfigure`` body may carry.  Any other key is
-#: refused: ignoring it would apply the rest of the body as if the
-#: caller had not asked for more.
+#: The keys each JSON body may carry.  Any other key is refused:
+#: ignoring it would apply the rest of the body as if the caller had not
+#: asked for more (a misspelled ``top_k`` silently answering k = 1).
+_SEARCH_KEYS = frozenset({"query", "k", "deadline_ms"})
+_SEARCH_BATCH_KEYS = frozenset({"queries", "k", "deadline_ms"})
+_ADD_KEYS = frozenset({"vectors", "ids"})
+_REMOVE_KEYS = frozenset({"ids"})
 _RECONFIGURE_KEYS = frozenset({"bits", "metric", "top_p", "n_clusters"})
 
 
@@ -398,7 +402,11 @@ class NetFrontend:
         self.bytes_in += len(body)
         return body
 
-    async def _read_json(self, request: Request, reader) -> dict:
+    async def _read_json(
+        self, request: Request, reader, allowed: frozenset = frozenset()
+    ) -> dict:
+        """The JSON object body, refused with a 400 naming any key
+        outside ``allowed``."""
         body = await self._read_raw(request, reader)
         if not body:
             return {}
@@ -408,6 +416,13 @@ class NetFrontend:
             raise HttpError(400, f"malformed JSON body: {exc}")
         if not isinstance(payload, dict):
             raise HttpError(400, "JSON body must be an object")
+        unknown = sorted(set(payload) - allowed)
+        if unknown:
+            raise HttpError(
+                400,
+                f"unknown keys {unknown} for {request.path}; it takes "
+                f"{sorted(allowed)}",
+            )
         return payload
 
     def _deadline(self, payload: dict, request: Request) -> Optional[float]:
@@ -447,18 +462,19 @@ class NetFrontend:
         return self.admission.admit(rows)
 
     async def _read_rows(
-        self, request: Request, reader, field: str
+        self, request: Request, reader, field: str, allowed: frozenset
     ) -> Tuple[np.ndarray, dict]:
         """The reader of the row-carrying endpoints: ``(rows, fields)``
         from one binary array frame (its header ``k`` is the only
-        field) or from a JSON body carrying ``field``, chosen by
-        ``Content-Type``.  Either way the rows must be 2-D."""
+        field) or from a JSON body carrying ``field`` and no key outside
+        ``allowed``, chosen by ``Content-Type``.  Either way the rows
+        must be 2-D."""
         if request.content_type == BINARY_CONTENT_TYPE:
             body = await self._read_raw(request, reader)
             rows, k = unpack_array_frame(body)
             payload = {"k": k}
         else:
-            payload = await self._read_json(request, reader)
+            payload = await self._read_json(request, reader, allowed)
             if field not in payload:
                 raise HttpError(400, f"body must carry {field!r}")
             rows = np.asarray(payload[field])
@@ -472,7 +488,7 @@ class NetFrontend:
     # Read endpoints
     # ------------------------------------------------------------------
     async def _handle_search(self, request: Request, reader) -> Reply:
-        payload = await self._read_json(request, reader)
+        payload = await self._read_json(request, reader, _SEARCH_KEYS)
         if "query" not in payload:
             raise HttpError(400, "body must carry 'query'")
         k = self._parse_k(payload)
@@ -490,7 +506,9 @@ class NetFrontend:
         )
 
     async def _handle_search_batch(self, request: Request, reader) -> Reply:
-        queries, payload = await self._read_rows(request, reader, "queries")
+        queries, payload = await self._read_rows(
+            request, reader, "queries", _SEARCH_BATCH_KEYS
+        )
         k = self._parse_k(payload)
         deadline = self._deadline(payload, request)
         with self._admit(max(len(queries), 1)):
@@ -507,7 +525,9 @@ class NetFrontend:
     async def _handle_add(self, request: Request, reader) -> Reply:
         if request.content_type == "application/x-ndjson":
             return await self._streamed_add(request, reader)
-        vectors, payload = await self._read_rows(request, reader, "vectors")
+        vectors, payload = await self._read_rows(
+            request, reader, "vectors", _ADD_KEYS
+        )
         assigned = await self._server.add(vectors, ids=payload.get("ids"))
         return _rows_reply(request, assigned, count=len(assigned))
 
@@ -567,7 +587,7 @@ class NetFrontend:
     async def _handle_remove(self, request: Request, reader) -> Reply:
         if request.content_type == "application/x-ndjson":
             return await self._streamed_remove(request, reader)
-        payload = await self._read_json(request, reader)
+        payload = await self._read_json(request, reader, _REMOVE_KEYS)
         if "ids" not in payload:
             raise HttpError(400, "body must carry 'ids'")
         removed = await self._server.remove(payload["ids"])
@@ -612,15 +632,7 @@ class NetFrontend:
         return _json({"ok": True})
 
     async def _handle_reconfigure(self, request: Request, reader) -> Reply:
-        payload = await self._read_json(request, reader)
-        unknown = sorted(set(payload) - _RECONFIGURE_KEYS)
-        if unknown:
-            raise HttpError(
-                400,
-                f"unknown reconfigure keys {unknown}; a reconfigure "
-                "takes bits/metric (whole-index voltage) or "
-                "top_p/n_clusters (routing)",
-            )
+        payload = await self._read_json(request, reader, _RECONFIGURE_KEYS)
         bits = payload.get("bits")
         metric = payload.get("metric")
         top_p = payload.get("top_p")

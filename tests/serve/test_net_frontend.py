@@ -402,3 +402,46 @@ def test_reconfigure_refuses_unknown_keys_before_writing(
                     assert index.config == config
 
     run(main())
+
+
+@pytest.mark.parametrize(
+    "path,body,key",
+    [
+        ("/v1/search", {"query": [0] * DIMS, "top_k": 5}, "top_k"),
+        ("/v1/search", {"query": [0] * DIMS, "deadline": 9}, "deadline"),
+        ("/v1/search", {"queries": [[0] * DIMS], "k": 2}, "queries"),
+        ("/v1/search_batch", {"queries": [[0] * DIMS], "K": 2}, "K"),
+        ("/v1/search_batch", {"query": [[0] * DIMS]}, "query"),
+        ("/v1/add", {"vectors": [[0] * DIMS], "id": [999]}, "id"),
+        ("/v1/add", {"vector": [[0] * DIMS], "ids": [999]}, "vector"),
+        ("/v1/add", {"vectors": [[0] * DIMS], "k": 1}, "k"),
+        ("/v1/remove", {"id": [0]}, "id"),
+        ("/v1/remove", {"ids": [0], "compact": True}, "compact"),
+        ("/v1/compact", {"now": True}, "now"),
+    ],
+)
+def test_unknown_body_keys_are_refused_before_writing(
+    make_index, path, body, key
+):
+    """A JSON body carrying a key its endpoint does not read is a 400
+    naming it — not an answer or a write that silently dropped what the
+    caller asked for."""
+
+    async def main():
+        index = make_index()
+        async with FerexServer(index) as server:
+            async with NetFrontend(server) as frontend:
+                async with await HttpClient.connect(
+                    "127.0.0.1", frontend.bound_port
+                ) as client:
+                    generation = index.write_generation
+                    ntotal = index.ntotal
+                    response = await client.request(
+                        "POST", path, json_body=body
+                    )
+                    assert response.status == 400
+                    assert repr(key) in response.json()["message"]
+                    assert index.write_generation == generation
+                    assert index.ntotal == ntotal
+
+    run(main())
