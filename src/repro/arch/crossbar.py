@@ -107,6 +107,32 @@ def vth_ladder(fefet) -> np.ndarray:
     )
 
 
+def _frozen(values: np.ndarray) -> bool:
+    """Whether nothing can write ``values``' memory: it and every array
+    it views are read-only, down to one that owns its data."""
+    while not values.flags.writeable:
+        if values.base is None:
+            return True
+        if not isinstance(values.base, np.ndarray):
+            return False
+        values = values.base
+    return False
+
+
+def _alphabet_key(values: np.ndarray):
+    """A :meth:`FeReXArray._memo` key for a bias alphabet: a frozen
+    array stands for itself, any other for a copy of its bytes."""
+    return values if _frozen(values) else values.tobytes()
+
+
+def _keys(key, values: np.ndarray) -> bool:
+    """Whether ``key`` (an :func:`_alphabet_key`) still names
+    ``values``."""
+    if isinstance(key, bytes):
+        return key == values.tobytes()
+    return key is values and _frozen(values)
+
+
 @dataclass
 class SearchResult:
     """Everything one array search produces."""
@@ -688,17 +714,26 @@ class FeReXArray:
         """``build(sl_values, dl_values)``, memoised per bias alphabet
         against the write generation: re-programming any row (or a new
         alphabet) invalidates the value, while back-to-back searches —
-        the Monte Carlo / inference hot path — reuse it."""
-        key = (
-            self.write_generation,
-            sl_values.tobytes(),
-            dl_values.tobytes(),
-        )
+        the Monte Carlo / inference hot path — reuse it.
+
+        A frozen alphabet (the configuration's shared one) is keyed by
+        identity; any other by a snapshot of its bytes, so an in-place
+        change to it is never served stale."""
+        generation = self.write_generation
         # Single flight: concurrent readers of one generation wait for
         # the first builder instead of building it again.
         with self._build_lock:
             cached = self._scorer_cache.get(name)
-            if cached is None or cached[0] != key:
+            if cached is None or not (
+                cached[0][0] == generation
+                and _keys(cached[0][1], sl_values)
+                and _keys(cached[0][2], dl_values)
+            ):
+                key = (
+                    generation,
+                    _alphabet_key(sl_values),
+                    _alphabet_key(dl_values),
+                )
                 cached = (key, build(sl_values, dl_values))
                 self._scorer_cache[name] = cached
         return cached[1]

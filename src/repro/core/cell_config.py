@@ -28,7 +28,12 @@ from .kernel import KernelOverflowError, select_accumulator, select_quantum
 
 
 def _read_only(array: np.ndarray) -> np.ndarray:
-    array.flags.writeable = False
+    """``array``, with it and every array it views made read-only, so
+    nothing can change it (and a scorer may key it by identity)."""
+    view = array
+    while isinstance(view, np.ndarray):
+        view.flags.writeable = False
+        view = view.base
     return array
 
 

@@ -29,17 +29,20 @@ recompile bit for bit), a tombstone only flips the cluster's alive
 mask, and only a compaction, ``rebuild`` or re-pin recompiles.
 Every bank of one configuration compiles at that same quantum, so the
 cluster kernel's scores are exactly the ones banks holding its rows
-would read; the kernel scores a whole cluster as one BLAS product, and
-a search runs its cluster loop on one BLAS thread
-(:func:`repro.core.blas.one_thread`), whose second one would only spin
-between clusters.  One :func:`repro.circuits.lta.integer_top_k` over the
-cluster's alive mask nominates, and only the winners convert to unit
-currents.  A cluster is therefore its codes plus the one engine per
-backend that supplies the LUT: no write programs a bank.  Only where
-no exact kernel exists does a cluster program transient
-:class:`FerexBackend` banks from its codes to answer, kept until its
-next write.  :attr:`RoutedBackend.n_banks` counts the banks the
-clusters' written rows would fill.  Two inner modes:
+would read; the kernel scores a whole cluster as one BLAS product.  One
+:func:`repro.circuits.lta.integer_top_k` over the cluster's alive mask
+nominates, and only the winners convert to unit currents.  Like FeReX's
+arrays, which all search at once and let only their winners out, the
+probed clusters nominate side by side: a search hands them to every
+idle lane (:func:`repro.core.blas.fan_out`) and merges their nominees
+on its own thread, in cluster order, with every product on one BLAS
+thread (:func:`repro.core.blas.one_thread`).  A cluster is therefore
+its codes plus the one engine per backend that supplies the LUT: no
+write programs a bank.  Only where no exact kernel exists does a
+cluster program transient :class:`FerexBackend` banks from its codes
+to answer, kept until its next write.  :attr:`RoutedBackend.n_banks`
+counts the banks the clusters' written rows would fill.  Two inner
+modes:
 
 * ``inner="flat"`` (default) — each probed cluster nominates its
   ``k`` nearest rows by (row current, position) and candidates merge
@@ -110,7 +113,7 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from ..circuits.lta import integer_top_k
-from ..core.blas import one_thread
+from ..core.blas import fan_out, one_thread
 from ..core.config import BankConfig, quantize_codes
 from ..core.distance import metric_element_lut
 from ..core.engine import FeReX
@@ -738,22 +741,23 @@ class RoutedBackend:
             return cluster.kernel
 
     def _nominate(
-        self, cluster: _Cluster, queries: np.ndarray, c: int
+        self, cluster: _Cluster, scorer, queries: np.ndarray, c: int
     ) -> Tuple[np.ndarray, np.ndarray]:
         """A cluster's ``c`` nearest live local rows in (row current,
-        local row) order, with their unit currents: the cluster's kernel
-        scores every written row, one :func:`integer_top_k` selects over
-        the alive mask, and only the winners convert to units.  Without
-        an exact kernel the cluster's transient banks answer instead."""
+        local row) order, with their unit currents: ``scorer``, the
+        cluster's kernel, scores every written row, one
+        :func:`integer_top_k` selects over the alive mask, and only the
+        winners convert to units.  Without an exact kernel ``scorer``
+        is the cluster's transient banks, which answer instead."""
         lut = self._value_lut()
         if lut is None:
             if self.inner == "tiered":
-                return cluster.sub.shortlist(queries, c, with_units=True)
-            return cluster.sub.search(queries, c)
+                return scorer.shortlist(queries, c, with_units=True)
+            return scorer.search(queries, c)
         _, quantum, unit_current = lut
-        raw = self._kernel(cluster).scores(queries).astype(np.int64)
+        raw = scorer.scores(queries).astype(np.int64)
         local = integer_top_k(raw, c, cluster.alive)
-        score = np.take_along_axis(raw, local, axis=1)
+        score = raw[np.arange(len(raw))[:, None], local]
         return local, score * quantum / unit_current
 
     def _gather(
@@ -764,9 +768,11 @@ class RoutedBackend:
 
         The probe plan covers at least ``need`` live rows per query;
         each probed cluster contributes its ``min(count, live rows)``
-        best through :meth:`_nominate`.  Returns (n, cap) global
-        positions and unit currents, unfilled slots holding
-        ``(PAD_POSITION, inf)``.
+        best through :meth:`_nominate`, on every idle lane
+        (:func:`repro.core.blas.fan_out`).  The scatter runs here, in
+        cluster order, so the candidates do not depend on the lanes.
+        Returns (n, cap) global positions and unit currents, unfilled
+        slots holding ``(PAD_POSITION, inf)``.
         """
         member, live_counts = self._probe_plan(queries, need)
         n = len(queries)
@@ -779,12 +785,22 @@ class RoutedBackend:
         # elementwise function of the query row, so slicing rows out of
         # the precomputed table is bit-identical to re-encoding them.
         sub_queries = self._sub_codes(queries)
+        exact = self._value_lut() is not None
+        jobs = []
         for ci, cluster in enumerate(self._clusters):
             rows = np.flatnonzero(member[:, ci])
             c = min(count, int(live_counts[ci]))
-            if not len(rows) or c == 0:
-                continue
-            local, score = self._nominate(cluster, sub_queries[rows], c)
+            if len(rows) and c:
+                # Kernels and banks are built here, so lanes only score.
+                scorer = self._kernel(cluster) if exact else cluster.sub
+                jobs.append((cluster, scorer, rows, c))
+
+        def nominate(job: int) -> Tuple[np.ndarray, np.ndarray]:
+            cluster, scorer, rows, c = jobs[job]
+            return self._nominate(cluster, scorer, sub_queries[rows], c)
+
+        nominees = fan_out(nominate, len(jobs))
+        for (cluster, _, rows, c), (local, score) in zip(jobs, nominees):
             cols = fill[rows, None] + np.arange(c)[None, :]
             cand_pos[rows[:, None], cols] = cluster.globals_[local]
             cand_score[rows[:, None], cols] = score
@@ -805,7 +821,10 @@ class RoutedBackend:
         ``coarse_bits`` and nominate ``refine_factor * k`` rows each,
         and one exact full-precision :func:`refine` across the union
         decides, so distances are exact integer rescores (as floats).
-        The whole search runs on one BLAS thread.
+        Probed clusters are scored on every idle lane
+        (:func:`repro.core.blas.fan_out`) and merged on the calling
+        thread in cluster order, so the answer does not depend on the
+        lanes; every product runs on one BLAS thread.
         """
         with one_thread():
             if self.inner == "tiered":
@@ -821,8 +840,10 @@ class RoutedBackend:
         """(n, c) nearest global positions by row-current readout
         within the routed subset — the probe plan widens until the
         probed clusters hold ``c`` live rows, then per-cluster
-        nominees merge on (unit current, global position)."""
-        return merge_top_k(*self._gather(queries, c, c), c)[0]
+        nominees merge on (unit current, global position).  Runs on
+        one BLAS thread, like :meth:`search`."""
+        with one_thread():
+            return merge_top_k(*self._gather(queries, c, c), c)[0]
 
 
 class TieredBackend(RoutedBackend):

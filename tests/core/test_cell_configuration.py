@@ -4,9 +4,9 @@ Every :class:`repro.core.FeReX` of one configuration shares one
 :class:`repro.core.cell_config.CellConfiguration`: the specialised
 tech, the DM, the store / search tables, the bias alphabet and the
 kernel's value table are derived once per process, handed out
-read-only, and an engine holds only its array and rows.  Routing reads
-the value table from its own cluster banks instead of building an
-engine for it.
+read-only, and an engine holds only its array and rows.  A routed
+index reads its clusters' value table from the one engine it builds,
+not from cluster banks (clusters hold codes, no bank).
 """
 
 import dataclasses
