@@ -146,8 +146,8 @@ def _recall_at_k(queries, stored, ids, threshold):
 
 def _timed_qps(search, queries, repeats=5):
     """Median-of-``repeats`` q/s (first call also warms lazy state):
-    one batch is tens of milliseconds, so a best-of-two reads whichever
-    run the scheduler favoured."""
+    one batch is tens of milliseconds, so a best single reading is
+    whichever run the scheduler favoured."""
     search(queries[:2])
     rates = []
     result = None

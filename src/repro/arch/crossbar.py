@@ -125,7 +125,7 @@ def _alphabet_key(values: np.ndarray):
     return values if _frozen(values) else values.tobytes()
 
 
-def _keys(key, values: np.ndarray) -> bool:
+def _matches(key, values: np.ndarray) -> bool:
     """Whether ``key`` (an :func:`_alphabet_key`) still names
     ``values``."""
     if isinstance(key, bytes):
@@ -726,8 +726,8 @@ class FeReXArray:
             cached = self._scorer_cache.get(name)
             if cached is None or not (
                 cached[0][0] == generation
-                and _keys(cached[0][1], sl_values)
-                and _keys(cached[0][2], dl_values)
+                and _matches(cached[0][1], sl_values)
+                and _matches(cached[0][2], dl_values)
             ):
                 key = (
                     generation,

@@ -161,6 +161,8 @@ os.register_at_fork(after_in_child=_forget_helpers)
 
 
 def _lane(idle: threading.BoundedSemaphore, context, drain) -> None:
+    """One helper's turn: drain jobs in the caller's context, then free
+    its permit."""
     try:
         context.run(drain)
     finally:
