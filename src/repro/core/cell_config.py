@@ -6,9 +6,10 @@ function, and every bank of that function repeats the same cell.  A
 technology: the encoding, the technology specialised to it, the DM, the
 per-value store and search tables, the full-width bias alphabet and,
 built on first use, the integer value table the exact kernel gathers
-from.  :class:`repro.core.engine.FeReX` builds one per (solved encoding,
-dims, tech) per process and every engine of that triple shares it —
-which is why every array it hands out is read-only.
+from and the certified distance table a routed cluster selects in.
+:class:`repro.core.engine.FeReX` builds one per (solved encoding, dims,
+tech) per process and every engine of that triple shares it — which is
+why every array it hands out is read-only.
 """
 
 from __future__ import annotations
@@ -24,7 +25,19 @@ from ..devices.cell import compile_current_lut
 from ..devices.tech import TechConfig
 from .dm import DistanceMatrix
 from .encoding import CellEncoding
-from .kernel import KernelOverflowError, select_accumulator, select_quantum
+from .kernel import (
+    EXACT_FLOAT32_BITS,
+    KernelOverflowError,
+    select_accumulator,
+    select_quantum,
+)
+
+
+#: Slack, in unit currents, on the distance certificate's
+#: ``dims x spread < 1``: it covers the float64 evaluation of the
+#: residual (a few ulps of each entry, at most ``2**-22`` summed over
+#: any row the exact kernel admits).
+RESIDUAL_SLACK = 2.0**-20
 
 
 def _read_only(array: np.ndarray) -> np.ndarray:
@@ -103,3 +116,35 @@ class CellConfiguration:
         except KernelOverflowError:
             return None
         return lut, quantum
+
+    @functools.cached_property
+    def distance_table(self) -> Optional[np.ndarray]:
+        """The DM's (n_search, n_stored) integer table, certified to
+        order rows the way the value table scores them; ``None`` where
+        the certificate fails or no value table exists.  Built on first
+        use, once per configuration.
+
+        Each stored value's entry is ``unit x (DM[v, s] + r[v, s])``
+        after quantisation, ``r`` the OFF-state leakage plus rounding.
+        Rows whose DM distances differ by at least one therefore keep
+        their order in current whenever ``dims x (max r - min r)``
+        stays below one unit current (less :data:`RESIDUAL_SLACK`):
+        then the value order refines the distance order, which is what
+        :meth:`repro.core.kernel.LUTKernel.top_k` selects by, in
+        float32, so a row's distance must also stay below ``2**24``.
+        The erased column is not certified; no routed cluster holds
+        it."""
+        table, dm = self.value_table, self.dm.values
+        if (
+            table is None
+            or table[0][:, :-1].shape != dm.shape
+            or self.dims * int(dm.max()) >= 1 << EXACT_FLOAT32_BITS
+        ):
+            return None
+        lut, quantum = table
+        unit = self.tech.cell.unit_current
+        residual = lut[:, :-1] * (quantum / unit) - dm
+        spread = float(residual.max() - residual.min())
+        if self.dims * spread >= 1.0 - RESIDUAL_SLACK:
+            return None
+        return _read_only(dm.copy())

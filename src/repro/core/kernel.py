@@ -19,15 +19,28 @@ an append that outgrows the buffers regrows them to
 :func:`headroom` rows, ``n + n // 8``, so a stream of small appends
 costs amortised work in proportion to the rows written while the idle
 capacity stays an eighth (a 2x doubling's spare half cost real peak
-memory on a 100k-row routed index).  The base row and every float64
-plane are row blocks of one C-ordered ``(1 + planes x cells,
-capacity)`` *wide matrix*, so a search multiplies one ``[1 | one-hot]``
-operand by its ``[:, :rows]`` view once — one BLAS product per kernel,
-however many rows it holds — and only gcd-scaled float32 planes take a
-product of their own.  A float32 plane is row-major, ``(capacity,
-cells)``: its product runs as ``plane @ mask.T`` when the kernel holds
-at least as many rows as the batch (a bank or a cluster: OpenBLAS's
-fast orientation for a short mask, 420 against 690 µs for a 1024 x 512
+memory on a 100k-row routed index).  Codes stay in the integer dtype
+they were compiled from (a routed cluster's int8 code mirror, an
+engine's int64 stored values).
+
+Layout.  Each query value ``v >= 1`` owns one plane ``lut[v] -
+lut[0]`` over the rows' codes, held one of three ways:
+
+* *stacked* — a delta row whose raw entries fit float32 exactly
+  (``cells x max |delta| < 2**24``): every such plane sits side by side
+  in one row-major ``(capacity, cells, planes)`` float32 block, scored
+  by **one** product with the ``(n, cells x planes)`` one-hot operand
+  (a distance table's planes, the routing centroid table's);
+* *scaled* — its gcd ``g`` times small integers that fit float32: its
+  own row-major ``(capacity, cells)`` buffer and product, scaled by
+  ``g`` (a 1-bit current LUT's single plane);
+* *wide* — the float64 delta itself: ``(cells, capacity)`` rows of one
+  C-ordered wide matrix whose first row is the base, so the base and
+  every float64 plane take one ``[1 | one-hot]`` product.
+
+A float32 product runs as ``plane @ mask.T`` when the kernel holds at
+least as many rows as the batch (a bank or a cluster: OpenBLAS's fast
+orientation for a short mask, 420 against 690 µs for a 1024 x 512
 plane and 32 queries on one thread of a 2-vCPU Xeon), and as
 ``mask @ plane.T`` otherwise (the routing centroid kernel against a
 training set, where that orientation is the faster one).  Every index
@@ -40,31 +53,42 @@ LUT (:meth:`repro.core.FeReX.value_lut`) scores a bank (wrapped in
 :class:`QuantizedKernel` by the engine that wrote it) or a routed
 cluster; the same class scores routing centroids
 (:mod:`repro.index.routing`: many rows against a few reused centroids,
-over the metric's per-element distance table).  Exact software
-distances are :meth:`repro.core.DistanceMetric.pairwise`'s job, not the
-kernel's.
+over the metric's per-element distance table).  A routed cluster whose
+configuration certifies its distance matrix
+(:attr:`repro.core.cell_config.CellConfiguration.distance_table`)
+compiles its planes from that small integer table instead and selects
+through :meth:`LUTKernel.top_k`: one float32 product scores every row's
+integer DM distance ``D``, and exact value scores are gathered only for
+the rows that can still win.  Exact software distances are
+:meth:`repro.core.DistanceMetric.pairwise`'s job, not the kernel's.
 
 Exactness discipline
 --------------------
 Everything downstream (serial == batch bit-identity, backend parity,
 reconfigure round trips) hangs on one invariant: **kernel arithmetic is
 exact**, hence independent of evaluation order, blocking, and BLAS
-kernel choice.  Three choices guarantee it:
+kernel choice.  Four choices guarantee it:
 
 * the quantum is a power of two, chosen by :func:`select_quantum` so the
   largest possible partial sum stays below ``2**53`` — every LUT entry,
   every partial sum, and every product in the reduction is an integer
   that float64 represents exactly, so a float matmul and an int64
   gather-accumulate produce the *same* scores;
-* each query value's weight plane ``lut[v] - lut[0]`` is its gcd
-  ``g_v`` times small integers ``small_v``, stored in float32 when
-  ``cells x max |small_v| < 2**24`` (float32's exact-integer range, so
-  every sgemm partial sum is exact); otherwise the plane is the float64
-  delta itself (``g_v = 1``).  The ``g_v x`` product and the running
-  total are float64, inside the ``2**53`` bound;
+* a plane is float32 only while ``cells x`` its largest entry stays
+  below ``2**24`` (float32's exact-integer range).  A one-hot query
+  selects one value per cell, so a stacked block's partial sums add at
+  most ``cells`` nonzero terms, each of one plane, and stay exact like
+  a lone plane's.  The ``g x`` product and the running total are
+  float64, inside the ``2**53`` bound;
 * the accumulator dtype comes from :func:`select_accumulator`'s overflow
   bound on ``cells x max |entry|``; a geometry that cannot satisfy the
-  bound raises :class:`KernelOverflowError` instead of wrapping.
+  bound raises :class:`KernelOverflowError` instead of wrapping;
+* a distance kernel selects in ``D`` only where the configuration's
+  certificate proves that the value order refines the ``D`` order
+  (``cells x`` the spread of the per-cell leakage residual stays below
+  one unit current), so every row outside the candidates ``D <= D_k``
+  scores strictly above ``k`` of them; the candidates' exact scores
+  decide.
 
 Reconstructed currents (``score * quantum``) are exact float64 products,
 so the quantization changes readings by at most half a quantum per cell
@@ -82,9 +106,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Tuple
 
 import numpy as np
+
+from ..circuits.lta import integer_top_k
 
 #: Largest exponent ``b`` such that every integer of magnitude < ``2**b``
 #: is exactly representable in float64 — the bound that makes the matmul
@@ -142,9 +168,7 @@ def select_accumulator(cells: int, max_entry: int) -> np.dtype:
     return np.dtype(np.int32 if bound < 1 << 31 else np.int64)
 
 
-def select_quantum(
-    max_value: float, cells: int, reference: float
-) -> float:
+def select_quantum(max_value: float, cells: int, reference: float) -> float:
     """The power-of-two quantum for a LUT whose raw entries reach
     ``max_value``, reduced over ``cells`` terms.
 
@@ -193,6 +217,47 @@ def regrown(prefix: np.ndarray, size: int, axis: int = 0) -> np.ndarray:
     return np.pad(prefix, pad)
 
 
+def plane_factors(lut: np.ndarray, cells: int) -> list:
+    """One ``(g, small)`` per query value ``v >= 1``: the delta row
+    ``lut[v] - lut[0] == g x small`` as a kernel over ``cells`` cells
+    holds it.  The raw delta in float32 (``g = 1``, a stacked plane)
+    when ``cells x max |delta| < 2**24``; else its gcd ``g`` times
+    float32 small integers when those fit (a scaled plane, ``g > 1``);
+    else the float64 delta itself (``g = 1``).  It depends on the LUT
+    and ``cells`` alone, never on the rows."""
+    out = []
+    for delta in lut[1:] - lut[0]:
+        peak = int(np.abs(delta).max(initial=0))
+        g = 1
+        if cells * peak >= 1 << EXACT_FLOAT32_BITS:
+            g = int(np.gcd.reduce(delta)) or 1
+        if cells * (peak // g) < 1 << EXACT_FLOAT32_BITS:
+            out.append((g, (delta // g).astype(np.float32)))
+        else:
+            out.append((1, delta.astype(np.float64)))
+    return out
+
+
+#: Largest ``rows x n`` product :func:`_product` computes as
+#: ``(plane @ mask.T).T``: a result past a few MiB leaves the cache, and
+#: reading it transposed then costs more than the orientation saves
+#: (100 000 x 32 stacked 2-bit planes: 31 ms against 19 ms for
+#: ``mask @ plane.T``, one thread of a 2-vCPU Xeon; 8192 x 32: 1.0
+#: against 1.2 ms).
+TRANSPOSED_PRODUCT_MAX = 1 << 18
+
+
+def _product(plane: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """``mask @ plane.T``, (n, rows), in OpenBLAS's faster orientation:
+    ``(plane @ mask.T).T`` when the plane holds at least as many rows
+    as the mask and the result stays within
+    :data:`TRANSPOSED_PRODUCT_MAX` entries."""
+    rows, n = len(plane), len(mask)
+    if n <= rows and rows * n <= TRANSPOSED_PRODUCT_MAX:
+        return (plane @ mask.T).T
+    return mask @ plane.T
+
+
 class LUTKernel:
     """Integer gather + reduce over (codes, lut).
 
@@ -200,9 +265,16 @@ class LUTKernel:
     ----------
     codes:
         (rows, cells) small-integer code per cell — the stored value,
-        or the erased code where nothing was written.
+        or the erased code where nothing was written.  Kept in its
+        integer dtype.
     lut:
         (n_values, n_codes) integer score per (query value, code).
+    distance:
+        Optional (n_values, n_codes) integer distance table whose row
+        order the value order refines (a configuration's certified
+        :attr:`~repro.core.cell_config.CellConfiguration.distance_table`).
+        Given one, the planes compile from it and :meth:`top_k`
+        selects in it; scores stay ``lut``'s.
 
     ``scores(value_index)`` evaluates, for each query row of the
     (n, cells) ``value_index``, the per-row reduction
@@ -213,29 +285,32 @@ class LUTKernel:
     * :meth:`scores` — the matmul formulation
       ``base[r] + sum_v g_v * (Q_v @ P_v.T)`` with ``Q_v`` the one-hot
       query mask for value ``v`` and the ``(rows, cells)`` plane
-      ``P_v = small_v[codes]``, where ``lut[v] - lut[0]`` is
-      ``g_v * small_v`` with ``g_v`` the row's gcd.  A plane is float32
-      when ``cells x max |small_v| < 2**24`` (at 1 bit every plane is
-      ``±1``: 4 B per cell) and stored row-major, its product oriented
-      by shape (``P_v @ Q_v.T`` when ``rows >= n``, else
-      ``Q_v @ P_v.T``); otherwise it is the float64 delta with
-      ``g_v = 1``, stored transposed as ``(cells, rows)`` rows of the
-      wide matrix the base shares, all scored by one product.  Every
-      partial sum is an exact integer, so BLAS evaluates it exactly
-      regardless of kernel, order or orientation — this is the numpy
-      hot path.
+      ``P_v = small_v[codes]`` (:func:`plane_factors`): the stacked
+      float32 planes as one product of one block, each scaled float32
+      plane as a product of its own, oriented by shape
+      (:func:`_product`), and the base with every float64 plane as one
+      product of the wide matrix.  Every partial sum is an exact
+      integer, so BLAS evaluates it exactly regardless of kernel, order
+      or orientation — this is the numpy hot path.  A distance kernel's
+      planes hold distances, so its :meth:`scores` (tests only) is the
+      gather.
     * :meth:`scores_gather` — the literal gather + blocked integer
       reduction in the accumulator dtype :func:`select_accumulator`
       picked.  The reference semantics, and the shape the kernel takes
       on gather-friendly accelerators.
 
     :meth:`append` adds rows in place.  ``g_v``, ``small_v``, the plane
-    dtypes and the accumulator depend on the LUT and ``cells`` alone,
+    kinds and the accumulator depend on the tables and ``cells`` alone,
     never on the rows, so an appended kernel equals one compiled over
     all its codes, bit for bit.
     """
 
-    def __init__(self, codes: np.ndarray, lut: np.ndarray):
+    def __init__(
+        self,
+        codes: np.ndarray,
+        lut: np.ndarray,
+        distance: Optional[np.ndarray] = None,
+    ):
         codes = np.asarray(codes)
         lut = np.asarray(lut)
         if codes.ndim != 2:
@@ -249,46 +324,95 @@ class LUTKernel:
         self.rows, self.cells = codes.shape
         self.n_values = lut.shape[0]
         self.lut = lut.astype(np.int64, copy=False)
-        self._codes = self._validate_codes(codes).astype(np.int64, copy=False)
+        #: The table the planes compile from and :meth:`top_k` selects
+        #: in; ``None`` when that is ``lut`` itself.
+        self.distance = None
+        planar = self.lut
+        if distance is not None:
+            planar = self.distance = self._validate_distance(distance)
+        codes = self._validate_codes(codes)
+        # Narrow codes stay narrow while every symbol fits their dtype.
+        fits = codes.dtype.kind in "iu" and (
+            np.iinfo(codes.dtype).max >= lut.shape[1] - 1
+        )
+        self._codes = codes if fits else codes.astype(np.int64)
         max_entry = int(np.abs(self.lut).max()) if self.lut.size else 0
         #: Accumulator dtype certified by the overflow bound.
         self.accumulator = select_accumulator(self.cells, max_entry)
-        # One (g, small) per value v >= 1.
-        self._small = []
-        for delta in self.lut[1:] - self.lut[0]:
-            g = int(np.gcd.reduce(delta)) or 1
-            peak = int(np.abs(delta).max(initial=0)) // g
-            if self.cells * peak < 1 << EXACT_FLOAT32_BITS:
-                small = (delta // g).astype(np.float32)
-            else:  # float64 holds the delta itself: no rescale
-                g, small = 1, delta.astype(np.float64)
-            self._small.append((g, small))
+        self._base_lut = planar[0]
+        # One (g, small) per value v >= 1.  The stacked ones, in value
+        # order, are the columns of the (n_codes, planes) table the
+        # block gathers from and of the (n_values, planes) one-hot
+        # table a query's operand gathers from.
+        self._small = plane_factors(planar, self.cells)
+        stacked = [
+            v
+            for v, (g, small) in enumerate(self._small, start=1)
+            if g == 1 and small.dtype == np.float32
+        ]
+        self._table = np.zeros((lut.shape[1], len(stacked)), np.float32)
+        for column, v in enumerate(stacked):
+            self._table[:, column] = self._small[v - 1][1]
+        onehot = np.equal.outer(np.arange(self.n_values), stacked)
+        self._onehot = onehot.astype(np.float32)
         wide = sum(small.dtype == np.float64 for _, small in self._small)
         self._wide = np.empty((1 + wide * self.cells, self.rows))
-        # A fresh float32 plane is its own C-ordered (rows, cells)
-        # gather: one allocated ahead of the gather left heap holes that
-        # cost an 8 x 1024 x 512 bank index 14 MiB of peak RSS.
+        # A fresh float32 buffer is its own C-ordered gather: one
+        # allocated ahead of the gather left heap holes that cost an
+        # 8 x 1024 x 512 bank index 14 MiB of peak RSS.
         self._layout(
-            small[codes]
-            for _, small in self._small
-            if small.dtype == np.float32
+            self._table[codes],
+            (small[codes] for _, small in self._scaled(self._small)),
         )
         self._compile(codes, 0, narrow=False)
 
-    def _layout(self, narrow) -> None:
+    def _validate_distance(self, distance: np.ndarray) -> np.ndarray:
+        """``distance`` as int64, checked: shaped like ``lut``, integer,
+        non-negative, and every row sum below ``2**24`` — so each of its
+        planes stacks and a row's distance is exact in float32."""
+        distance = np.asarray(distance)
+        if distance.shape != self.lut.shape or distance.dtype.kind != "i":
+            raise ValueError("distance must be an integer table like lut")
+        peak = int(distance.max(initial=0))
+        bound = self.cells * peak < 1 << EXACT_FLOAT32_BITS
+        if distance.min(initial=0) < 0 or not bound:
+            raise ValueError(
+                f"{self.cells} cells of distances in [0, {peak}] must "
+                f"sum below 2**{EXACT_FLOAT32_BITS}"
+            )
+        return distance.astype(np.int64, copy=False)
+
+    @staticmethod
+    def _scaled(pairs):
+        """The scaled float32 ``(g, plane)`` pairs of ``pairs``."""
+        return (
+            (g, plane)
+            for g, plane in pairs
+            if plane.dtype == np.float32 and g != 1
+        )
+
+    def _layout(self, block: np.ndarray, scaled) -> None:
         """Bind ``_base`` and every float64 plane to their rows of the
-        wide matrix, and the float32 planes, in value order, to
-        ``narrow``."""
-        narrow = iter(narrow)
+        wide matrix, the stacked planes to their slices of the
+        ``(capacity, cells, planes)`` ``block``, and the scaled planes,
+        in value order, to ``scaled``."""
+        self._block = block
         wide = (
             self._wide[top : top + self.cells]
             for top in range(1, len(self._wide), self.cells)
         )
+        stacked = (block[:, :, s] for s in range(block.shape[2]))
+        scaled = iter(scaled)
         self._base = self._wide[0]
-        self._planes = [
-            (g, next(wide if small.dtype == np.float64 else narrow))
-            for g, small in self._small
-        ]
+        planes = []
+        for g, small in self._small:
+            if small.dtype == np.float64:
+                planes.append((g, next(wide)))
+            elif g == 1:
+                planes.append((g, next(stacked)))
+            else:
+                planes.append((g, next(scaled)))
+        self._planes = planes
 
     def _compile(
         self, codes: np.ndarray, start: int, narrow: bool = True
@@ -296,18 +420,31 @@ class LUTKernel:
         """Write ``codes``' base entries and float64 plane columns from
         row ``start`` on, and their float32 plane rows if ``narrow``."""
         stop = start + len(codes)
-        self._base[start:stop] = self.lut[0][codes].sum(axis=1)
-        for (_, small), (_, plane) in zip(self._small, self._planes):
+        self._base[start:stop] = self._base_lut[codes].sum(axis=1)
+        for (_, small), (g, plane) in zip(self._small, self._planes):
             if small.dtype == np.float64:
                 plane[:, start:stop] = small[codes.T]
-            elif narrow:
+            elif narrow and g != 1:
                 plane[start:stop] = small[codes]
+        if narrow:
+            self._block[start:stop] = self._table[codes]
 
     @property
     def codes(self) -> np.ndarray:
-        """(rows, cells) int64 compiled codes."""
+        """(rows, cells) compiled codes, in their compiled dtype."""
         rows = self.rows  # before the buffer: an append moves it last
         return self._codes[:rows]
+
+    @property
+    def nbytes(self) -> int:
+        """Bytes the planes and the base hold, idle capacity included
+        (codes excluded)."""
+        scaled = self._scaled(self._planes)
+        return (
+            self._wide.nbytes
+            + self._block.nbytes
+            + sum(plane.nbytes for _, plane in scaled)
+        )
 
     def _validate_codes(self, codes: np.ndarray) -> np.ndarray:
         if codes.ndim != 2 or codes.shape[1] != self.cells:
@@ -328,7 +465,7 @@ class LUTKernel:
         Only the new rows' codes, base entries and plane entries are
         computed.  Buffers they would overflow regrow to
         :func:`headroom` rows first.  ``g``, ``small`` and every dtype
-        depend on the LUT alone, so the result equals one kernel over
+        depend on the tables alone, so the result equals one kernel over
         all the codes, bit for bit.  ``rows`` moves last, so a reader
         that read it earlier still scores a consistent prefix."""
         codes = self._validate_codes(np.asarray(codes))
@@ -338,9 +475,11 @@ class LUTKernel:
             self._codes = regrown(self._codes[:start], size)
             self._wide = regrown(self._wide[:, :start], size, axis=1)
             self._layout(
-                regrown(plane[:start], size)
-                for _, plane in self._planes
-                if plane.dtype == np.float32
+                regrown(self._block[:start], size),
+                (
+                    regrown(plane[:start], size)
+                    for _, plane in self._scaled(self._planes)
+                ),
             )
         self._codes[start:stop] = codes
         self._compile(codes, start)
@@ -356,27 +495,37 @@ class LUTKernel:
         if value_index.size and (
             value_index.min() < 0 or value_index.max() >= self.n_values
         ):
-            raise ValueError(
-                f"value index outside [0, {self.n_values})"
-            )
+            raise ValueError(f"value index outside [0, {self.n_values})")
         return value_index
 
     def scores(self, value_index: np.ndarray) -> np.ndarray:
         """(n, rows) reduction scores, exactly integer-valued float64.
 
+        A distance kernel's planes hold distances, so it answers with
+        :meth:`scores_gather`; every other kernel reduces its planes
+        (:meth:`_reduce`)."""
+        if self.distance is not None:
+            return self.scores_gather(value_index)
+        return self._reduce(self._validate_index(value_index))
+
+    def _reduce(self, value_index: np.ndarray) -> np.ndarray:
+        """(n, rows) row sums of the table the planes compile from,
+        exactly integer-valued float64.
+
         One product of the ``[1 | one-hot(value_index)]`` operand with
         the wide matrix sums each row's base and float64 deltas: every
         partial sum is the base plus at most ``cells`` deltas, the terms
-        :func:`accumulator_bound` certifies.  A float32 plane's product
-        is exact below ``2**24`` in either orientation; scaling it by
-        ``g`` and adding it to the float64 total stay exact below
+        :func:`accumulator_bound` certifies.  One product of the
+        ``(n, cells x planes)`` one-hot operand with the stacked block,
+        and one per scaled plane, are exact below ``2**24`` in either
+        orientation; scaling a scaled plane's product by ``g`` and
+        adding every product to the float64 total stay exact below
         ``2**53`` (``np.multiply`` with ``dtype=float64``: a float32
         array times a Python int would stay float32).  Without float64
-        planes the first scaled product is written into a C-ordered
-        total and the base is added to it (a one-column product costs
-        several times a broadcast)."""
-        value_index = self._validate_index(value_index)
-        n = value_index.shape[0]
+        planes the first float32 product and the base are summed into
+        a C-ordered total (a one-column product costs several times a
+        broadcast)."""
+        n, cells = value_index.shape
         rows, wide, planes = self.rows, self._wide, self._planes
         out = None
         if len(wide) > 1:
@@ -384,20 +533,23 @@ class LUTKernel:
             operand[:, 0], top = 1.0, 1
             for v, (_, plane) in enumerate(planes, start=1):
                 if plane.dtype == np.float64:
-                    operand[:, top : top + self.cells] = value_index == v
-                    top += self.cells
+                    operand[:, top : top + cells] = value_index == v
+                    top += cells
             out = operand @ wide[:, :rows]
+        if self._onehot.shape[1]:
+            product = self._stacked_product(value_index, rows)
+            if out is None:
+                out = np.empty((n, rows))
+                np.add(product, wide[0, :rows], out=out)
+            else:
+                out += product
         for v, (g, plane) in enumerate(planes, start=1):
-            if plane.dtype != np.float32:
+            if plane.dtype != np.float32 or g == 1:
                 continue
             mask = value_index == v
             if not mask.any():
                 continue
-            mask = mask.astype(np.float32)
-            if rows >= n:
-                product = (plane[:rows] @ mask.T).T
-            else:
-                product = mask @ plane[:rows].T
+            product = _product(plane[:rows], mask.astype(np.float32))
             if out is None:
                 out = np.multiply(
                     product, g, out=np.empty((n, rows)), dtype=np.float64
@@ -409,6 +561,61 @@ class LUTKernel:
             out = np.empty((n, rows))
             out[:] = wide[0, :rows]
         return out
+
+    def _stacked_product(
+        self, value_index: np.ndarray, rows: int
+    ) -> np.ndarray:
+        """(n, rows) float32 product of the ``(n, cells x planes)``
+        one-hot operand with the stacked block's first ``rows`` rows."""
+        n, cells = value_index.shape
+        width = cells * self._onehot.shape[1]
+        mask = np.take(self._onehot, value_index, axis=0)
+        block = self._block[:rows].reshape(rows, width)
+        return _product(block, mask.reshape(n, width))
+
+    def top_k(
+        self,
+        value_index: np.ndarray,
+        k: int,
+        alive: Optional[np.ndarray] = None,
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """``(rows, scores)``, each (n, k) int64: per query the ``k``
+        rows ``alive`` keeps with the smallest exact scores, in (score,
+        row) order, and those scores — exactly
+        :func:`repro.circuits.lta.integer_top_k` over :meth:`scores`,
+        for ``1 <= k <=`` live rows.
+
+        A value kernel selects on its full score matrix.  A distance
+        kernel scores every row's distance ``D`` with its planes (one
+        product of the stacked block), takes each query's ``k``-th
+        smallest live ``D`` by ``np.partition``, and gathers exact
+        scores from ``lut`` only for the candidates with
+        ``D <= D_k``.  The distance table's certificate makes the
+        value order refine the ``D`` order, so any other row scores
+        above ``k`` candidates and cannot win."""
+        value_index = self._validate_index(value_index)
+        if self.distance is None:
+            raw = self._reduce(value_index).astype(np.int64)
+            local = integer_top_k(raw, k, alive)
+            return local, raw[np.arange(len(raw))[:, None], local]
+        n, rows = len(value_index), self.rows
+        # The base, exact in float32 below 2**24; a dead row's is inf.
+        offset = self._base[:rows].astype(np.float32)
+        if alive is not None:
+            offset[~alive] = np.inf
+        distance = np.empty((n, rows), np.float32)
+        np.add(self._stacked_product(value_index, rows), offset, out=distance)
+        kth = np.partition(distance, k - 1, axis=1)[:, k - 1 : k]
+        query, row = np.divmod(np.flatnonzero(distance <= kth), rows)
+        width = np.int64(self.lut.shape[1])  # a narrow index must widen
+        cells = value_index[query] * width + self._codes.take(row, axis=0)
+        score = self.lut.take(cells).sum(axis=1)
+        # Candidates come query-major, rows ascending: a stable sort on
+        # (query, score) leaves equal scores in row order.
+        order = np.lexsort((score, query))
+        first = np.searchsorted(query, np.arange(n))
+        pick = order[first[:, None] + np.arange(k)]
+        return row[pick], score[pick]
 
     def scores_gather(
         self, value_index: np.ndarray, block: Optional[int] = None
@@ -431,9 +638,7 @@ class LUTKernel:
             gathered = self.lut[
                 value_index[start:stop, None, :], codes[None, :, :]
             ]
-            out[start:stop] = gathered.sum(
-                axis=2, dtype=self.accumulator
-            )
+            out[start:stop] = gathered.sum(axis=2, dtype=self.accumulator)
         return out.astype(np.float64)
 
 

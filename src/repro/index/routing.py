@@ -20,18 +20,27 @@ in.  :class:`RoutedBackend` reproduces that organisation in software:
    for a fixed cluster geometry.
 
 A probed cluster is scored as **one kernel**: its written codes, taken
-from the backend's narrow code mirror in local-row order, compiled on
-first search against the configuration's (query value x stored value)
-integer current LUT (:meth:`repro.core.FeReX.value_lut`).  A write
-costs the rows it writes: an add appends the new rows' codes to each
-touched cluster's compiled kernel (:meth:`LUTKernel.append`, equal to a
-recompile bit for bit), a tombstone only flips the cluster's alive
+from the backend's narrow code mirror in local-row order and kept int8,
+compiled on first search against the configuration's (query value x
+stored value) integer current LUT (:meth:`repro.core.FeReX.value_lut`).
+A write costs the rows it writes: an add appends the new rows' codes to
+each touched cluster's compiled kernel (:meth:`LUTKernel.append`, equal
+to a recompile bit for bit), a tombstone only flips the cluster's alive
 mask, and only a compaction, ``rebuild`` or re-pin recompiles.
 Every bank of one configuration compiles at that same quantum, so the
 cluster kernel's scores are exactly the ones banks holding its rows
-would read; the kernel scores a whole cluster as one BLAS product.  One
-:func:`repro.circuits.lta.integer_top_k` over the cluster's alive mask
-nominates, and only the winners convert to unit currents.  Like FeReX's
+would read.  :meth:`LUTKernel.top_k` nominates over the cluster's alive
+mask, and only the winners' exact scores convert to unit currents.  A
+FeReX cell realises a distance matrix and its loser-take-all needs only
+the order of the row currents, so where the configuration certifies
+that its leakage residual cannot reorder rows
+(:attr:`repro.core.cell_config.CellConfiguration.distance_table`) and
+the value LUT needs float64 planes, the kernel selects on the DM: one
+float32 product of its stacked planes scores every row's distance, and
+exact scores are gathered for the rows that can still win.  Otherwise
+it scores every row exactly as one BLAS product and selects with
+:func:`repro.circuits.lta.integer_top_k`; ``last_routing["scorer"]``
+records which.  Like FeReX's
 arrays, which all search at once and let only their winners out, the
 probed clusters nominate side by side: a search hands them to every
 idle lane (:func:`repro.core.blas.fan_out`) and merges their nominees
@@ -112,12 +121,11 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from ..circuits.lta import integer_top_k
 from ..core.blas import fan_out, one_thread
 from ..core.config import BankConfig, quantize_codes
 from ..core.distance import metric_element_lut
 from ..core.engine import FeReX
-from ..core.kernel import KernelOverflowError, LUTKernel
+from ..core.kernel import KernelOverflowError, LUTKernel, plane_factors
 from .backends import (
     BACKENDS,
     PAD_POSITION,
@@ -193,9 +201,7 @@ def train_centroids(
             reseeds = rng.choice(len(vectors), size=int(empty.sum()))
             sums[empty] = vectors[reseeds]
             counts[empty] = 1
-        updated = np.clip(
-            np.rint(sums / counts[:, None]).astype(int), 0, hi
-        )
+        updated = np.clip(np.rint(sums / counts[:, None]).astype(int), 0, hi)
         if np.array_equal(updated, centroids):
             break
         centroids = updated
@@ -386,9 +392,13 @@ class RoutedBackend:
         self._centroids: Optional[np.ndarray] = None
         self._clusters: List[_Cluster] = []
         self._router: Optional[LUTKernel] = None
-        # The clusters' (lut, quantum, unit current), () where no exact
-        # kernel exists; see _value_lut.
+        # The clusters' (lut, quantum, unit current, distance table or
+        # None), () where no exact kernel exists; see _value_lut.
         self._lut: Optional[tuple] = None
+        # Which scorer a probed cluster runs, named with the LUT at the
+        # first install: "distance", or "value: <reason>";
+        # last_routing["scorer"] reports it.
+        self._scorer_name: Optional[str] = None
         # Single flight: concurrent readers compile each cluster once;
         # an append extends a compiled kernel under the same lock.
         self._compile_lock = threading.Lock()
@@ -469,8 +479,14 @@ class RoutedBackend:
     def _install_centroids(self, centroids: np.ndarray) -> None:
         """Adopt trained centroids: one empty cluster per centroid.  The
         first install also reads the clusters' ``(lut, quantum, unit
-        current)`` from one engine (:meth:`FeReX.value_lut`), or ``()``
-        where no exact kernel exists and :attr:`_Cluster.sub` answers."""
+        current, distance table)`` from one engine
+        (:meth:`FeReX.value_lut`), or ``()`` where no exact kernel
+        exists and :attr:`_Cluster.sub` answers, and names the scorer
+        ``last_routing["scorer"]`` reports.  The distance table is the
+        configuration's certified one
+        (:attr:`CellConfiguration.distance_table`), kept only where the
+        value LUT needs float64 planes: a LUT of float32 planes alone
+        (1 bit) already scores in one narrow pass."""
         self._centroids = np.asarray(centroids, dtype=int)
         self._router = None
         self._clusters = [_Cluster(self) for _ in self._centroids]
@@ -480,18 +496,30 @@ class RoutedBackend:
             )
             try:
                 lut, quantum = engine.value_lut()
-                self._lut = (lut, quantum, engine.tech.cell.unit_current)
             except KernelOverflowError:
-                self._lut = ()
+                self._lut, self._scorer_name = (), "value: no exact kernel"
+                return
+            distance = engine.cell.distance_table
+            if distance is None:
+                self._scorer_name = "value: uncertified"
+            elif all(
+                small.dtype == np.float32
+                for _, small in plane_factors(lut, self.dims)
+            ):
+                distance, self._scorer_name = None, "value: float32 planes"
+            else:
+                self._scorer_name = "distance"
+            unit = engine.tech.cell.unit_current
+            self._lut = (lut, quantum, unit, distance)
 
     def _codes(self, cluster: _Cluster) -> np.ndarray:
         """A cluster's written codes, from the narrow code mirror in
-        local-row order: what its kernel compiles and its banks hold."""
-        return quantize_codes(
-            self._vectors[cluster.globals_],
-            self.config.bits,
-            self._sub_config().bits,
-        )
+        local-row order and in its dtype: what its kernel compiles and
+        its banks hold."""
+        codes = self._vectors[cluster.globals_]
+        sub_bits = self._sub_config().bits
+        coarse = quantize_codes(codes, self.config.bits, sub_bits)
+        return coarse.astype(codes.dtype, copy=False)
 
     def _banks(self, cluster: _Cluster) -> FerexBackend:
         """Ideal-device banks holding a cluster's codes in local-row
@@ -716,6 +744,7 @@ class RoutedBackend:
             "expanded_queries": int((p_eff > base).sum()),
             "rows_scanned": int((live_counts[probe] * mask).sum()),
             "rows_live": int(live_counts.sum()) * n,
+            "scorer": self._scorer_name,
         }
         self.last_routing["scan_fraction"] = (
             self.last_routing["rows_scanned"]
@@ -724,20 +753,21 @@ class RoutedBackend:
         return member, live_counts
 
     def _value_lut(self) -> Optional[tuple]:
-        """The clusters' ``(lut, quantum, unit current)``, read at the
-        first install; ``None`` where no exact kernel exists."""
+        """The clusters' ``(lut, quantum, unit current, distance
+        table)``, read at the first install; ``None`` where no exact
+        kernel exists."""
         return self._lut or None
 
     def _kernel(self, cluster: _Cluster) -> LUTKernel:
         """The cluster's kernel: its written codes, from the narrow code
         mirror in local-row order, against the configuration's value
-        LUT — compiled once, however many readers ask at once, then
-        appended to by :meth:`_append`."""
+        LUT and, where the scorer is ``"distance"``, its certified
+        distance table — compiled once, however many readers ask at
+        once, then appended to by :meth:`_append`."""
         with self._compile_lock:
             if cluster.kernel is None:
-                cluster.kernel = LUTKernel(
-                    self._codes(cluster), self._value_lut()[0]
-                )
+                lut, _, _, distance = self._value_lut()
+                cluster.kernel = LUTKernel(self._codes(cluster), lut, distance)
             return cluster.kernel
 
     def _nominate(
@@ -745,19 +775,22 @@ class RoutedBackend:
     ) -> Tuple[np.ndarray, np.ndarray]:
         """A cluster's ``c`` nearest live local rows in (row current,
         local row) order, with their unit currents: ``scorer``, the
-        cluster's kernel, scores every written row, one
-        :func:`integer_top_k` selects over the alive mask, and only the
-        winners convert to units.  Without an exact kernel ``scorer``
-        is the cluster's transient banks, which answer instead."""
+        cluster's kernel, selects over the alive mask
+        (:meth:`LUTKernel.top_k`) and only the winners' exact scores
+        convert to units.  A distance kernel scores every written row
+        in DM distance with one float32 product and reads exact scores
+        for the rows that can still win; a value kernel scores every
+        row exactly and selects with
+        :func:`repro.circuits.lta.integer_top_k`.  Without an exact
+        kernel ``scorer`` is the cluster's transient banks, which
+        answer instead."""
         lut = self._value_lut()
         if lut is None:
             if self.inner == "tiered":
                 return scorer.shortlist(queries, c, with_units=True)
             return scorer.search(queries, c)
-        _, quantum, unit_current = lut
-        raw = scorer.scores(queries).astype(np.int64)
-        local = integer_top_k(raw, c, cluster.alive)
-        score = raw[np.arange(len(raw))[:, None], local]
+        _, quantum, unit_current, _ = lut
+        local, score = scorer.top_k(queries, c, cluster.alive)
         return local, score * quantum / unit_current
 
     def _gather(

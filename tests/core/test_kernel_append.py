@@ -9,7 +9,8 @@ steps, accumulator and codes equal those of one ``LUTKernel`` over the
 concatenated codes, bit for bit, for float32 and float64 planes alike
 and for mixed sets of both.  The base and every float64 plane stay row
 blocks of one wide matrix through every regrowth, and every float32
-plane stays a row-major ``(capacity, cells)`` buffer.
+plane stays a ``(capacity, cells)`` slice of the one row-major stacked
+block.
 """
 
 import sys
@@ -39,17 +40,25 @@ def _lut(rng, n_values, n_symbols, wide=()):
 
 def _assert_one_wide_matrix(kernel):
     """The base and every float64 plane are views of one buffer, each
-    float64 plane ``(cells, capacity)``; every float32 plane is its own
-    row-major ``(capacity, cells)`` buffer."""
+    float64 plane ``(cells, capacity)``; every float32 plane is
+    ``(capacity, cells)``: a slice of the one row-major ``(capacity,
+    cells, planes)`` stacked block where its raw deltas fit float32
+    (``g == 1``), else its own row-major buffer."""
     owner = kernel._base.base
     assert owner is not None
     capacity = len(kernel._base)
-    for _, plane in kernel._planes:
+    assert kernel._block.flags.c_contiguous
+    assert kernel._block.shape[:2] == (capacity, kernel.cells)
+    for g, plane in kernel._planes:
         if plane.dtype == F64:
             assert plane.shape == (kernel.cells, capacity)
         else:
             assert plane.shape == (capacity, kernel.cells)
-            assert plane.flags.c_contiguous
+            stacked = np.shares_memory(plane, kernel._block)
+            if g == 1:
+                assert stacked or not plane.size
+            else:
+                assert plane.flags.c_contiguous and not stacked
         assert (plane.base is owner) == (plane.dtype == F64)
         if plane.size and plane.dtype == F64:
             assert np.shares_memory(owner, plane)
@@ -122,7 +131,7 @@ def test_appends_across_regrowths(wide):
     assert [p.dtype for _, p in kernel._planes] == [
         F64 if v in wide else F32 for v in (1, 2, 3)
     ]
-    assert all(p.flags.c_contiguous for _, p in kernel._planes)
+    assert kernel._block.shape == (45, 9, 3 - len(wide))
     value_index = rng.integers(0, 4, size=(7, 9))
     _assert_same_kernel(
         kernel, LUTKernel(np.concatenate(blocks), lut), value_index

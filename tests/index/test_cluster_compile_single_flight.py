@@ -27,9 +27,9 @@ def _counting(monkeypatch):
     constructions, bank_compiles = [], []
 
     class CountedLUTKernel(routing_module.LUTKernel):
-        def __init__(self, codes, lut):
+        def __init__(self, codes, lut, distance=None):
             constructions.append(codes.shape)
-            super().__init__(codes, lut)
+            super().__init__(codes, lut, distance)
 
     def refused(self, sl_values, dl_values):
         bank_compiles.append(id(self))
